@@ -108,7 +108,7 @@ def main():
         REFERENCE_MASK_TRAIN,
     )
     for tag, r in (("FULL", full), ("NOANGLE", ablate)):
-        g = mh.embed_scene_grid(r, sc_s)
+        g = st.embed_scene(r.params, sc_s)
         au_m = mh.mask_angle_uncertainty(g, r.queries)
         out[f"MASK_BOUNDARY_RECALL_{tag}"] = unc.boundary_recall(
             unc.boundary_map(au_m, 90.0), sc_s.labels

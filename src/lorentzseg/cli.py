@@ -27,7 +27,7 @@ from . import hyperbolicity as hyp
 from . import maskhead as mh
 from . import segtoy as st
 from . import uncertainty as unc
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, ParseError, TrainingDivergedError, UsageError
 from .fileio import (
     export_scalar_map,
     load_param_blocks,
@@ -35,7 +35,7 @@ from .fileio import (
     write_json,
     write_pgm,
 )
-from .lorentz import clamp_events, reset_clamp_events
+from .lorentz import clamp_events, lift_point, reset_clamp_events
 from .reference import REFERENCE_MASK_HEAD, REFERENCE_SCENE, REFERENCE_TRAIN
 
 
@@ -74,7 +74,6 @@ def _train_flags(p: argparse.ArgumentParser):
     p.add_argument("--hidden", type=int, default=REFERENCE_TRAIN.hidden)
     p.add_argument("--embed-dim", type=int, default=REFERENCE_TRAIN.embed_dim)
     p.add_argument("--exclude-class", type=int, default=None)
-    p.add_argument("--queries", type=int, default=REFERENCE_MASK_HEAD.n_queries)
 
 
 def _scene_from_args(args) -> st.SceneConfig:
@@ -141,19 +140,36 @@ def _save_model(prefix, head, params, scene_cfg, train_cfg, extras_extra=None, q
 
 def load_model(prefix):
     """Load a trained head: returns (head, params, scene_cfg, train_cfg,
-    extras, queries_or_None)."""
-    blocks, extras = load_param_blocks(prefix)
-    params = st.EncoderParams.from_blocks(blocks)
-    scene_cfg = st.SceneConfig(**extras["scene"])
-    train_cfg = st.TrainConfig(**extras["train"])
-    queries = None
-    if extras["head"] == "mask":
-        queries = mh.QuerySet(
-            class_tangents=blocks["class_tangents"],
-            mask_tangents=blocks["mask_tangents"],
-            no_object_bias=float(blocks["no_object_bias"][0]),
-        )
-    return extras["head"], params, scene_cfg, train_cfg, extras, queries
+    extras, queries, head_cfg), the last two None unless the head is the
+    mask head.  A descriptor that lacks a block or a key, or holds a value
+    of the wrong kind, raises ParseError."""
+    try:
+        blocks, extras = load_param_blocks(prefix)
+        params = st.EncoderParams.from_blocks(blocks)
+        scene_cfg = st.SceneConfig(**extras["scene"])
+        train = dict(extras["train"])
+        # models saved before momentum was removed record it as 0.0
+        if train.pop("momentum", 0.0) != 0.0:
+            raise ParseError(f"{prefix}.json: momentum training is no longer supported")
+        train_cfg = st.TrainConfig(**train)
+        queries = head_cfg = None
+        if extras["head"] == "mask":
+            queries = mh.QuerySet(
+                class_tangents=blocks["class_tangents"],
+                mask_tangents=blocks["mask_tangents"],
+                no_object_bias=float(blocks["no_object_bias"][0]),
+            )
+            head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
+    return extras["head"], params, scene_cfg, train_cfg, extras, queries, head_cfg
+
+
+def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
+    """A scene and the descriptor bank fit on it without the held-out class."""
+    scene = st.generate_scene(scene_cfg)
+    exclude = () if exclude_class is None else (exclude_class,)
+    return scene, st.DescriptorBank.fit(scene, d=embed_dim, exclude=exclude)
 
 
 def cmd_deltahyp(args) -> int:
@@ -197,8 +213,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def _gradfield_row(v, target):
-    from .lorentz import lift_point
-
     x = lift_point(np.asarray(v))
     y = lift_point(np.asarray(target))
     zeros = [0.0] * 15
@@ -270,9 +284,7 @@ def cmd_train(args) -> int:
     reset_clamp_events()
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, args.head)
-    scene = st.generate_scene(scene_cfg)
-    exclude = () if args.exclude_class is None else (args.exclude_class,)
-    bank = st.DescriptorBank.fit(scene, d=args.embed_dim, exclude=exclude)
+    scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -314,11 +326,9 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     started = time.time()
     reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, queries = load_model(args.model)
-    scene = st.generate_scene(scene_cfg)
+    head, params, scene_cfg, train_cfg, extras, queries, head_cfg = load_model(args.model)
     exclude = extras.get("exclude_class")
-    bank = st.DescriptorBank.fit(scene, d=train_cfg.embed_dim,
-                                 exclude=() if exclude is None else (exclude,))
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = {}
@@ -335,7 +345,6 @@ def cmd_infer(args) -> int:
         if exclude is None:
             metrics["miou_euclid"] = st.miou(picked, st.LabelMap(scene.labels, {}), scene.n_classes)
     elif head == "mask":
-        head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
         protos = st.build_prototypes(bank, train_cfg.entail_cfg)
         res = mh.MaskHeadResult(queries, params, protos, bank, {}, head_cfg, train_cfg)
         picked = mh.predict_semantic(res, scene)
@@ -356,11 +365,8 @@ def cmd_infer(args) -> int:
 def cmd_uncertainty(args) -> int:
     started = time.time()
     reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, queries = load_model(args.model)
-    scene = st.generate_scene(scene_cfg)
-    exclude = extras.get("exclude_class")
-    bank = st.DescriptorBank.fit(scene, d=train_cfg.embed_dim,
-                                 exclude=() if exclude is None else (exclude,))
+    head, params, scene_cfg, train_cfg, extras, queries, _ = load_model(args.model)
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, extras.get("exclude_class"))
     grid = st.embed_scene(params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,7 +375,6 @@ def cmd_uncertainty(args) -> int:
     ru = unc.radius_uncertainty(grid)
     export_scalar_map(out_dir / "radius_uncertainty", ru.values, ru.kind)
     if head == "mask":
-        head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
         au = mh.mask_angle_uncertainty(grid, queries)
     else:
         protos = st.build_prototypes(bank, train_cfg.entail_cfg)
@@ -395,14 +400,14 @@ def cmd_uncertainty(args) -> int:
 def cmd_losscape(args) -> int:
     started = time.time()
     reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, queries = load_model(args.model)
+    head, params, scene_cfg, train_cfg, extras, _, _ = load_model(args.model)
     if head not in ("pixel", "euclid"):
         raise UsageError("loss landscape supports the pixel and euclid heads")
-    scene = st.generate_scene(scene_cfg)
     exclude = extras.get("exclude_class")
-    bank = st.DescriptorBank.fit(scene, d=train_cfg.embed_dim,
-                                 exclude=() if exclude is None else (exclude,))
-    geometry = "lorentz" if head == "pixel" else "euclidean"
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+    objective = st.PixelObjective.build(
+        scene, bank, train_cfg, exclude, "lorentz" if head == "pixel" else "euclidean"
+    )
 
     rng = np.random.default_rng(args.directions_seed)
     base = params.blocks()
@@ -435,8 +440,7 @@ def cmd_losscape(args) -> int:
                         for name, block in base.items()
                     }
                     probe = st.EncoderParams.from_blocks(blocks, seed=params.seed)
-                loss = st.evaluate_loss(probe, scene, bank, train_cfg,
-                                        exclude_class=exclude, geometry=geometry)
+                loss = st.evaluate_loss(probe, objective)
                 if a == 0.0 and b == 0.0:
                     center_loss = loss
                 fh.write(f"{repr(float(a))},{repr(float(b))},{repr(float(loss))}\n")
@@ -454,9 +458,7 @@ def cmd_euclid_baseline(args) -> int:
     reset_clamp_events()
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, "pixel")
-    scene = st.generate_scene(scene_cfg)
-    exclude = () if args.exclude_class is None else (args.exclude_class,)
-    bank = st.DescriptorBank.fit(scene, d=args.embed_dim, exclude=exclude)
+    scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     res = st.train_euclidean(scene, bank, train_cfg, exclude_class=args.exclude_class)
@@ -510,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", choices=("pixel", "mask"), default="pixel")
     _scene_flags(p)
     _train_flags(p)
+    p.add_argument("--queries", type=int, default=REFERENCE_MASK_HEAD.n_queries)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -557,6 +560,9 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except TrainingDivergedError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -60,24 +60,18 @@ class EntailmentConfig:
 class LossConfig:
     """Scalars of the per-pixel objective.
 
-    tau is the softmax temperature on negative distances, lambda_w weighs
-    the entailment hinge, and alpha_txt / alpha_img scale descriptor and
-    encoder outputs before the exponential lift (initialized as inverse
-    mean feature norms).
+    tau is the softmax temperature on negative distances and lambda_w
+    weighs the entailment hinge.
     """
 
     tau: float = 0.1
     lambda_w: float = 0.5
-    alpha_txt: float = 1.0
-    alpha_img: float = 1.0
 
     def __post_init__(self):
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise UsageError(f"temperature must be positive, got {self.tau}")
         if not (self.lambda_w >= 0 and math.isfinite(self.lambda_w)):
             raise UsageError(f"entailment weight must be nonnegative, got {self.lambda_w}")
-        if not (self.alpha_txt > 0 and self.alpha_img > 0):
-            raise UsageError("embedding scales must be positive")
 
 
 @dataclass(frozen=True)

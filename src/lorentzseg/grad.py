@@ -26,6 +26,14 @@ The training stack assembles backprop by chain rule from these closed
 forms and the exponential-map Jacobian; no autodiff framework is
 involved.  ``finite_difference_gradient`` is the independent oracle used
 to cross-check every formula.
+
+The array layer has one broadcasting body per formula: dd/dpoint,
+dext/dpoint and dext/danchor.  Times, inner products and anchor norms
+share one broadcast shape S and spatial coordinates are S + (d,), so the
+same body serves one anchor per row (S = (N,)) and all pairs (S = (P, A),
+points as (P, 1, d), anchors as (1, A, d)).  dd/danchor is dd/dpoint with
+the roles swapped, since the distance is symmetric.  Degenerate entries
+are floored rather than raised.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OracleError, UsageError
-from .lorentz import LorentzPoint, sinh_ratio
+from .lorentz import MAX_TANGENT_NORM, LorentzPoint, sinh_ratio
 
 FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
 
@@ -243,7 +251,7 @@ class GradientReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def _sample_pair(rng, dim):
+def _sample_pair(rng, dim=3):
     """Draw a pair clear of derivational degeneracies (coincidence,
     collinearity, tiny anchors)."""
     while True:
@@ -267,8 +275,7 @@ def _sample_pair(rng, dim):
 
 
 def gradient_interaction_report(
-    sample_count: int, seed: int, dim: int = 3, keep_samples: bool = True,
-    inject_error: bool = False,
+    sample_count: int, seed: int, inject_error: bool = False
 ) -> GradientReport:
     """Sample point pairs and verify every closed form against the FD
     oracle, the gradient-sign law, and Euclidean orthogonality.
@@ -285,7 +292,7 @@ def gradient_interaction_report(
     violations = 0
     samples = []
     for idx in range(sample_count):
-        x, y = _sample_pair(rng, dim)
+        x, y = _sample_pair(rng)
         gd = grad_lorentz_distance(x, y)
         ga = grad_exterior_angle(x, y)
         if inject_error and idx == 0:
@@ -320,19 +327,18 @@ def gradient_interaction_report(
             violations += 1
 
         max_rel = max(max_rel, err)
-        if keep_samples:
-            samples.append({
-                "x_spatial": [float(v) for v in x.spatial],
-                "y_spatial": [float(v) for v in y.spatial],
-                "grad_distance": [float(v) for v in gd],
-                "grad_ext_angle": [float(v) for v in ga],
-                "fd_distance": [float(v) for v in fd_d],
-                "fd_ext_angle": [float(v) for v in fd_a],
-                "cosine": cos,
-                "euclid_cosine": cos_e,
-                "predicted_sign": pred,
-                "rel_error": err,
-            })
+        samples.append({
+            "x_spatial": [float(v) for v in x.spatial],
+            "y_spatial": [float(v) for v in y.spatial],
+            "grad_distance": [float(v) for v in gd],
+            "grad_ext_angle": [float(v) for v in ga],
+            "fd_distance": [float(v) for v in fd_d],
+            "fd_ext_angle": [float(v) for v in fd_a],
+            "cosine": cos,
+            "euclid_cosine": cos_e,
+            "predicted_sign": pred,
+            "rel_error": err,
+        })
     rate = agree / gated if gated else 1.0
     return GradientReport(
         sample_count=sample_count,
@@ -357,101 +363,72 @@ def _ext_from_spatial(s: np.ndarray, y: LorentzPoint) -> float:
 # --------------------------------------------------------------------------
 
 
-def batched_grad_distance_wrt_point(
-    pt_spatial, pt_time, an_spatial, an_time, inner, floor=1e-12
-):
-    """Vectorized dd/d(point spatial) against one anchor per row.
+def _distance_grad(psp, pt, asp, at, inner, floor):
+    """dd/d(point spatial) on broadcast-compatible operands: times and
+    ``inner`` share one shape S, spatial arrays are S + (d,)."""
+    den = np.sqrt(np.maximum(inner * inner - 1.0, floor))
+    return -(asp - (at / pt)[..., None] * psp) / den[..., None]
 
-    pt_* are (N, d)/(N,); an_* are (N, d)/(N,) already gathered per row;
-    ``inner`` is <point, anchor>_L per row.  Degenerate rows are floored
-    rather than raised.
-    """
-    lu = -inner
-    den = np.sqrt(np.maximum(lu * lu - 1.0, floor))
-    return -(an_spatial - (an_time / pt_time)[:, None] * pt_spatial) / den[:, None]
+
+def _ext_grad_point(psp, pt, asp, at, inner, anorms, floor):
+    """dext(anchor, point)/d(point spatial), broadcast as in _distance_grad."""
+    L = inner
+    L2m1 = np.maximum(L * L - 1.0, floor)
+    A = (pt + at * L) / (anorms * np.sqrt(L2m1))
+    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
+    coef = 1.0 / (sin_term * anorms * np.sqrt(L2m1))
+    bracket = (
+        -psp / pt[..., None]
+        + ((at + pt * L) / L2m1)[..., None] * (asp - (at / pt)[..., None] * psp)
+    )
+    return coef[..., None] * bracket
+
+
+def _ext_grad_anchor(psp, pt, asp, at, inner, anorms, floor):
+    """dext(anchor, point)/d(anchor spatial), broadcast as in _distance_grad."""
+    L = inner
+    D = np.sqrt(np.maximum(L * L - 1.0, floor))
+    A = (pt + at * L) / (anorms * D)
+    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
+    dL = psp - (pt / at)[..., None] * asp
+    dN = (L / at)[..., None] * asp + at[..., None] * dL
+    d_nD = (asp / anorms[..., None]) * D[..., None] + (anorms * L / D)[..., None] * dL
+    dA = (dN - A[..., None] * d_nD) / (anorms * D)[..., None]
+    return -dA / sin_term[..., None]
 
 
 def batched_grad_ext_wrt_point(
     pt_spatial, pt_time, an_spatial, an_time, inner, an_norms, floor=1e-12
 ):
-    """Vectorized dext(anchor, point)/d(point spatial), one anchor per row."""
-    L = inner
-    L2m1 = np.maximum(L * L - 1.0, floor)
-    A = (pt_time + an_time * L) / (an_norms * np.sqrt(L2m1))
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
-    coef = 1.0 / (sin_term * an_norms * np.sqrt(L2m1))
-    bracket = (
-        -pt_spatial / pt_time[:, None]
-        + ((an_time + pt_time * L) / L2m1)[:, None]
-        * (an_spatial - (an_time / pt_time)[:, None] * pt_spatial)
-    )
-    return coef[:, None] * bracket
-
-
-def batched_grad_ext_wrt_anchor(
-    pt_spatial, pt_time, an_spatial, an_time, inner, an_norms, floor=1e-12
-):
-    """Vectorized dext(anchor, point)/d(anchor spatial), one anchor per row."""
-    L = inner
-    L2m1 = np.maximum(L * L - 1.0, floor)
-    D = np.sqrt(L2m1)
-    N = pt_time + an_time * L
-    A = N / (an_norms * D)
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
-    dL = pt_spatial - (pt_time / an_time)[:, None] * an_spatial
-    dN = (L / an_time)[:, None] * an_spatial + an_time[:, None] * dL
-    d_nD = (an_spatial / an_norms[:, None]) * D[:, None] + (an_norms * L / D)[:, None] * dL
-    dA = (dN - A[:, None] * d_nD) / (an_norms * D)[:, None]
-    return -dA / sin_term[:, None]
+    """dext(anchor, point)/d(point spatial) with one anchor per row: every
+    argument is already gathered to N rows -> (N, d)."""
+    return _ext_grad_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms, floor)
 
 
 def grad_distance_cross(psp, pt, asp, at, inner, floor=1e-12):
     """All-pairs dd/d(point spatial): points (P, d) x anchors (A, d) ->
     (P, A, d), from precomputed inner products (P, A)."""
-    lu = -inner
-    den = np.sqrt(np.maximum(lu * lu - 1.0, floor))
-    term = asp[None, :, :] - (at[None, :] / pt[:, None])[..., None] * psp[:, None, :]
-    return -term / den[..., None]
+    return _distance_grad(psp[:, None, :], pt[:, None], asp[None], at[None], inner, floor)
 
 
 def grad_distance_cross_anchor(psp, pt, asp, at, inner, floor=1e-12):
-    """All-pairs dd/d(anchor spatial) by the symmetry of the distance."""
-    lu = -inner
-    den = np.sqrt(np.maximum(lu * lu - 1.0, floor))
-    term = psp[:, None, :] - (pt[:, None] / at[None, :])[..., None] * asp[None, :, :]
-    return -term / den[..., None]
+    """All-pairs dd/d(anchor spatial) -> (P, A, d): the distance is
+    symmetric, so this is the point gradient with the roles swapped."""
+    return _distance_grad(asp[None], at[None], psp[:, None, :], pt[:, None], inner, floor)
 
 
 def grad_ext_cross_point(psp, pt, asp, at, inner, anorms, floor=1e-12):
     """All-pairs dext(anchor, point)/d(point spatial) -> (P, A, d)."""
-    L = inner
-    L2m1 = np.maximum(L * L - 1.0, floor)
-    A = (pt[:, None] + at[None, :] * L) / (anorms[None, :] * np.sqrt(L2m1))
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
-    coef = 1.0 / (sin_term * anorms[None, :] * np.sqrt(L2m1))
-    bracket = (
-        -(psp / pt[:, None])[:, None, :]
-        + ((at[None, :] + pt[:, None] * L) / L2m1)[..., None]
-        * (asp[None, :, :] - (at[None, :] / pt[:, None])[..., None] * psp[:, None, :])
+    return _ext_grad_point(
+        psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None], floor
     )
-    return coef[..., None] * bracket
 
 
 def grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms, floor=1e-12):
     """All-pairs dext(anchor, point)/d(anchor spatial) -> (P, A, d)."""
-    L = inner
-    L2m1 = np.maximum(L * L - 1.0, floor)
-    D = np.sqrt(L2m1)
-    N = pt[:, None] + at[None, :] * L
-    A = N / (anorms[None, :] * D)
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
-    dL = psp[:, None, :] - (pt[:, None] / at[None, :])[..., None] * asp[None, :, :]
-    dN = (L / at[None, :])[..., None] * asp[None, :, :] + at[None, :, None] * dL
-    d_nD = (asp / anorms[:, None])[None, :, :] * D[..., None] + (
-        anorms[None, :] * L / D
-    )[..., None] * dL
-    dA = (dN - A[..., None] * d_nD) / (anorms[None, :] * D)[..., None]
-    return -dA / sin_term[..., None]
+    return _ext_grad_anchor(
+        psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None], floor
+    )
 
 
 def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
@@ -464,8 +441,6 @@ def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     r_raw = np.sqrt(np.einsum("...i,...i->...", v, v))
-    from .lorentz import MAX_TANGENT_NORM  # local import avoids cycle at module load
-
     clamped = r_raw > MAX_TANGENT_NORM
     scale = np.where(clamped, MAX_TANGENT_NORM / np.maximum(r_raw, 1e-300), 1.0)
     v_used = v * scale[..., None]

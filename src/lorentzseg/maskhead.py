@@ -29,7 +29,6 @@ from scipy.optimize import linear_sum_assignment
 
 from . import grad as gr
 from .entailment import (
-    EntailmentConfig,
     PrototypeSet,
     anchor_apertures,
     cross_entropy_rows,
@@ -50,13 +49,15 @@ from .segtoy import (
     SyntheticScene,
     TrainConfig,
     _encoder_parts,
+    _encoder_step,
+    _start_encoder,
+    _trace_arrays,
     build_prototypes,
-    init_encoder,
     scene_segments,
 )
 from .uncertainty import ScalarMap, angle_uncertainty
 
-_EPS = 1e-12
+_DICE_EPS = 1.0  # the smoothing term of dice_loss
 
 
 @dataclass(frozen=True)
@@ -179,20 +180,12 @@ def dice_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray, eps: float = 1.0) 
     return 1.0 - num / den
 
 
-def matching_cost(class_probs: np.ndarray, mask_probs: np.ndarray, segments, cfg: MaskHeadConfig) -> np.ndarray:
+def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments, cfg: MaskHeadConfig) -> np.ndarray:
     """(N, M) assignment cost: -lambda_cls * p(class) + lambda_focal *
-    focal + lambda_dice * dice.  ``segments`` is a list of
+    focal + lambda_dice * dice, with focal and dice taken on
+    sigmoid(mask_logits) (N, ...).  ``segments`` is a list of
     (class_column, binary mask)."""
-    n = class_probs.shape[0]
-    cost = np.zeros((n, len(segments)))
-    for m, (col, gmask) in enumerate(segments):
-        for j in range(n):
-            cost[j, m] = (
-                -cfg.lambda_cls * class_probs[j, col]
-                + cfg.lambda_focal * focal_loss(mask_probs[j], gmask, cfg.gamma)
-                + cfg.lambda_dice * dice_loss(mask_probs[j], gmask)
-            )
-    return cost
+    return _pair_costs(class_probs, mask_logits, segments, cfg)[0]
 
 
 def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -> LabelMap:
@@ -218,29 +211,54 @@ def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-def _focal_value_and_dlogit(z, g, gamma):
-    """Stable focal loss mean and its gradient w.r.t. the logits."""
-    p = 1.0 / (1.0 + np.exp(-z))
-    log_p = -_softplus(-z)
-    log_1p = -_softplus(z)
+def _sigmoid_logs(z):
+    """sigmoid(z) with log sigmoid(z) and log sigmoid(-z), both stable."""
+    return 1.0 / (1.0 + np.exp(-z)), -_softplus(-z), -_softplus(z)
+
+
+def _pair_costs(class_probs, mask_logits, segments, cfg: MaskHeadConfig):
+    """(cost, focal, dice), each (N, M): the matching cost of every
+    (query, segment) pair and the focal and dice losses it is made of.
+
+    The sigmoid terms are computed once for all queries; each segment then
+    only selects and sums them, one query row at a time."""
+    n = class_probs.shape[0]
+    z = np.ascontiguousarray(mask_logits, dtype=np.float64).reshape(n, -1)
+    p, log_p, log_1p = _sigmoid_logs(z)
+    focal_on = -((1.0 - p) ** cfg.gamma) * log_p
+    focal_off = -(p**cfg.gamma) * log_1p
+    p_sum = p.sum(axis=1)
+    focal = np.empty((n, len(segments)))
+    dice = np.empty((n, len(segments)))
+    for m, (_, gmask) in enumerate(segments):
+        g = np.asarray(gmask, dtype=np.float64).reshape(-1)
+        focal[:, m] = np.where(g > 0.5, focal_on, focal_off).sum(axis=1) / z.shape[1]
+        num = 2.0 * (p * g).sum(axis=1) + _DICE_EPS
+        dice[:, m] = 1.0 - num / ((p_sum + g.sum()) + _DICE_EPS)
+    cols = [col for col, _ in segments]
+    cost = -cfg.lambda_cls * class_probs[:, cols] + cfg.lambda_focal * focal + cfg.lambda_dice * dice
+    return cost, focal, dice
+
+
+def _focal_dlogit(z, g, gamma):
+    """Gradient of the mean focal loss of sigmoid(z) against g w.r.t. z."""
+    p, log_p, log_1p = _sigmoid_logs(z)
     q = 1.0 - p
-    val = np.where(g > 0.5, -(q**gamma) * log_p, -(p**gamma) * log_1p)
     dz = np.where(
         g > 0.5,
         gamma * p * (q**gamma) * log_p - q ** (gamma + 1.0),
         -gamma * (p**gamma) * q * log_1p + p ** (gamma + 1.0),
     )
-    n = z.size
-    return float(val.sum() / n), dz / n
+    return dz / z.size
 
 
-def _dice_value_and_dlogit(z, g, eps=1.0):
+def _dice_dlogit(z, g):
+    """Gradient of the dice loss of sigmoid(z) against g w.r.t. z."""
     p = 1.0 / (1.0 + np.exp(-z))
-    num = 2.0 * float((p * g).sum()) + eps
-    den = float(p.sum() + g.sum()) + eps
-    val = 1.0 - num / den
+    num = 2.0 * float((p * g).sum()) + _DICE_EPS
+    den = float(p.sum() + g.sum()) + _DICE_EPS
     dp = -(2.0 * g * den - num) / (den * den)
-    return val, dp * p * (1.0 - p)
+    return dp * p * (1.0 - p)
 
 
 @dataclass
@@ -287,26 +305,27 @@ def _forward_state(params, queries, flat, protos, head_cfg, apers):
     }
 
 
-def _mask_loss_at(state, segments_flat, assign, head_cfg):
-    """Class CE + matched focal/dice given a fixed assignment."""
-    n = state["full_logits"].shape[0]
-    n_cls = state["full_logits"].shape[1] - 1
+def _mask_loss_at(state, segments, head_cfg):
+    """Hungarian-match the queries to ``segments`` at ``state``; returns
+    (assign, ce, mask_term, total, targets, weights): class CE plus the
+    matched focal/dice terms."""
+    full_logits = state["full_logits"]
+    cost, focal, dice = _pair_costs(softmax_rows(full_logits), state["mq"].T, segments, head_cfg)
+    assign = hungarian_match(cost)
+    n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
-    for m, (col, _) in enumerate(segments_flat):
+    for m, (col, _) in enumerate(segments):
         targets[assign[m]] = col
-    ce_rows = cross_entropy_rows(state["full_logits"], targets)
+    ce_rows = cross_entropy_rows(full_logits, targets)
     weights = np.where(targets == n_cls, head_cfg.no_object_weight, 1.0)
     ce = float((ce_rows * weights).sum() / weights.sum())
     focal_total = dice_total = 0.0
-    for m, (col, gmask) in enumerate(segments_flat):
-        z = state["mq"].T[assign[m]]
-        fv, _ = _focal_value_and_dlogit(z, gmask, head_cfg.gamma)
-        dv, _ = _dice_value_and_dlogit(z, gmask)
-        focal_total += fv
-        dice_total += dv
-    m_count = max(len(segments_flat), 1)
+    for m in range(len(segments)):
+        focal_total += focal[assign[m], m]
+        dice_total += dice[assign[m], m]
+    m_count = max(len(segments), 1)
     mask_term = (head_cfg.lambda_focal * focal_total + head_cfg.lambda_dice * dice_total) / m_count
-    return ce, mask_term, ce + mask_term, targets, weights
+    return assign, ce, mask_term, ce + mask_term, targets, weights
 
 
 def train_maskhead(
@@ -323,18 +342,13 @@ def train_maskhead(
             f"{len(segments)} segments exceed {head_cfg.n_queries} queries"
         )
     class_to_idx = {cid: j for j, cid in enumerate(bank.included)}
-    entail_cfg = EntailmentConfig(K=train_cfg.K)
-    protos = build_prototypes(bank, entail_cfg)
+    protos = build_prototypes(bank, train_cfg.entail_cfg)
     apers = anchor_apertures(protos.spatial_norms, train_cfg.K)
     flat = scene.features.reshape(-1, scene.features.shape[-1])
-    n_px = flat.shape[0]
     segments_flat = [(class_to_idx[c], m.reshape(-1).astype(np.float64)) for c, m in segments]
 
     rng = np.random.default_rng(train_cfg.seed)
-    params = init_encoder(flat.shape[1], train_cfg.hidden, bank.d, train_cfg.seed)
-    _, u0 = _encoder_parts(params, flat)
-    mean_norm = float(np.linalg.norm(u0, axis=1).mean())
-    params.alpha = 1.0 / mean_norm if mean_norm > 0 else 1.0
+    params = _start_encoder(flat, train_cfg, bank.d)
     queries = QuerySet(
         class_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
         mask_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
@@ -342,36 +356,15 @@ def train_maskhead(
     )
 
     n_classes = len(bank.included)
-    trace = {"epoch": [], "ce": [], "mask": [], "total": []}
+    rows = []
     for epoch in range(train_cfg.epochs):
         state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-        probs_full = softmax_rows(state["full_logits"])
-        mask_probs = 1.0 / (1.0 + np.exp(-state["mq"].T))  # (N, n_px)
-        cost = np.zeros((head_cfg.n_queries, len(segments_flat)))
-        for m, (col, gmask) in enumerate(segments_flat):
-            fv = np.array([
-                _focal_value_and_dlogit(state["mq"].T[j], gmask, head_cfg.gamma)[0]
-                for j in range(head_cfg.n_queries)
-            ])
-            dv = np.array([
-                _dice_value_and_dlogit(state["mq"].T[j], gmask)[0]
-                for j in range(head_cfg.n_queries)
-            ])
-            cost[:, m] = (
-                -head_cfg.lambda_cls * probs_full[:, col]
-                + head_cfg.lambda_focal * fv
-                + head_cfg.lambda_dice * dv
-            )
-        assign = hungarian_match(cost)
-        ce, mask_term, total, targets, weights = _mask_loss_at(
-            state, segments_flat, assign, head_cfg
+        assign, ce, mask_term, total, targets, weights = _mask_loss_at(
+            state, segments_flat, head_cfg
         )
         if not math.isfinite(total):
             raise TrainingDivergedError(epoch)
-        trace["epoch"].append(epoch)
-        trace["ce"].append(ce)
-        trace["mask"].append(mask_term)
-        trace["total"].append(total)
+        rows.append((epoch, ce, mask_term, total))
 
         # ---- backward: class logits ----
         d_logits = softmax_rows(state["full_logits"])
@@ -398,14 +391,14 @@ def train_maskhead(
         )
         g_qc = gr.exp_lift_backward(queries.class_tangents, g_qsp)
 
-        # ---- backward: mask logits ----
+        # ---- backward: mask logits, recomputed for the matched pairs only ----
         d_mq = np.zeros_like(state["mq"])  # (n_px, N)
         m_count = len(segments_flat)
-        for m, (col, gmask) in enumerate(segments_flat):
+        for m, (_, gmask) in enumerate(segments_flat):
             j = assign[m]
             z = state["mq"].T[j]
-            _, dz_f = _focal_value_and_dlogit(z, gmask, head_cfg.gamma)
-            _, dz_d = _dice_value_and_dlogit(z, gmask)
+            dz_f = _focal_dlogit(z, gmask, head_cfg.gamma)
+            dz_d = _dice_dlogit(z, gmask)
             d_mq[:, j] += (head_cfg.lambda_focal * dz_f + head_cfg.lambda_dice * dz_d) / m_count
         dd_mp = d_mq * (-1.0 / head_cfg.s_d)
         dext_mp = d_mq * (-1.0 / head_cfg.s_a)
@@ -443,44 +436,16 @@ def train_maskhead(
         g_qm = gr.exp_lift_backward(queries.mask_tangents, g_msp)
         g_vp = gr.exp_lift_backward(state["v_p"], g_psp)
 
-        # ---- encoder ----
-        g_u = params.alpha * g_vp
-        g_alpha = float(np.einsum("nd,nd->", state["u"], g_vp))
-        g_w2 = g_u.T @ state["a1"] + train_cfg.weight_decay * params.w2
-        g_b2 = g_u.sum(axis=0)
-        g_a1 = g_u @ params.w2
-        g_z1 = g_a1 * (1.0 - state["a1"] * state["a1"])
-        g_w1 = g_z1.T @ flat + train_cfg.weight_decay * params.w1
-        g_b1 = g_z1.sum(axis=0)
-
-        lr = train_cfg.lr
-        cls_lr = lr * head_cfg.class_lr_scale
-        params.w1 = params.w1 - lr * g_w1
-        params.b1 = params.b1 - lr * g_b1
-        params.w2 = params.w2 - lr * g_w2
-        params.b2 = params.b2 - lr * g_b2
-        params.alpha = float(params.alpha - lr * g_alpha)
+        _encoder_step(params, flat, state["a1"], state["u"], g_vp, train_cfg)
+        cls_lr = train_cfg.lr * head_cfg.class_lr_scale
         queries.class_tangents = queries.class_tangents - cls_lr * g_qc
-        queries.mask_tangents = queries.mask_tangents - lr * g_qm
+        queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
         queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
 
     state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-    probs_full = softmax_rows(state["full_logits"])
-    cost = np.zeros((head_cfg.n_queries, len(segments_flat)))
-    for m, (col, gmask) in enumerate(segments_flat):
-        for j in range(head_cfg.n_queries):
-            cost[j, m] = (
-                -head_cfg.lambda_cls * probs_full[j, col]
-                + head_cfg.lambda_focal * _focal_value_and_dlogit(state["mq"].T[j], gmask, head_cfg.gamma)[0]
-                + head_cfg.lambda_dice * _dice_value_and_dlogit(state["mq"].T[j], gmask)[0]
-            )
-    assign = hungarian_match(cost)
-    ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, assign, head_cfg)
-    trace["epoch"].append(train_cfg.epochs)
-    trace["ce"].append(ce)
-    trace["mask"].append(mask_term)
-    trace["total"].append(total)
-    trace = {k: np.asarray(vals) for k, vals in trace.items()}
+    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, head_cfg)
+    rows.append((train_cfg.epochs, ce, mask_term, total))
+    trace = _trace_arrays(("epoch", "ce", "mask", "total"), rows)
     return MaskHeadResult(queries, params, protos, bank, trace, head_cfg, train_cfg)
 
 
@@ -497,8 +462,3 @@ def predict_semantic(result: MaskHeadResult, scene: SyntheticScene) -> LabelMap:
     legend = {i: n for i, n in enumerate(result.protos.labels)}
     return semantic_map(probs_full, mask_probs, legend)
 
-
-def embed_scene_grid(result: MaskHeadResult, scene: SyntheticScene) -> EmbeddingGrid:
-    from .segtoy import embed_scene
-
-    return embed_scene(result.params, scene)

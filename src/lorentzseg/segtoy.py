@@ -33,7 +33,6 @@ import numpy as np
 from . import grad as gr
 from .entailment import (
     EntailmentConfig,
-    LossConfig,
     PrototypeSet,
     anchor_apertures,
     cross_entropy_rows,
@@ -413,7 +412,6 @@ class TrainConfig:
     K: float = 0.1
     seed: int = 42
     weight_decay: float = 1e-4
-    momentum: float = 0.0
     hidden: int = 32
     embed_dim: int = 8
 
@@ -425,15 +423,11 @@ class TrainConfig:
     def entail_cfg(self) -> EntailmentConfig:
         return EntailmentConfig(K=self.K, curvature=Curvature(1.0))
 
-    @property
-    def loss_cfg(self) -> LossConfig:
-        return LossConfig(tau=self.tau, lambda_w=self.lambda_w)
-
 
 @dataclass
 class TrainResult:
     params: EncoderParams
-    protos: PrototypeSet
+    protos: PrototypeSet | None  # None for the Euclidean pipeline
     bank: DescriptorBank
     trace: dict  # arrays: epoch, ce, entail, total (final row = post-training eval)
     config: TrainConfig
@@ -444,23 +438,100 @@ class TrainResult:
         return float(self.trace["total"][-1])
 
 
-def _gather_rows(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return arr[idx]
+def _trace_arrays(columns, rows) -> dict:
+    """One array per column from per-epoch rows (the last row is the
+    post-training evaluation)."""
+    return {c: np.asarray([row[i] for row in rows]) for i, c in enumerate(columns)}
 
 
-def _pixel_loss_and_grad(
-    v: np.ndarray,
-    labels_idx: np.ndarray,
-    use_mask: np.ndarray,
-    asp: np.ndarray,
-    at: np.ndarray,
-    anorm: np.ndarray,
-    apers: np.ndarray,
-    cfg: TrainConfig,
-    want_grad: bool,
-):
+def _start_encoder(flat: np.ndarray, cfg: TrainConfig, d_out: int) -> EncoderParams:
+    """Seeded encoder whose alpha gives its initial outputs unit mean norm."""
+    params = init_encoder(flat.shape[1], cfg.hidden, d_out, cfg.seed)
+    _, u0 = _encoder_parts(params, flat)
+    mean_norm = float(np.linalg.norm(u0, axis=1).mean())
+    params.alpha = 1.0 / mean_norm if mean_norm > 0 else 1.0
+    return params
+
+
+def _encoder_step(params, flat, a1, u, g_v, cfg: TrainConfig):
+    """Chain dL/dv back through v = alpha * mlp(flat) (forward parts a1, u)
+    and take one plain gradient step, with weight decay on the weights."""
+    g_u = params.alpha * g_v
+    g_alpha = float(np.einsum("nd,nd->", u, g_v))
+    g_w2 = g_u.T @ a1 + cfg.weight_decay * params.w2
+    g_b2 = g_u.sum(axis=0)
+    g_a1 = g_u @ params.w2
+    g_z1 = g_a1 * (1.0 - a1 * a1)
+    g_w1 = g_z1.T @ flat + cfg.weight_decay * params.w1
+    g_b1 = g_z1.sum(axis=0)
+    params.w1 = params.w1 - cfg.lr * g_w1
+    params.b1 = params.b1 - cfg.lr * g_b1
+    params.w2 = params.w2 - cfg.lr * g_w2
+    params.b2 = params.b2 - cfg.lr * g_b2
+    params.alpha = float(params.alpha - cfg.lr * g_alpha)
+
+
+@dataclass(frozen=True)
+class PixelObjective:
+    """The per-pixel objective on one scene, built once and evaluated at
+    any tangent vectors.
+
+    ``labels_idx`` holds each pixel's column among the bank's included
+    classes; pixels of a held-out class map to column 0 and are left out
+    by ``use_mask``.  The Lorentz geometry scores against the lifted
+    prototypes with their cone apertures; the Euclidean one (``protos``
+    None) against the bank's reduced rows.
+    """
+
+    flat: np.ndarray  # (Npx, d_orig) scene features
+    labels_idx: np.ndarray
+    use_mask: np.ndarray
+    rows: np.ndarray  # the bank's reduced rows, the Euclidean prototypes
+    protos: PrototypeSet | None
+    apers: np.ndarray | None
+    cfg: TrainConfig
+
+    @classmethod
+    def build(cls, scene, bank, cfg, exclude_class=None, geometry="lorentz") -> "PixelObjective":
+        labels_flat = scene.labels.reshape(-1)
+        column = np.zeros(scene.n_classes, dtype=np.int64)
+        column[list(bank.included)] = np.arange(len(bank.included))
+        use_mask = np.ones(labels_flat.size, dtype=bool)
+        if exclude_class is not None:
+            use_mask = labels_flat != exclude_class
+        protos = apers = None
+        if geometry == "lorentz":
+            protos = build_prototypes(bank, cfg.entail_cfg)
+            apers = anchor_apertures(protos.spatial_norms, cfg.K)
+        return cls(
+            flat=scene.features.reshape(-1, scene.features.shape[-1]),
+            labels_idx=column[labels_flat], use_mask=use_mask, rows=bank.reduced,
+            protos=protos, apers=apers, cfg=cfg,
+        )
+
+    def loss(self, v: np.ndarray, want_grad: bool):
+        """(ce, entail, total, dL/dv or None) at tangent vectors v (Npx, d)."""
+        if self.protos is None:
+            return _euclid_loss_and_grad(v, self, want_grad)
+        return _pixel_loss_and_grad(v, self, want_grad)
+
+
+def _ce_dlogits(logits, obj: PixelObjective) -> np.ndarray:
+    """d(mean masked CE)/d(distance) for logits = -distance/tau."""
+    labels_idx = obj.labels_idx[:, None]
+    dl_dd = softmax_rows(logits)
+    np.put_along_axis(dl_dd, labels_idx, np.take_along_axis(dl_dd, labels_idx, axis=1) - 1.0, axis=1)
+    dl_dd *= -1.0 / obj.cfg.tau  # d(logits)/d(dist) = -1/tau
+    dl_dd[~obj.use_mask] = 0.0
+    dl_dd /= int(obj.use_mask.sum())
+    return dl_dd
+
+
+def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     """Mean combined loss over unmasked pixels and, optionally, its
     gradient w.r.t. the tangent vectors v (Npx, d)."""
+    cfg, labels_idx, use_mask = obj.cfg, obj.labels_idx, obj.use_mask
+    asp, at, anorm = obj.protos.spatial, obj.protos.time, obj.protos.spatial_norms
     time, spatial = batched_exp_lift(v)
     inner = inner_to_anchors(spatial, time, asp, at)
     dists = distances_from_inner(inner)
@@ -471,27 +542,20 @@ def _pixel_loss_and_grad(
     ce_rows = cross_entropy_rows(logits[use_mask], labels_idx[use_mask])
     ce = float(ce_rows.mean())
 
-    gt_asp = _gather_rows(asp, labels_idx)
     gt_at = at[labels_idx]
     gt_norm = anorm[labels_idx]
     gt_inner = np.take_along_axis(inner, labels_idx[:, None], axis=1)[:, 0]
     # per-pixel exterior angle against the ground-truth anchor only
-    cl = gt_inner
-    num = time + gt_at * cl
-    den = gt_norm * np.sqrt(np.maximum(cl * cl - 1.0, _EPS_FLOOR))
+    num = time + gt_at * gt_inner
+    den = gt_norm * np.sqrt(np.maximum(gt_inner * gt_inner - 1.0, _EPS_FLOOR))
     ext_gt = np.arccos(np.clip(num / den, -1.0, 1.0))
-    hinge = np.maximum(0.0, ext_gt - apers[labels_idx])
+    hinge = np.maximum(0.0, ext_gt - obj.apers[labels_idx])
     entail = float(hinge[use_mask].mean())
     total = ce + cfg.lambda_w * entail
     if not want_grad:
         return ce, entail, total, None
 
-    probs = softmax_rows(logits)
-    dl_dd = probs.copy()
-    np.put_along_axis(dl_dd, labels_idx[:, None], np.take_along_axis(dl_dd, labels_idx[:, None], axis=1) - 1.0, axis=1)
-    dl_dd *= -1.0 / cfg.tau  # d(logits)/d(dist) = -1/tau
-    dl_dd[~use_mask] = 0.0
-    dl_dd /= n_used
+    dl_dd = _ce_dlogits(logits, obj)
     # distance gradients: dd_i/dspatial = -(a_i - (at_i/t) s)/sqrt(inner^2-1)
     den_d = np.sqrt(np.maximum(inner * inner - 1.0, _EPS_FLOOR))
     coef = dl_dd / den_d
@@ -500,7 +564,7 @@ def _pixel_loss_and_grad(
     active = use_mask & (hinge > 0.0)
     if np.any(active):
         g_ext = gr.batched_grad_ext_wrt_point(
-            spatial[active], time[active], gt_asp[active], gt_at[active],
+            spatial[active], time[active], asp[labels_idx[active]], gt_at[active],
             gt_inner[active], gt_norm[active],
         )
         g_sp[active] += (cfg.lambda_w / n_used) * g_ext
@@ -508,104 +572,37 @@ def _pixel_loss_and_grad(
     return ce, entail, total, g_v
 
 
-def _euclid_loss_and_grad(v, labels_idx, use_mask, protos_rows, cfg, want_grad):
+def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     """Euclidean counterpart: CE over -||v - proto||/tau logits."""
-    diffs = v[:, None, :] - protos_rows[None, :, :]
+    diffs = v[:, None, :] - obj.rows[None, :, :]
     dists = np.sqrt(np.maximum(np.einsum("npd,npd->np", diffs, diffs), 0.0))
-    logits = -dists / cfg.tau
-    n_used = int(use_mask.sum())
-    ce = float(cross_entropy_rows(logits[use_mask], labels_idx[use_mask]).mean())
+    logits = -dists / obj.cfg.tau
+    use_mask = obj.use_mask
+    ce = float(cross_entropy_rows(logits[use_mask], obj.labels_idx[use_mask]).mean())
     if not want_grad:
         return ce, 0.0, ce, None
-    probs = softmax_rows(logits)
-    dl_dd = probs.copy()
-    np.put_along_axis(dl_dd, labels_idx[:, None], np.take_along_axis(dl_dd, labels_idx[:, None], axis=1) - 1.0, axis=1)
-    dl_dd *= -1.0 / cfg.tau
-    dl_dd[~use_mask] = 0.0
-    dl_dd /= n_used
     safe = np.maximum(dists, 1e-12)
-    g_v = np.einsum("np,npd->nd", dl_dd / safe, diffs)
+    g_v = np.einsum("np,npd->nd", _ce_dlogits(logits, obj) / safe, diffs)
     return ce, 0.0, ce, g_v
 
 
-def _run_training(scene, bank, cfg, exclude_class, geometry):
-    flat = scene.features.reshape(-1, scene.features.shape[-1])
-    n_px = flat.shape[0]
-    entail_cfg = cfg.entail_cfg
-    protos = build_prototypes(bank, entail_cfg) if geometry == "lorentz" else None
-    class_to_idx = {cid: j for j, cid in enumerate(bank.included)}
-    labels_flat = scene.labels.reshape(-1)
-    use_mask = np.ones(n_px, dtype=bool)
-    if exclude_class is not None:
-        use_mask = labels_flat != exclude_class
-    labels_idx = np.array(
-        [class_to_idx.get(int(c), 0) for c in labels_flat], dtype=np.int64
-    )
-
-    params = init_encoder(flat.shape[1], cfg.hidden, bank.d, cfg.seed)
-    _, u0 = _encoder_parts(params, flat)
-    mean_norm = float(np.linalg.norm(u0, axis=1).mean())
-    params.alpha = 1.0 / mean_norm if mean_norm > 0 else 1.0
-
-    if geometry == "lorentz":
-        asp, at = protos.spatial, protos.time
-        anorm = protos.spatial_norms
-        apers = anchor_apertures(anorm, cfg.K)
-        loss_fn = lambda v, want: _pixel_loss_and_grad(
-            v, labels_idx, use_mask, asp, at, anorm, apers, cfg, want
-        )
-    else:
-        rows = bank.reduced
-        loss_fn = lambda v, want: _euclid_loss_and_grad(
-            v, labels_idx, use_mask, rows, cfg, want
-        )
-
-    trace = {"epoch": [], "ce": [], "entail": [], "total": []}
-    vel = {k: np.zeros_like(b) for k, b in params.blocks().items()} if cfg.momentum > 0 else None
+def _run_training(scene, bank, cfg, exclude_class, geometry) -> TrainResult:
+    if exclude_class is not None and exclude_class in bank.included:
+        raise UsageError("bank must be fit with the held-out class excluded")
+    obj = PixelObjective.build(scene, bank, cfg, exclude_class, geometry)
+    params = _start_encoder(obj.flat, cfg, bank.d)
+    rows = []
     for epoch in range(cfg.epochs):
-        a1, u = _encoder_parts(params, flat)
-        v = params.alpha * u
-        ce, entail, total, g_v = loss_fn(v, True)
+        a1, u = _encoder_parts(params, obj.flat)
+        ce, entail, total, g_v = obj.loss(params.alpha * u, True)
         if not math.isfinite(total):
             raise TrainingDivergedError(epoch)
-        trace["epoch"].append(epoch)
-        trace["ce"].append(ce)
-        trace["entail"].append(entail)
-        trace["total"].append(total)
-
-        g_u = params.alpha * g_v
-        g_alpha = float(np.einsum("nd,nd->", u, g_v))
-        g_w2 = g_u.T @ a1 + cfg.weight_decay * params.w2
-        g_b2 = g_u.sum(axis=0)
-        g_a1 = g_u @ params.w2
-        g_z1 = g_a1 * (1.0 - a1 * a1)
-        g_w1 = g_z1.T @ flat + cfg.weight_decay * params.w1
-        g_b1 = g_z1.sum(axis=0)
-
-        grads = {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2, "alpha": np.array([g_alpha])}
-        if vel is not None:
-            for k in grads:
-                vel[k] = cfg.momentum * vel[k] - cfg.lr * grads[k]
-            params.w1 = params.w1 + vel["w1"]
-            params.b1 = params.b1 + vel["b1"]
-            params.w2 = params.w2 + vel["w2"]
-            params.b2 = params.b2 + vel["b2"]
-            params.alpha = float(params.alpha + vel["alpha"][0])
-        else:
-            params.w1 = params.w1 - cfg.lr * g_w1
-            params.b1 = params.b1 - cfg.lr * g_b1
-            params.w2 = params.w2 - cfg.lr * g_w2
-            params.b2 = params.b2 - cfg.lr * g_b2
-            params.alpha = float(params.alpha - cfg.lr * g_alpha)
-
-    _, u = _encoder_parts(params, flat)
-    ce, entail, total, _ = loss_fn(params.alpha * u, False)
-    trace["epoch"].append(cfg.epochs)
-    trace["ce"].append(ce)
-    trace["entail"].append(entail)
-    trace["total"].append(total)
-    trace = {k: np.asarray(vals) for k, vals in trace.items()}
-    return params, protos, trace
+        rows.append((epoch, ce, entail, total))
+        _encoder_step(params, obj.flat, a1, u, g_v, cfg)
+    _, u = _encoder_parts(params, obj.flat)
+    rows.append((cfg.epochs, *obj.loss(params.alpha * u, False)[:3]))
+    trace = _trace_arrays(("epoch", "ce", "entail", "total"), rows)
+    return TrainResult(params, obj.protos, bank, trace, cfg, exclude_class)
 
 
 def train(
@@ -615,23 +612,7 @@ def train(
     exclude_class: int | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent on the mean combined loss."""
-    if exclude_class is not None and exclude_class in bank.included:
-        raise UsageError("bank must be fit with the held-out class excluded")
-    params, protos, trace = _run_training(scene, bank, cfg, exclude_class, "lorentz")
-    return TrainResult(params, protos, bank, trace, cfg, exclude_class)
-
-
-@dataclass
-class EuclidTrainResult:
-    params: EncoderParams
-    bank: DescriptorBank
-    trace: dict
-    config: TrainConfig
-    exclude_class: int | None = None
-
-    @property
-    def final_loss(self) -> float:
-        return float(self.trace["total"][-1])
+    return _run_training(scene, bank, cfg, exclude_class, "lorentz")
 
 
 def train_euclidean(
@@ -639,46 +620,17 @@ def train_euclidean(
     bank: DescriptorBank,
     cfg: TrainConfig,
     exclude_class: int | None = None,
-) -> EuclidTrainResult:
+) -> TrainResult:
     """Identical pipeline with Euclidean prototype distances: no lift, no
     cone, cross-entropy only."""
-    if exclude_class is not None and exclude_class in bank.included:
-        raise UsageError("bank must be fit with the held-out class excluded")
-    params, _, trace = _run_training(scene, bank, cfg, exclude_class, "euclidean")
-    return EuclidTrainResult(params, bank, trace, cfg, exclude_class)
+    return _run_training(scene, bank, cfg, exclude_class, "euclidean")
 
 
-def evaluate_loss(
-    params: EncoderParams,
-    scene: SyntheticScene,
-    bank: DescriptorBank,
-    cfg: TrainConfig,
-    exclude_class: int | None = None,
-    geometry: str = "lorentz",
-) -> float:
+def evaluate_loss(params: EncoderParams, objective: PixelObjective) -> float:
     """Total training objective at the given parameters (used by the
     loss-landscape scans; matches the trace's final entry bit for bit)."""
-    flat = scene.features.reshape(-1, scene.features.shape[-1])
-    labels_flat = scene.labels.reshape(-1)
-    class_to_idx = {cid: j for j, cid in enumerate(bank.included)}
-    labels_idx = np.array([class_to_idx.get(int(c), 0) for c in labels_flat], dtype=np.int64)
-    use_mask = np.ones(flat.shape[0], dtype=bool)
-    if exclude_class is not None:
-        use_mask = labels_flat != exclude_class
-    _, u = _encoder_parts(params, flat)
-    v = params.alpha * u
-    if geometry == "lorentz":
-        protos = build_prototypes(bank, cfg.entail_cfg)
-        apers = anchor_apertures(protos.spatial_norms, cfg.K)
-        ce, entail, total, _ = _pixel_loss_and_grad(
-            v, labels_idx, use_mask, protos.spatial, protos.time,
-            protos.spatial_norms, apers, cfg, False,
-        )
-    else:
-        ce, entail, total, _ = _euclid_loss_and_grad(
-            v, labels_idx, use_mask, bank.reduced, cfg, False
-        )
-    return total
+    _, u = _encoder_parts(params, objective.flat)
+    return objective.loss(params.alpha * u, False)[2]
 
 
 # --------------------------------------------------------------------------

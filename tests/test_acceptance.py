@@ -349,7 +349,7 @@ def test_criterion_7_mask_head_suite():
                 - ent.entailment_loss(protos.anchors[i], q, e_cfg)
             )
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
-    grid = mh.embed_scene_grid(res, scene)
+    grid = st.embed_scene(res.params, scene)
     mlogits = mh.mask_query_logits(queries, grid, cfg)
     mt, msp = queries.mask_points()
     for i in (0, 5):

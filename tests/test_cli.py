@@ -8,7 +8,7 @@ import pytest
 from lorentzseg import hyperbolicity as hyp
 from lorentzseg import segtoy as st
 from lorentzseg.cli import main
-from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv
+from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv, write_json
 
 
 def run(argv):
@@ -256,3 +256,70 @@ class TestExitCodes:
         write_embedding_csv(path, np.zeros((8, 2)))
         assert run(["deltahyp", "--input", str(path), "--batch-size", "2",
                     "--out", str(tmp_path / "r.json")]) == 2
+
+
+def _edited_model(src_dir, dst_dir, edit):
+    """Copy the model under ``src_dir`` with ``edit`` applied to its descriptor."""
+    doc = read_json(src_dir / "model.json")
+    edit(doc)
+    dst_dir.mkdir()
+    write_json(dst_dir / "model.json", doc)
+    (dst_dir / "model.bin").write_bytes((src_dir / "model.bin").read_bytes())
+    return str(dst_dir / "model")
+
+
+def _drop_block(name):
+    def edit(doc):
+        doc["blocks"] = [b for b in doc["blocks"] if b["name"] != name]
+    return edit
+
+
+def _drop_offset(doc):
+    del doc["blocks"][0]["offset"]
+
+
+def _drop_extra(name):
+    def edit(doc):
+        del doc["extras"][name]
+    return edit
+
+
+class TestModelLoading:
+    @pytest.mark.parametrize("edit", [_drop_block("w1"), _drop_block("alpha"), _drop_offset,
+                                      _drop_extra("scene"), _drop_extra("head")])
+    def test_malformed_descriptor_exits_3(self, trained_dir, tmp_path, edit, capsys):
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", edit)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        assert run(["losscape", "--model", model, "--grid", "1",
+                    "--out", str(tmp_path / "ls.csv")]) == 3
+        assert "malformed model descriptor" in capsys.readouterr().err
+
+    def test_model_with_zero_momentum_still_loads(self, trained_dir, tmp_path):
+        # models saved while TrainConfig still had a momentum field record it as 0.0
+        def add_momentum(doc):
+            doc["extras"]["train"]["momentum"] = 0.0
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 0
+        assert read_json(tmp_path / "inf" / "metrics.json")["miou_distance"] == 1.0
+        assert run(["uncertainty", "--model", model, "--out-dir", str(tmp_path / "unc")]) == 0
+        out = tmp_path / "ls.csv"
+        assert run(["losscape", "--model", model, "--grid", "3", "--out", str(out)]) == 0
+        center = [line for line in out.read_text().splitlines() if line.startswith("0.0,0.0,")]
+        final = read_json(trained_dir / "pix" / "metrics.json")["final_loss"]
+        assert float(center[0].split(",")[2]) == final
+
+    def test_nonzero_momentum_exits_3(self, trained_dir, tmp_path):
+        def add_momentum(doc):
+            doc["extras"]["train"]["momentum"] = 0.9
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+
+
+class TestDivergence:
+    def test_diverged_run_exits_1_with_step(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert run(["euclid-baseline", *SMALL_TRAIN, "--lr", "1e9", "--epochs", "20",
+                        "--out-dir", str(tmp_path / "euc")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("training diverged:") and "at step" in err[0]

@@ -352,47 +352,69 @@ class TestGradientInteractionReport:
             grad.gradient_interaction_report(0, seed=1)
 
 
+def _clear_pairs(seed, n=30):
+    """Spatial/time arrays of n clear (point, anchor) pairs plus the pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = [sample_clear_pair(rng) for _ in range(n)]
+    ps = np.stack([x.spatial for x, _ in pairs])
+    pt = np.array([x.time for x, _ in pairs])
+    asp = np.stack([y.spatial for _, y in pairs])
+    at = np.array([y.time for _, y in pairs])
+    return pairs, ps, pt, asp, at
+
+
 class TestBatchedKernels:
     def test_batched_distance_grad_matches_scalar(self):
-        rng = np.random.default_rng(74)
-        pts, anchors = [], []
-        for _ in range(30):
-            x, y = sample_clear_pair(rng)
-            pts.append(x)
-            anchors.append(y)
-        ps = np.stack([p.spatial for p in pts])
-        pt = np.array([p.time for p in pts])
-        asp = np.stack([a.spatial for a in anchors])
-        at = np.array([a.time for a in anchors])
-        inner = np.einsum("ij,ij->i", ps, asp) - pt * at
-        g = grad.batched_grad_distance_wrt_point(ps, pt, asp, at, inner)
-        for i in range(30):
-            np.testing.assert_allclose(
-                g[i], grad.grad_lorentz_distance(pts[i], anchors[i]), atol=1e-12
-            )
+        pairs, ps, pt, asp, at = _clear_pairs(74)
+        inner = ps @ asp.T - pt[:, None] * at[None, :]
+        g = grad.grad_distance_cross(ps, pt, asp, at, inner)
+        g_an = grad.grad_distance_cross_anchor(ps, pt, asp, at, inner)
+        for i, (x, y) in enumerate(pairs):
+            np.testing.assert_allclose(g[i, i], grad.grad_lorentz_distance(x, y), atol=1e-12)
+            # the distance is symmetric: its anchor gradient swaps the roles
+            np.testing.assert_allclose(g_an[i, i], grad.grad_lorentz_distance(y, x), atol=1e-12)
 
     def test_batched_ext_grads_match_scalar(self):
-        rng = np.random.default_rng(75)
-        pts, anchors = [], []
-        for _ in range(30):
-            x, y = sample_clear_pair(rng)
-            pts.append(x)
-            anchors.append(y)
-        ps = np.stack([p.spatial for p in pts])
-        pt = np.array([p.time for p in pts])
-        asp = np.stack([a.spatial for a in anchors])
-        at = np.array([a.time for a in anchors])
+        pairs, ps, pt, asp, at = _clear_pairs(75)
         an = np.linalg.norm(asp, axis=1)
         inner = np.einsum("ij,ij->i", ps, asp) - pt * at
         g_pt = grad.batched_grad_ext_wrt_point(ps, pt, asp, at, inner, an)
-        g_an = grad.batched_grad_ext_wrt_anchor(ps, pt, asp, at, inner, an)
-        for i in range(30):
+        inner_all = ps @ asp.T - pt[:, None] * at[None, :]
+        g_an = grad.grad_ext_cross_anchor(ps, pt, asp, at, inner_all, an)
+        for i, (x, y) in enumerate(pairs):
+            np.testing.assert_allclose(g_pt[i], grad.grad_exterior_angle(x, y), atol=1e-10)
             np.testing.assert_allclose(
-                g_pt[i], grad.grad_exterior_angle(pts[i], anchors[i]), atol=1e-10
+                g_an[i, i], grad.grad_exterior_angle_anchor(x, y), atol=1e-10
             )
-            np.testing.assert_allclose(
-                g_an[i], grad.grad_exterior_angle_anchor(pts[i], anchors[i]), atol=1e-10
-            )
+
+    def test_per_row_equals_gathered_all_pairs(self):
+        # one broadcasting body per formula: one anchor per row must give
+        # exactly the all-pairs result gathered at that anchor
+        rng = np.random.default_rng(78)
+        pt, ps = lz.batched_exp_lift(rng.normal(size=(40, 3)) * 1.5)
+        at, asp = lz.batched_exp_lift(rng.normal(size=(5, 3)) * 1.5)
+        an = np.linalg.norm(asp, axis=1)
+        inner = lz.inner_to_anchors(ps, pt, asp, at)
+        pick = rng.integers(0, 5, size=40)
+        rows = np.arange(40)
+        gathered = (ps, pt, asp[pick], at[pick], inner[rows, pick], an[pick])
+        np.testing.assert_array_equal(
+            grad.batched_grad_ext_wrt_point(*gathered),
+            grad.grad_ext_cross_point(ps, pt, asp, at, inner, an)[rows, pick],
+        )
+        np.testing.assert_array_equal(
+            grad._distance_grad(*gathered[:5], 1e-12),
+            grad.grad_distance_cross(ps, pt, asp, at, inner)[rows, pick],
+        )
+        np.testing.assert_array_equal(
+            grad._ext_grad_anchor(*gathered, 1e-12),
+            grad.grad_ext_cross_anchor(ps, pt, asp, at, inner, an)[rows, pick],
+        )
+        # dd/danchor is dd/dpoint with the roles swapped
+        np.testing.assert_array_equal(
+            grad.grad_distance_cross_anchor(ps, pt, asp, at, inner),
+            grad.grad_distance_cross(asp, at, ps, pt, inner.T).transpose(1, 0, 2),
+        )
 
     def test_exp_lift_backward_matches_fd(self):
         rng = np.random.default_rng(76)

@@ -22,6 +22,19 @@ def make_protos(vectors):
     return ent.PrototypeSet(anchors, tuple(f"c{i}" for i in range(len(anchors))), len(vectors[0]))
 
 
+def logit(p):
+    p = np.asarray(p, dtype=float)
+    return np.log(p) - np.log1p(-p)
+
+
+def pair_losses(z, g):
+    """Focal (gamma 2) and dice values of one (mask logits, mask) pair, as
+    matching sees them."""
+    cfg = mh.MaskHeadConfig(n_queries=1)
+    _, focal, dice = mh._pair_costs(np.zeros((1, 1)), z[None], [(0, g)], cfg)
+    return focal[0, 0], dice[0, 0]
+
+
 def queries_from(tangents):
     arr = np.asarray(tangents, dtype=float)
     return mh.QuerySet(arr.copy(), arr.copy(), 0.0)
@@ -208,7 +221,8 @@ class TestFocalDice:
         rng = np.random.default_rng(116)
         z = rng.normal(size=50) * 3.0
         g = (rng.uniform(size=50) > 0.5).astype(float)
-        val, dz = mh._focal_value_and_dlogit(z, g, 2.0)
+        val, _ = pair_losses(z, g)
+        dz = mh._focal_dlogit(z, g, 2.0)
         p = 1.0 / (1.0 + np.exp(-z))
         assert val == pytest.approx(mh.focal_loss(p, g, 2.0), rel=1e-10)
         # gradient vs FD
@@ -217,20 +231,20 @@ class TestFocalDice:
             zp, zm = z.copy(), z.copy()
             zp[k] += h
             zm[k] -= h
-            fd = (mh._focal_value_and_dlogit(zp, g, 2.0)[0] - mh._focal_value_and_dlogit(zm, g, 2.0)[0]) / (2 * h)
+            fd = (pair_losses(zp, g)[0] - pair_losses(zm, g)[0]) / (2 * h)
             assert dz[k] == pytest.approx(fd, abs=1e-8)
 
     def test_dice_gradient_matches_fd(self):
         rng = np.random.default_rng(117)
         z = rng.normal(size=30)
         g = (rng.uniform(size=30) > 0.6).astype(float)
-        _, dz = mh._dice_value_and_dlogit(z, g)
+        dz = mh._dice_dlogit(z, g)
         for k in (0, 11, 29):
             h = 1e-6
             zp, zm = z.copy(), z.copy()
             zp[k] += h
             zm[k] -= h
-            fd = (mh._dice_value_and_dlogit(zp, g)[0] - mh._dice_value_and_dlogit(zm, g)[0]) / (2 * h)
+            fd = (pair_losses(zp, g)[1] - pair_losses(zm, g)[1]) / (2 * h)
             assert dz[k] == pytest.approx(fd, abs=1e-8)
 
 
@@ -245,7 +259,7 @@ class TestMatchingCost:
         mask_probs = np.full((n, 16), 0.5)
         mask_probs[1] = np.clip(gmask, 0.01, 0.99)
         cfg = mh.MaskHeadConfig(n_queries=3)
-        cost = mh.matching_cost(class_probs, mask_probs, [(0, gmask)], cfg)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)], cfg)
         assert cost[:, 0].argmin() == 1
 
     def test_reduces_to_class_probability(self):
@@ -254,7 +268,7 @@ class TestMatchingCost:
         mask_probs = rng.uniform(0.1, 0.9, size=(4, 9))
         gmask = (rng.uniform(size=9) > 0.5).astype(float)
         cfg = mh.MaskHeadConfig(n_queries=4, lambda_focal=0.0, lambda_dice=0.0)
-        cost = mh.matching_cost(class_probs, mask_probs, [(2, gmask)], cfg)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(2, gmask)], cfg)
         np.testing.assert_allclose(cost[:, 0], -class_probs[:, 2], atol=1e-12)
 
     def test_compositional_recomputation(self):
@@ -263,7 +277,7 @@ class TestMatchingCost:
         mask_probs = rng.uniform(0.1, 0.9, size=(3, 12))
         gmask = (rng.uniform(size=12) > 0.4).astype(float)
         cfg = mh.MaskHeadConfig(n_queries=3, lambda_cls=0.8, lambda_focal=5.0, lambda_dice=2.0)
-        cost = mh.matching_cost(class_probs, mask_probs, [(1, gmask)], cfg)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)], cfg)
         for j in range(3):
             expected = (
                 -0.8 * class_probs[j, 1]
@@ -375,7 +389,7 @@ class TestTrainMaskhead:
         )
         recalls = {}
         for tag, r in (("full", full), ("ablated", ablated)):
-            grid = mh.embed_scene_grid(r, scene)
+            grid = st.embed_scene(r.params, scene)
             au = mh.mask_angle_uncertainty(grid, r.queries)
             recalls[tag] = unc.boundary_recall(unc.boundary_map(au, 90.0), scene.labels)
         assert recalls["full"] >= ref.MASK_BOUNDARY_RECALL_FULL_MIN
