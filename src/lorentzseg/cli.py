@@ -159,7 +159,11 @@ def load_model(prefix):
                 mask_tangents=blocks["mask_tangents"],
                 no_object_bias=float(blocks["no_object_bias"][0]),
             )
-            head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
+            head_block = dict(extras["head_cfg"])
+            # mask models saved before the head's cone constant was folded
+            # into the training K carry their own, unused, "K"
+            head_block.pop("K", None)
+            head_cfg = mh.MaskHeadConfig(**head_block)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
     return extras["head"], params, scene_cfg, train_cfg, extras, queries, head_cfg

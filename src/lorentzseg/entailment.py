@@ -16,12 +16,15 @@ which is 0 when y lies directly beyond x on its outward ray and grows as
 y swings off-axis.  The hinge max(0, ext - aper) penalizes points outside
 the cone; classification logits are negative geodesic distances scaled by
 a temperature.
+
+The scalar functions read c from the anchor's own ``Curvature``; the
+array layer works at unit curvature, like the rest of the array kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +44,9 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EntailmentConfig:
-    """Cone constant K and the working curvature."""
+    """Cone constant K; the curvature is the anchors' own."""
 
     K: float = 0.1
-    curvature: Curvature = field(default_factory=Curvature)
 
     def __post_init__(self):
         if not (self.K > 0 and math.isfinite(self.K)):
@@ -52,8 +54,9 @@ class EntailmentConfig:
 
     @property
     def min_anchor_norm(self) -> float:
-        """Smallest spatial norm at which the aperture is defined."""
-        return 2.0 * self.K / self.curvature.sqrt_c
+        """Smallest spatial norm at which the aperture of a unit-curvature
+        anchor is defined; at curvature c it is this over sqrt(c)."""
+        return 2.0 * self.K
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class PrototypeSet:
     def validate_apertures(self, cfg: EntailmentConfig) -> "PrototypeSet":
         """Reject anchors whose cone aperture is undefined (degenerate
         ||x'|| <= 2K/sqrt(c)); returns self for chaining."""
-        floor = cfg.min_anchor_norm
+        floor = cfg.min_anchor_norm / self.curvature.sqrt_c
         norms = self.spatial_norms
         bad = np.nonzero(norms <= floor)[0]
         if bad.size:
@@ -139,10 +142,10 @@ class PrototypeSet:
 
 
 def half_aperture(x: LorentzPoint, cfg: EntailmentConfig) -> float:
-    """Half-aperture asin(2K/(sqrt(c)||x'||)) in (0, pi/2], strictly
-    decreasing in the anchor's spatial norm."""
+    """Half-aperture asin(2K/(sqrt(c)||x'||)) at the anchor's own
+    curvature c, in (0, pi/2], strictly decreasing in its spatial norm."""
     norm = x.spatial_norm
-    arg = 2.0 * cfg.K / (cfg.curvature.sqrt_c * norm) if norm > 0 else math.inf
+    arg = 2.0 * cfg.K / (x.curvature.sqrt_c * norm) if norm > 0 else math.inf
     if arg > 1.0 + 1e-12:
         raise DomainError(
             f"aperture undefined at anchor with ||x'|| = {norm:.6g}: "
@@ -211,8 +214,9 @@ def combined_pixel_loss(
 # --------------------------------------------------------------------------
 
 
-def anchor_apertures(anchor_spatial_norms: np.ndarray, K: float, c: float = 1.0) -> np.ndarray:
-    arg = 2.0 * K / (math.sqrt(c) * anchor_spatial_norms)
+def anchor_apertures(anchor_spatial_norms: np.ndarray, K: float) -> np.ndarray:
+    """Half-apertures asin(2K/||x'||) of unit-curvature anchors."""
+    arg = 2.0 * K / anchor_spatial_norms
     if np.any(arg > 1.0 + 1e-12):
         raise DomainError("aperture undefined for an anchor with tiny spatial norm")
     return np.arcsin(np.minimum(arg, 1.0))
@@ -223,7 +227,6 @@ def ext_angles_to_anchors(
     time: np.ndarray,
     anchor_spatial: np.ndarray,
     anchor_time: np.ndarray,
-    c: float = 1.0,
     inner: np.ndarray | None = None,
     anchor_norms: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -239,10 +242,9 @@ def ext_angles_to_anchors(
         inner = inner_to_anchors(spatial, time, anchor_spatial, anchor_time)
     if anchor_norms is None:
         anchor_norms = np.linalg.norm(anchor_spatial, axis=1)
-    cl = c * inner
-    coincident = cl * cl - 1.0 <= _DEGENERATE_TOL
-    num = time[..., None] + anchor_time * cl
-    den = anchor_norms * np.sqrt(np.maximum(cl * cl - 1.0, _DEGENERATE_TOL))
+    coincident = inner * inner - 1.0 <= _DEGENERATE_TOL
+    num = time[..., None] + anchor_time * inner
+    den = anchor_norms * np.sqrt(np.maximum(inner * inner - 1.0, _DEGENERATE_TOL))
     angles = np.arccos(np.clip(num / den, -1.0, 1.0))
     if np.any(coincident):
         angles = np.where(coincident, 0.0, angles)
@@ -255,13 +257,12 @@ def distance_logit_matrix(
     anchor_spatial: np.ndarray,
     anchor_time: np.ndarray,
     tau: float,
-    c: float = 1.0,
     inner: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched -d_L/tau logits, shape (..., C)."""
     if inner is None:
         inner = inner_to_anchors(spatial, time, anchor_spatial, anchor_time)
-    return -distances_from_inner(inner, c) / tau
+    return -distances_from_inner(inner) / tau
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ delta_rel = 2*delta/diam normalizes to [0, 1]; smaller means more
 tree-like.  The max-min product here is the naive cubic evaluation,
 chunked to bound memory; sub-cubic algorithms exist but are unnecessary
 at batch sizes around a thousand.  A brute-force triple loop lives
-alongside as the oracle.
+alongside as the oracle.  The lorentz metric lifts point rows onto the
+unit-curvature hyperboloid; delta_rel is scale-invariant, so a rescaled
+point cloud stands in for another curvature.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def pairwise_distances(points: np.ndarray, metric: str, c: float = 1.0) -> DistanceMatrix:
+def pairwise_distances(points: np.ndarray, metric: str) -> DistanceMatrix:
     """Pairwise distances of raw point rows under the chosen metric.
 
     For the lorentz metric the rows are treated as spatial coordinates
@@ -64,7 +66,7 @@ def pairwise_distances(points: np.ndarray, metric: str, c: float = 1.0) -> Dista
     if metric == "euclidean":
         return DistanceMatrix(pairwise_euclidean_distances(points))
     if metric == "lorentz":
-        return DistanceMatrix(pairwise_lorentz_distances(points, c))
+        return DistanceMatrix(pairwise_lorentz_distances(points))
     raise UsageError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
@@ -98,11 +100,11 @@ def delta_from_matrix(D: DistanceMatrix | np.ndarray, base: int = 0) -> float:
     return float((maxmin_product(A, A) - A).max())
 
 
-def delta_hyperbolicity(points: np.ndarray, metric: str, base: int = 0, c: float = 1.0) -> float:
+def delta_hyperbolicity(points: np.ndarray, metric: str, base: int = 0) -> float:
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] < 4:
         raise UsageError("delta needs at least 4 points")
-    return delta_from_matrix(pairwise_distances(points, metric, c), base)
+    return delta_from_matrix(pairwise_distances(points, metric), base)
 
 
 def delta_bruteforce(D: DistanceMatrix | np.ndarray, base: int = 0) -> float:
@@ -130,9 +132,9 @@ def diameter(D: DistanceMatrix | np.ndarray) -> float:
     return float(vals.max())
 
 
-def delta_rel(points: np.ndarray, metric: str, base: int = 0, c: float = 1.0) -> float:
+def delta_rel(points: np.ndarray, metric: str, base: int = 0) -> float:
     """Scale-invariant 2*delta/diam in [0, 1]."""
-    D = pairwise_distances(np.asarray(points, dtype=np.float64), metric, c)
+    D = pairwise_distances(np.asarray(points, dtype=np.float64), metric)
     diam = diameter(D)
     if diam <= 0.0:
         raise DomainError("degenerate diameter: all points coincide")
@@ -180,7 +182,6 @@ def batched_delta_rel_from_points(
     batch_count: int = 32,
     seed: int = 0,
     metric: str = "euclidean",
-    c: float = 1.0,
 ) -> HyperbolicityReport:
     """Estimate delta_rel over seeded batches sampled without replacement.
 
@@ -202,7 +203,7 @@ def batched_delta_rel_from_points(
 
     def one(idx):
         sub = points[batches[idx]]
-        D = pairwise_distances(sub, metric, c)
+        D = pairwise_distances(sub, metric)
         diam = diameter(D)
         if diam <= 0.0:
             raise DomainError(f"batch {idx}: degenerate diameter")
@@ -235,8 +236,7 @@ def batched_delta_rel(
     batch_count: int = 32,
     seed: int = 0,
     metric: str = "euclidean",
-    c: float = 1.0,
 ) -> HyperbolicityReport:
     """File-facing wrapper over batched_delta_rel_from_points."""
     points = read_embedding_csv(embedding_file)
-    return batched_delta_rel_from_points(points, batch_size, batch_count, seed, metric, c)
+    return batched_delta_rel_from_points(points, batch_size, batch_count, seed, metric)

@@ -11,11 +11,13 @@ equivalent to x0 = sqrt(1/c + ||x'||^2).
 
 Two layers are provided.  The scalar layer works on immutable
 ``LorentzPoint`` / ``TangentVector`` values and enforces contracts
-loudly.  The array layer (functions taking plain ndarrays, plus
-``EmbeddingGrid``) serves grid-sized workloads; those kernels accept
-caller-supplied precomputed time components and spatial norms so hot
-loops avoid redundant square roots, and they absorb round-off by
-clamping instead of raising.
+loudly; every point carries its own ``Curvature``, so this layer is the
+oracle at any c.  The array layer (functions taking plain ndarrays, plus
+``EmbeddingGrid``) serves grid-sized workloads at unit curvature, c = 1,
+the curvature every analytic gradient and every training run uses.  Its
+kernels accept caller-supplied precomputed time components and spatial
+norms so hot loops avoid redundant square roots, and they absorb
+round-off by clamping instead of raising.
 
 Tangent magnitudes are clamped so that sqrt(c)*||v|| <= MAX_TANGENT_NORM
 before cosh/sinh; every clamp is counted (see ``clamp_events``) and never
@@ -345,21 +347,20 @@ def spatial_sq_norms(spatial: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", spatial, spatial)
 
 
-def time_from_spatial(spatial: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """x0 = sqrt(1/c + ||x'||^2) along the last axis."""
-    return np.sqrt(1.0 / c + spatial_sq_norms(spatial))
+def time_from_spatial(spatial: np.ndarray) -> np.ndarray:
+    """x0 = sqrt(1 + ||x'||^2) along the last axis."""
+    return np.sqrt(1.0 + spatial_sq_norms(spatial))
 
 
-def batched_exp_lift(v: np.ndarray, c: float = 1.0):
+def batched_exp_lift(v: np.ndarray):
     """Vectorized exponential lift at the origin.
 
     v has shape (..., d).  Returns (time, spatial) with shapes (...,) and
-    (..., d).  Rows whose scaled norm exceeds MAX_TANGENT_NORM are rescaled
-    onto the cap; each such row counts one clamp event.
+    (..., d).  Rows whose norm exceeds MAX_TANGENT_NORM are rescaled onto
+    the cap; each such row counts one clamp event.
     """
     v = np.asarray(v, dtype=np.float64)
-    sc = math.sqrt(c)
-    r = sc * np.sqrt(spatial_sq_norms(v))
+    r = np.sqrt(spatial_sq_norms(v))
     over = r > MAX_TANGENT_NORM
     n_over = int(np.count_nonzero(over))
     if n_over:
@@ -370,7 +371,7 @@ def batched_exp_lift(v: np.ndarray, c: float = 1.0):
         r = np.minimum(r, MAX_TANGENT_NORM)
     ratio = np.where(r < _SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
     spatial = ratio[..., None] * v
-    return time_from_spatial(spatial, c), spatial
+    return time_from_spatial(spatial), spatial
 
 
 def inner_to_anchors(
@@ -383,24 +384,22 @@ def inner_to_anchors(
     return spatial @ anchor_spatial.T - time[..., None] * anchor_time
 
 
-def distances_from_inner(inner: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Geodesic distances from precomputed inner products; acosh argument
-    clamped to >= 1 so round-off never yields NaN."""
-    arg = np.maximum(-c * inner, 1.0)
-    return np.arccosh(arg) / math.sqrt(c)
+def distances_from_inner(inner: np.ndarray) -> np.ndarray:
+    """Geodesic distances acosh(-<x, y>_L) from precomputed inner products;
+    acosh argument clamped to >= 1 so round-off never yields NaN."""
+    return np.arccosh(np.maximum(-inner, 1.0))
 
 
-def pairwise_lorentz_distances(spatial: np.ndarray, c: float = 1.0, time=None) -> np.ndarray:
+def pairwise_lorentz_distances(spatial: np.ndarray) -> np.ndarray:
     """Symmetric pairwise geodesic distances of lifted points (n, d) -> (n, n).
 
-    ``time`` may carry precomputed time components; the diagonal is exactly
-    zero and the matrix is mirrored from the upper triangle so it is
-    bitwise symmetric.
+    The diagonal is exactly zero and the matrix is mirrored from the upper
+    triangle so it is bitwise symmetric.
     """
     spatial = np.asarray(spatial, dtype=np.float64)
-    t = time_from_spatial(spatial, c) if time is None else np.asarray(time, dtype=np.float64)
+    t = time_from_spatial(spatial)
     inner = spatial @ spatial.T - np.outer(t, t)
-    d = distances_from_inner(inner, c)
+    d = distances_from_inner(inner)
     np.fill_diagonal(d, 0.0)
     upper = np.triu(d, 1)
     return upper + upper.T
@@ -419,11 +418,11 @@ def pairwise_euclidean_distances(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingGrid:
-    """H x W field of hyperboloid points with cached time components."""
+    """H x W field of unit-curvature hyperboloid points with cached time
+    components."""
 
     spatial: np.ndarray  # (H, W, d)
     time: np.ndarray  # (H, W)
-    c: float = 1.0
 
     def __post_init__(self):
         spatial = np.asarray(self.spatial, dtype=np.float64)
@@ -436,9 +435,9 @@ class EmbeddingGrid:
         object.__setattr__(self, "time", time)
 
     @classmethod
-    def from_tangent(cls, v: np.ndarray, c: float = 1.0) -> "EmbeddingGrid":
-        time, spatial = batched_exp_lift(v, c)
-        return cls(spatial, time, c)
+    def from_tangent(cls, v: np.ndarray) -> "EmbeddingGrid":
+        time, spatial = batched_exp_lift(v)
+        return cls(spatial, time)
 
     @property
     def shape(self):
@@ -457,4 +456,4 @@ class EmbeddingGrid:
         return self.spatial.reshape(h * w, self.dim), self.time.reshape(h * w)
 
     def point(self, row: int, col: int) -> LorentzPoint:
-        return LorentzPoint(float(self.time[row, col]), self.spatial[row, col], Curvature(self.c))
+        return LorentzPoint(float(self.time[row, col]), self.spatial[row, col])

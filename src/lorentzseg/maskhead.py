@@ -73,9 +73,6 @@ class MaskHeadConfig:
     lambda_focal: float = 20.0
     lambda_dice: float = 1.0
     no_object_weight: float = 0.1
-    # cone constant for the class-logit apertures; keep equal to the
-    # training K so the hinge matches the prototypes' cones
-    K: float = 0.1
     # the 1/s_a and 1/s_d factors make the mask-logit path far stiffer
     # than the class-logit path; per-group learning rates rebalance them
     # (the usual encoder-vs-head split)
@@ -116,27 +113,43 @@ class QuerySet:
         return batched_exp_lift(self.mask_tangents)
 
 
-def class_query_logits(protos: PrototypeSet, queries: QuerySet, cfg: MaskHeadConfig) -> np.ndarray:
-    """(N, C) matrix of -w_d*distance minus the cone hinge."""
-    qt, qsp = queries.class_points()
+def _class_logits(qsp, qt, protos: PrototypeSet, apers, cfg: MaskHeadConfig):
+    """(N, C) class logits -w_d*distance minus the cone hinge of lifted
+    queries against the prototypes, with the inner products and the
+    active-hinge mask that the backward pass reuses."""
     inner = inner_to_anchors(qsp, qt, protos.spatial, protos.time)
     d = distances_from_inner(inner)
     ext = ext_angles_to_anchors(
         qsp, qt, protos.spatial, protos.time, inner=inner, anchor_norms=protos.spatial_norms
     )
-    apers = anchor_apertures(protos.spatial_norms, cfg.K)
-    hinge = np.maximum(0.0, ext - apers[None, :])
-    return -cfg.w_d * d - hinge
+    logits = -cfg.w_d * d - np.maximum(0.0, ext - apers[None, :])
+    return logits, inner, ext > apers[None, :]
+
+
+def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
+    """(pixels, N) mask logits m^d + m^a of lifted pixels against the lifted
+    mask queries, with the inner products that the backward pass reuses."""
+    inner = inner_to_anchors(sp, t, msp, mt)
+    d = distances_from_inner(inner)
+    ext = ext_angles_to_anchors(sp, t, msp, mt, inner=inner)
+    return (-d + cfg.b_d) / cfg.s_d + (-ext + cfg.b_a) / cfg.s_a, inner
+
+
+def class_query_logits(
+    protos: PrototypeSet, queries: QuerySet, cfg: MaskHeadConfig, K: float
+) -> np.ndarray:
+    """(N, C) matrix of -w_d*distance minus the cone hinge, with the cone
+    apertures of the training constant K (``TrainConfig.K``)."""
+    qt, qsp = queries.class_points()
+    apers = anchor_apertures(protos.spatial_norms, K)
+    return _class_logits(qsp, qt, protos, apers, cfg)[0]
 
 
 def mask_query_logits(queries: QuerySet, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
     """(N, H, W) mask logits m^d + m^a before the sigmoid."""
     mt, msp = queries.mask_points()
     sp, t = grid.flat()
-    inner = inner_to_anchors(sp, t, msp, mt)
-    d = distances_from_inner(inner)
-    ext = ext_angles_to_anchors(sp, t, msp, mt, inner=inner)
-    logits = (-d + cfg.b_d) / cfg.s_d + (-ext + cfg.b_a) / cfg.s_a
+    logits, _ = _mask_logits(sp, t, msp, mt, cfg)
     h, w = grid.shape
     return logits.T.reshape(queries.n, h, w)
 
@@ -280,28 +293,18 @@ def _forward_state(params, queries, flat, protos, head_cfg, apers):
     a1, u = _encoder_parts(params, flat)
     v_p = params.alpha * u
     pt, psp = batched_exp_lift(v_p)
-    qt, qsp = batched_exp_lift(queries.class_tangents)
-    mt, msp = batched_exp_lift(queries.mask_tangents)
-    inner_cq = inner_to_anchors(qsp, qt, protos.spatial, protos.time)
-    d_cq = distances_from_inner(inner_cq)
-    ext_cq = ext_angles_to_anchors(
-        qsp, qt, protos.spatial, protos.time, inner=inner_cq, anchor_norms=protos.spatial_norms
-    )
-    hinge_active = ext_cq > apers[None, :]
-    cls_logits = -head_cfg.w_d * d_cq - np.maximum(0.0, ext_cq - apers[None, :])
+    qt, qsp = queries.class_points()
+    mt, msp = queries.mask_points()
+    cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos, apers, head_cfg)
     full_logits = np.concatenate(
         [cls_logits, np.full((queries.n, 1), queries.no_object_bias)], axis=1
     )
-    inner_mp = inner_to_anchors(psp, pt, msp, mt)
-    d_mp = distances_from_inner(inner_mp)
-    ext_mp = ext_angles_to_anchors(psp, pt, msp, mt, inner=inner_mp)
-    mq = (-d_mp + head_cfg.b_d) / head_cfg.s_d + (-ext_mp + head_cfg.b_a) / head_cfg.s_a
+    mq, inner_mp = _mask_logits(psp, pt, msp, mt, head_cfg)
     return {
         "a1": a1, "u": u, "v_p": v_p, "pt": pt, "psp": psp,
         "qt": qt, "qsp": qsp, "mt": mt, "msp": msp,
-        "inner_cq": inner_cq, "d_cq": d_cq, "ext_cq": ext_cq,
-        "hinge_active": hinge_active, "full_logits": full_logits,
-        "inner_mp": inner_mp, "mq": mq,
+        "inner_cq": inner_cq, "hinge_active": hinge_active,
+        "full_logits": full_logits, "inner_mp": inner_mp, "mq": mq,
     }
 
 

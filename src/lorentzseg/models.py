@@ -16,7 +16,9 @@ and the direct ball-to-ball maps
     p = k / (1 + sqrt(1 - c||k||^2)),   k = 2p / (1 + c||p||^2).
 
 Ball points must satisfy c||.||^2 < 1; conversions reject inputs within
-1e-12 of the boundary rather than emitting huge coordinates.
+1e-12 of the boundary rather than emitting huge coordinates.  The point
+types carry their own curvature; ``hyperbolic_mean_arrays`` is the
+unit-curvature array kernel.
 """
 
 from __future__ import annotations
@@ -130,17 +132,16 @@ def hyperbolic_mean(points: list[LorentzPoint]) -> LorentzPoint:
     return klein_to_lorentz(einstein_midpoint([lorentz_to_klein(x) for x in points]))
 
 
-def hyperbolic_mean_arrays(spatial: np.ndarray, time: np.ndarray, c: float = 1.0):
-    """Array kernel: Einstein-midpoint mean of lifted points (n, d)/(n,).
+def hyperbolic_mean_arrays(spatial: np.ndarray, time: np.ndarray):
+    """Array kernel: Einstein-midpoint mean of unit-curvature lifted points
+    (n, d)/(n,).
 
     Returns (mean_time, mean_spatial)."""
     if spatial.shape[0] == 0:
         raise UsageError("hyperbolic_mean of an empty set")
-    ks = spatial / (time[:, None] * math.sqrt(c))
-    mid = einstein_midpoint_arrays(ks, c)
-    sq = c * float(np.dot(mid, mid))
-    x0 = 1.0 / math.sqrt(c * (1.0 - sq))
-    return x0, x0 * math.sqrt(c) * mid
+    mid = einstein_midpoint_arrays(spatial / time[:, None])
+    x0 = 1.0 / math.sqrt(1.0 - float(np.dot(mid, mid)))
+    return x0, x0 * mid
 
 
 def poincare_distance_reference(p: PoincarePoint, q: PoincarePoint) -> float:

@@ -41,7 +41,6 @@ from .entailment import (
 )
 from .errors import TrainingDivergedError, UsageError
 from .lorentz import (
-    Curvature,
     EmbeddingGrid,
     batched_exp_lift,
     distances_from_inner,
@@ -313,9 +312,7 @@ def build_prototypes(bank: DescriptorBank, entail_cfg: EntailmentConfig) -> Prot
     norms = np.linalg.norm(bank.reduced, axis=1)
     if np.any(norms == 0.0):
         raise UsageError("zero-norm descriptor row cannot anchor a cone")
-    anchors = tuple(
-        exp_lift_origin(row, entail_cfg.curvature) for row in bank.reduced
-    )
+    anchors = tuple(exp_lift_origin(row) for row in bank.reduced)
     protos = PrototypeSet(
         anchors=anchors,
         labels=bank.names,
@@ -374,28 +371,15 @@ def _encoder_parts(params: EncoderParams, flat: np.ndarray):
     return a1, u
 
 
-def encoder_forward(
-    params: EncoderParams, features: np.ndarray, single_precision: bool = False
-) -> np.ndarray:
-    """Per-pixel tangent vectors alpha * mlp(features), shape (H, W, d).
-
-    ``single_precision`` runs the perceptron in float32; every manifold
-    kernel downstream stays 64-bit, so the option only trades accuracy in
-    the forward feature path.
-    """
+def encoder_forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """Per-pixel tangent vectors alpha * mlp(features), shape (H, W, d)."""
     h, w, _ = features.shape
-    flat = features.reshape(h * w, -1)
-    if single_precision:
-        a1 = np.tanh(flat.astype(np.float32) @ params.w1.T.astype(np.float32)
-                     + params.b1.astype(np.float32))
-        u = a1 @ params.w2.T.astype(np.float32) + params.b2.astype(np.float32)
-        return (np.float32(params.alpha) * u).astype(np.float64).reshape(h, w, -1)
-    _, u = _encoder_parts(params, flat)
+    _, u = _encoder_parts(params, features.reshape(h * w, -1))
     return (params.alpha * u).reshape(h, w, -1)
 
 
-def embed_scene(params: EncoderParams, scene: SyntheticScene, c: float = 1.0) -> EmbeddingGrid:
-    return EmbeddingGrid.from_tangent(encoder_forward(params, scene.features), c)
+def embed_scene(params: EncoderParams, scene: SyntheticScene) -> EmbeddingGrid:
+    return EmbeddingGrid.from_tangent(encoder_forward(params, scene.features))
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +405,7 @@ class TrainConfig:
 
     @property
     def entail_cfg(self) -> EntailmentConfig:
-        return EntailmentConfig(K=self.K, curvature=Curvature(1.0))
+        return EntailmentConfig(K=self.K)
 
 
 @dataclass

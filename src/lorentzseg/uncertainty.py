@@ -67,8 +67,7 @@ def radius_uncertainty(grid: EmbeddingGrid) -> ScalarMap:
 def radius_uncertainty_variants(grid: EmbeddingGrid):
     """The three monotone-equivalent formulations, for ranking checks:
     (-x0, -||x'||, -poincare radius)."""
-    sc = math.sqrt(grid.c)
-    pnorm = grid.spatial_norms / (grid.time * sc + 1.0)
+    pnorm = grid.spatial_norms / (grid.time + 1.0)
     return -grid.time, -grid.spatial_norms, -pnorm
 
 
@@ -79,7 +78,7 @@ def angle_uncertainty(grid: EmbeddingGrid, anchors) -> ScalarMap:
     if np.any(norms == 0.0):
         raise UsageError("an anchor at the origin has no exterior angle")
     sp, t = grid.flat()
-    ext = ext_angles_to_anchors(sp, t, asp, at, c=grid.c, anchor_norms=norms)
+    ext = ext_angles_to_anchors(sp, t, asp, at, anchor_norms=norms)
     return ScalarMap(ext.min(axis=1).reshape(grid.shape), "angle_uncertainty")
 
 
@@ -96,9 +95,9 @@ def class_confidence(grid: EmbeddingGrid, class_pixels: np.ndarray) -> ScalarMap
         raise UsageError("empty class pixel set")
     sp, t = grid.flat()
     sel = mask.reshape(-1)
-    m_time, m_spatial = hyperbolic_mean_arrays(sp[sel], t[sel], grid.c)
+    m_time, m_spatial = hyperbolic_mean_arrays(sp[sel], t[sel])
     inner = inner_to_anchors(sp, t, m_spatial[None, :], np.array([m_time]))
-    conf = np.exp(-distances_from_inner(inner, grid.c)[:, 0])
+    conf = np.exp(-distances_from_inner(inner)[:, 0])
     return ScalarMap(conf.reshape(grid.shape), "confidence")
 
 

@@ -338,7 +338,7 @@ def test_criterion_7_mask_head_suite():
     protos = res.protos
     queries = res.queries
     cfg = res.head_cfg
-    logits = mh.class_query_logits(protos, queries, cfg)
+    logits = mh.class_query_logits(protos, queries, cfg, res.train_cfg.K)
     qt, qsp = queries.class_points()
     e_cfg = ent.EntailmentConfig(K=REFERENCE_MASK_TRAIN.K)
     for j in (0, 3, 7):

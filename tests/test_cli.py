@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from lorentzseg import hyperbolicity as hyp
+from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
-from lorentzseg.cli import main
+from lorentzseg.cli import load_model, main
+from lorentzseg.entailment import anchor_apertures
 from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv, write_json
 
 
@@ -313,6 +315,40 @@ class TestModelLoading:
             doc["extras"]["train"]["momentum"] = 0.9
         model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+
+
+@pytest.fixture(scope="module")
+def mask_k_dir(tmp_path_factory):
+    """A briefly trained mask head whose cone constant is not the default."""
+    d = tmp_path_factory.mktemp("mask_k") / "mask"
+    assert run(["train", "--head", "mask", "--height", "16", "--width", "16",
+                "--cone-k", "0.2", "--epochs", "2", "--out-dir", str(d)]) == 0
+    return d
+
+
+class TestMaskModelConeConstant:
+    def test_loaded_class_logits_match_training_forward(self, mask_k_dir):
+        _, params, scene_cfg, train_cfg, _, queries, head_cfg = load_model(str(mask_k_dir / "model"))
+        assert train_cfg.K == 0.2
+        scene = st.generate_scene(scene_cfg)
+        protos = st.build_prototypes(st.DescriptorBank.fit(scene, train_cfg.embed_dim),
+                                     train_cfg.entail_cfg)
+        flat = scene.features.reshape(-1, scene.features.shape[-1])
+        apers = anchor_apertures(protos.spatial_norms, train_cfg.K)
+        state = mh._forward_state(params, queries, flat, protos, head_cfg, apers)
+        logits = mh.class_query_logits(protos, queries, head_cfg, train_cfg.K)
+        assert np.array_equal(logits, state["full_logits"][:, :-1])
+
+    def test_model_with_head_cone_constant_still_loads(self, mask_k_dir, tmp_path):
+        # mask models saved while MaskHeadConfig still had its own K record it
+        def add_head_k(doc):
+            doc["extras"]["head_cfg"]["K"] = 0.1
+        model = _edited_model(mask_k_dir, tmp_path / "m", add_head_k)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "old")]) == 0
+        assert run(["infer", "--model", str(mask_k_dir / "model"),
+                    "--out-dir", str(tmp_path / "new")]) == 0
+        for name in ("pred.pgm", "metrics.json"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 class TestDivergence:

@@ -58,6 +58,29 @@ class TestHalfAperture:
             ent.half_aperture(lz.lift_point([0.05, 0.0]), cfg)
         assert "0.05" in str(err.value)
 
+    def test_reads_the_anchor_curvature(self):
+        # the aperture of an anchor at c = 4 is asin(2K/(sqrt(c)||x'||)),
+        # half-ish of the unit-curvature value at the same spatial norm
+        c4 = lz.Curvature(4.0)
+        cfg = ent.EntailmentConfig(K=0.1)
+        x = lz.exp_lift_origin([1.0, 0.0], c4)
+        expected = math.asin(2.0 * 0.1 / (2.0 * x.spatial_norm))
+        assert ent.half_aperture(x, cfg) == pytest.approx(expected, rel=1e-14)
+        assert ent.half_aperture(x, cfg) == pytest.approx(0.0552, abs=1e-4)
+        y = lz.exp_lift_origin([2.0, 0.5], c4)
+        loss = ent.entailment_loss(x, y, cfg)
+        assert loss > 0.0
+        assert loss == pytest.approx(ent.exterior_angle(x, y) - expected, rel=1e-14)
+
+    def test_validation_floor_reads_the_anchor_curvature(self):
+        # ||x'|| = 0.15 lies above 2K/sqrt(4) = 0.1 but below 2K = 0.2
+        cfg = ent.EntailmentConfig(K=0.1)
+        at_c4 = lz.lift_point([0.15, 0.0], lz.Curvature(4.0))
+        protos = ent.PrototypeSet((at_c4,), ("a",), descriptor_dim=2)
+        assert protos.validate_apertures(cfg) is protos
+        with pytest.raises(UsageError):
+            make_protos([[0.15, 0.0]], cfg=cfg)
+
 
 class TestExteriorAngle:
     def test_point_beyond_anchor_on_ray(self):

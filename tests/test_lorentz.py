@@ -291,13 +291,6 @@ class TestArrayLayer:
                     lz.geodesic_distance(pts[i], pts[j]), abs=1e-10
                 )
 
-    def test_precomputed_time_path_matches_uncached(self):
-        rng = np.random.default_rng(14)
-        spatial = rng.normal(size=(30, 5))
-        cached = lz.pairwise_lorentz_distances(spatial, time=lz.time_from_spatial(spatial))
-        uncached = lz.pairwise_lorentz_distances(spatial)
-        np.testing.assert_array_equal(cached, uncached)
-
     def test_inner_to_anchors_precomputed(self):
         rng = np.random.default_rng(15)
         spatial = rng.normal(size=(8, 3))

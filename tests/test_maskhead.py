@@ -1,5 +1,6 @@
 """Tests for the mask-classification head."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from lorentzseg import entailment as ent
+from lorentzseg import grad as gr
 from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
@@ -45,7 +47,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[1.0, 0.0], [0.4, 0.4]])
         cfg = mh.MaskHeadConfig(n_queries=2)
-        logits = mh.class_query_logits(protos, queries, cfg)
+        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
         # coincident pair: exact zero up to the acosh noise floor sqrt(2 ulp)
         assert logits[0, 0] == pytest.approx(0.0, abs=1e-7)
         assert logits[0].argmax() == 0
@@ -55,7 +57,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[0.9, 0.4], [0.2, 1.0]])
         cfg = mh.MaskHeadConfig(n_queries=2, w_d=0.0)
-        logits = mh.class_query_logits(protos, queries, cfg)
+        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
         qt, qsp = queries.class_points()
         e_cfg = ent.EntailmentConfig(K=0.1)
         for j in range(2):
@@ -70,7 +72,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.1, 0.0]])
         queries = queries_from([[2.6, 0.0]])
         cfg = mh.MaskHeadConfig(n_queries=1, w_d=0.7)
-        logits = mh.class_query_logits(protos, queries, cfg)
+        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
         qt, qsp = queries.class_points()
         inner = lz.inner_to_anchors(qsp, qt, protos.spatial, protos.time)
         d_batched = lz.distances_from_inner(inner)[0, 0]
@@ -83,7 +85,7 @@ class TestClassQueryLogits:
         protos = make_protos(rng.normal(size=(4, 3)))
         queries = queries_from(rng.normal(size=(5, 3)))
         cfg = mh.MaskHeadConfig(n_queries=5, w_d=0.7)
-        logits = mh.class_query_logits(protos, queries, cfg)
+        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
         e_cfg = ent.EntailmentConfig(K=0.1)
         qt, qsp = queries.class_points()
         for j in range(5):
@@ -349,6 +351,57 @@ class TestMaskAngleUncertainty:
         grid = lz.EmbeddingGrid.from_tangent(np.array([[2.0 * u, 3.0 * u]]))
         m = mh.mask_angle_uncertainty(grid, q)
         np.testing.assert_allclose(m.values, 0.0, atol=1e-6)
+
+
+class TestTrainMaskheadGradient:
+    """End to end: the gradient one training step applies, recovered as
+    (before - after)/lr with no weight decay, against central differences
+    of the matched loss the trainer reports."""
+
+    LR = 1e-7
+    QUERY_BLOCKS = ("mask_tangents", "class_tangents")
+    ENCODER_BLOCKS = ("w1", "w2", "b2", "alpha")
+
+    def test_step_matches_finite_differences(self):
+        scene = st.generate_scene(st.SceneConfig(
+            parents=2, children_per_parent=2, height=12, width=12,
+            noise_sigma=0.3, edge_blend=0.5,
+        ))
+        bank = st.DescriptorBank.fit(scene, d=3)
+        head = mh.MaskHeadConfig(n_queries=6)
+        cfg = st.TrainConfig(epochs=0, lr=self.LR, weight_decay=0.0, hidden=8, embed_dim=3)
+        before = mh.train_maskhead(scene, bank, head, cfg)
+        after = mh.train_maskhead(scene, bank, head, dataclasses.replace(cfg, epochs=1))
+
+        flat = scene.features.reshape(-1, scene.features.shape[-1])
+        apers = ent.anchor_apertures(before.protos.spatial_norms, cfg.K)
+        column = {c: j for j, c in enumerate(bank.included)}
+        segments = [(column[c], m.reshape(-1).astype(np.float64))
+                    for c, m in st.scene_segments(scene)]
+
+        def loss_at(params, queries):
+            state = mh._forward_state(params, queries, flat, before.protos, head, apers)
+            return mh._mask_loss_at(state, segments, head)[3]
+
+        state = mh._forward_state(before.params, before.queries, flat, before.protos, head, apers)
+        assert state["hinge_active"].any()  # the class-logit cone hinge is exercised
+
+        def perturbed(block, x):
+            params = dataclasses.replace(before.params)
+            queries = dataclasses.replace(before.queries)
+            owner = queries if block in self.QUERY_BLOCKS else params
+            setattr(owner, block, float(x[0]) if block == "alpha" else x)
+            return loss_at(params, queries)
+
+        for block in self.QUERY_BLOCKS + self.ENCODER_BLOCKS:
+            owner = "queries" if block in self.QUERY_BLOCKS else "params"
+            x0 = np.atleast_1d(getattr(getattr(before, owner), block))
+            x1 = np.atleast_1d(getattr(getattr(after, owner), block))
+            lr = self.LR * (head.class_lr_scale if block == "class_tangents" else 1.0)
+            applied = (x0 - x1) / lr
+            fd = gr.finite_difference_gradient(lambda x: perturbed(block, x), x0)
+            err = np.linalg.norm(applied - fd) / np.linalg.norm(applied)
+            assert err < 1e-6, (block, err)
 
 
 class TestTrainMaskhead:

@@ -193,15 +193,6 @@ class TestEncoder:
         one = st.encoder_forward(params, scene.features[3:4, 5:6, :])
         np.testing.assert_allclose(one[0, 0], full[3, 5], atol=1e-15)
 
-    def test_single_precision_mode_tracks_double(self):
-        scene = st.generate_scene(SMALL)
-        params = st.init_encoder(16, 8, 4, seed=3)
-        full = st.encoder_forward(params, scene.features)
-        single = st.encoder_forward(params, scene.features, single_precision=True)
-        assert single.dtype == np.float64  # cast back for the manifold kernels
-        assert np.abs(single - full).max() < 1e-5
-        assert np.abs(single - full).max() > 0.0  # genuinely computed in 32-bit
-
     def test_forward_jvp_matches_fd(self):
         scene = st.generate_scene(SMALL)
         params = st.init_encoder(16, 6, 3, seed=2)
@@ -269,6 +260,29 @@ class TestTrain:
         np.testing.assert_array_equal(a.params.w2, b.params.w2)
         assert a.params.alpha == b.params.alpha
         np.testing.assert_array_equal(a.trace["total"], b.trace["total"])
+
+
+class TestPixelObjectiveGradient:
+    """End to end: the dL/dv that both pixel trainers apply, against central
+    differences of the loss they report."""
+
+    @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
+    def test_matches_finite_differences(self, geometry):
+        scene = st.generate_scene(st.SceneConfig(
+            parents=2, children_per_parent=2, height=10, width=10,
+            noise_sigma=0.3, edge_blend=0.5,
+        ))
+        bank = st.DescriptorBank.fit(scene, d=3)
+        cfg = st.TrainConfig(embed_dim=3)
+        obj = st.PixelObjective.build(scene, bank, cfg, geometry=geometry)
+        params = st._start_encoder(obj.flat, cfg, bank.d)
+        _, u = st._encoder_parts(params, obj.flat)
+        v = params.alpha * u
+        _, entail, _, g = obj.loss(v, True)
+        if geometry == "lorentz":
+            assert entail > 0.0  # the cone hinge is part of what is checked
+        fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[2], v)
+        assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
 
 class TestInference:
