@@ -1,13 +1,17 @@
 """Command-line surface.
 
 Subcommands: deltahyp, gradcheck, gradfield, train, infer, uncertainty,
-losscape, euclid-baseline.  Every command writes a run manifest
-(command, full config, seed, version, paths, wall clock, clamp events)
-next to its outputs; re-running with the same flags reproduces every
-output byte for byte (the manifest itself carries the wall clock).
+losscape, euclid-baseline.  Each ``cmd_*`` returns its exit code, the
+path of its run manifest and the manifest's run-specific fields
+(command, full config, seed, inputs, outputs); ``main`` starts the
+clock, resets the clamp tally and writes every manifest, adding the
+version, wall clock and clamp events.  Re-running with the same flags
+reproduces every output byte for byte (the manifest itself carries the
+wall clock).
 
-Exit codes: 0 success, 1 failed numerical check, 2 usage error,
-3 IO/parse error.
+Exit codes: 0 success, 1 failed numerical check or diverged training
+run (whose manifest records the failing step and no outputs), 2 usage
+error, 3 IO/parse error.
 """
 
 from __future__ import annotations
@@ -39,19 +43,6 @@ from .lorentz import clamp_events, lift_point, reset_clamp_events
 from .reference import REFERENCE_MASK_HEAD, REFERENCE_SCENE, REFERENCE_TRAIN
 
 
-def _manifest(command: str, config: dict, seed, inputs, outputs, started: float) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "tool_version": __version__,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "wall_clock_s": time.time() - started,
-        "clamp_events": clamp_events(),
-    }
-
-
 def _scene_flags(p: argparse.ArgumentParser):
     p.add_argument("--parents", type=int, default=REFERENCE_SCENE.parents)
     p.add_argument("--children", type=int, default=REFERENCE_SCENE.children_per_parent)
@@ -77,30 +68,15 @@ def _train_flags(p: argparse.ArgumentParser):
 
 
 def _scene_from_args(args) -> st.SceneConfig:
-    if min(args.parents, args.children, args.height, args.width) < 1:
-        raise UsageError("--parents/--children/--height/--width must all be >= 1")
-    if args.noise < 0:
-        raise UsageError("--noise must be >= 0")
-    if not 0.0 <= args.edge_blend <= 1.0:
-        raise UsageError("--edge-blend must lie in [0, 1]")
     return st.SceneConfig(
-        parents=args.parents,
-        children_per_parent=args.children,
-        height=args.height,
-        width=args.width,
-        noise_sigma=args.noise,
-        edge_blend=args.edge_blend,
-        descriptor_dim=args.descriptor_dim,
-        seed=args.scene_seed,
+        parents=args.parents, children_per_parent=args.children, height=args.height,
+        width=args.width, noise_sigma=args.noise, edge_blend=args.edge_blend,
+        descriptor_dim=args.descriptor_dim, seed=args.scene_seed,
     )
 
 
 def _train_from_args(args, head: str) -> st.TrainConfig:
     lr = args.lr if args.lr is not None else (0.5 if head != "mask" else 2e-3)
-    if args.epochs < 0 or lr < 0:
-        raise UsageError("--epochs and --lr must be >= 0")
-    if args.tau <= 0 or args.cone_k <= 0:
-        raise UsageError("--tau and --cone-k must be positive")
     return st.TrainConfig(
         epochs=args.epochs, lr=lr, lambda_w=args.lambda_w, tau=args.tau,
         K=args.cone_k, seed=args.seed, weight_decay=args.weight_decay,
@@ -121,27 +97,21 @@ def _write_label_map(prefix, label_map: st.LabelMap):
     write_json(str(prefix) + ".legend.json", {str(k): v for k, v in label_map.legend.items()})
 
 
-def _save_model(prefix, head, params, scene_cfg, train_cfg, extras_extra=None, queries=None):
+def _save_model(prefix, head, params, scene_cfg, train_cfg, extras_extra, queries=None):
     blocks = params.blocks()
-    extras = {
-        "head": head,
-        "scene": dataclasses.asdict(scene_cfg),
-        "train": dataclasses.asdict(train_cfg),
-    }
     if queries is not None:
-        blocks = dict(blocks)
         blocks["class_tangents"] = queries.class_tangents
         blocks["mask_tangents"] = queries.mask_tangents
         blocks["no_object_bias"] = np.array([queries.no_object_bias])
-    if extras_extra:
-        extras.update(extras_extra)
+    extras = {"head": head, "scene": dataclasses.asdict(scene_cfg),
+              "train": dataclasses.asdict(train_cfg), **extras_extra}
     save_param_blocks(prefix, blocks, extras)
 
 
 def load_model(prefix):
     """Load a trained head: returns (head, params, scene_cfg, train_cfg,
-    extras, queries, head_cfg), the last two None unless the head is the
-    mask head.  A descriptor that lacks a block or a key, or holds a value
+    exclude_class, queries, head_cfg), the last two None unless the head is
+    the mask head.  A descriptor that lacks a block or a key, or holds a value
     of the wrong kind, raises ParseError."""
     try:
         blocks, extras = load_param_blocks(prefix)
@@ -166,7 +136,7 @@ def load_model(prefix):
             head_cfg = mh.MaskHeadConfig(**head_block)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
-    return extras["head"], params, scene_cfg, train_cfg, extras, queries, head_cfg
+    return extras["head"], params, scene_cfg, train_cfg, extras.get("exclude_class"), queries, head_cfg
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
@@ -176,9 +146,20 @@ def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
     return scene, st.DescriptorBank.fit(scene, d=embed_dim, exclude=exclude)
 
 
-def cmd_deltahyp(args) -> int:
-    started = time.time()
-    reset_clamp_events()
+def _fields(command: str, config: dict, seed, inputs, outputs) -> dict:
+    """The run-specific fields of a manifest; ``main`` adds the rest."""
+    return {"command": command, "config": config, "seed": seed,
+            "inputs": inputs, "outputs": outputs}
+
+
+def _diverged(exc: TrainingDivergedError, out_dir: Path, fields: dict):
+    """Exit 1 with one stderr line; the manifest records the failing step
+    and, as nothing was written yet, no outputs."""
+    print(f"training diverged: {exc}", file=sys.stderr)
+    return 1, out_dir / "manifest.json", {**fields, "diverged_at_step": exc.step}
+
+
+def cmd_deltahyp(args):
     report = hyp.batched_delta_rel(
         args.input, batch_size=args.batch_size, batch_count=args.batches,
         seed=args.seed, metric=args.metric,
@@ -186,26 +167,20 @@ def cmd_deltahyp(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
-    cfg = {"input": str(args.input), "metric": args.metric,
-           "batch_size": args.batch_size, "batches": args.batches, "seed": args.seed}
-    write_json(str(out) + ".manifest.json",
-               _manifest("deltahyp", cfg, args.seed, [args.input], [out], started))
     print(f"delta_rel={report.delta_rel:.6f} over {report.batch_count} batches")
-    return 0
+    cfg = {"input": args.input, "metric": args.metric,
+           "batch_size": args.batch_size, "batches": args.batches, "seed": args.seed}
+    return 0, Path(f"{out}.manifest.json"), _fields(
+        "deltahyp", cfg, args.seed, [args.input], [out])
 
 
-def cmd_gradcheck(args) -> int:
-    started = time.time()
-    reset_clamp_events()
+def cmd_gradcheck(args):
     report = gr.gradient_interaction_report(
         args.samples, seed=args.seed, inject_error=args.inject_error
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
-    cfg = {"samples": args.samples, "seed": args.seed}
-    write_json(str(out) + ".manifest.json",
-               _manifest("gradcheck", cfg, args.seed, [], [out], started))
     ok = report.max_rel_error <= 1e-5 and report.sign_agreement_rate == 1.0
     print(
         f"max_rel_error={report.max_rel_error:.3e} "
@@ -213,7 +188,9 @@ def cmd_gradcheck(args) -> int:
         f"euclid_violations={report.euclid_orthogonality_violations} "
         f"-> {'PASS' if ok else 'FAIL'}"
     )
-    return 0 if ok else 1
+    cfg = {"samples": args.samples, "seed": args.seed}
+    return 0 if ok else 1, Path(f"{out}.manifest.json"), _fields(
+        "gradcheck", cfg, args.seed, [], [out])
 
 
 def _gradfield_row(v, target):
@@ -256,9 +233,7 @@ GRADFIELD_COLUMNS = (
 )
 
 
-def cmd_gradfield(args) -> int:
-    started = time.time()
-    reset_clamp_events()
+def cmd_gradfield(args):
     if args.resolution < 2:
         raise UsageError("resolution must be >= 2")
     target = np.array([float(t) for t in args.target.split(",")])
@@ -275,63 +250,55 @@ def cmd_gradfield(args) -> int:
                 row = _gradfield_row(np.array([v1, v2]), target)
                 fh.write(",".join(repr(float(c)) for c in [v1, v2] + row[:-1]))
                 fh.write(f",{int(row[-1])}\n")
+    print(f"wrote {args.resolution * args.resolution} rows to {out}")
     cfg = {"grid_extent": args.grid_extent, "resolution": args.resolution,
            "target": args.target}
-    write_json(str(out) + ".manifest.json",
-               _manifest("gradfield", cfg, None, [], [out], started))
-    print(f"wrote {args.resolution * args.resolution} rows to {out}")
-    return 0
+    return 0, Path(f"{out}.manifest.json"), _fields("gradfield", cfg, None, [], [out])
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    reset_clamp_events()
+def cmd_train(args):
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, args.head)
     scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    metrics = {}
+    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
+           "head": args.head, "exclude_class": args.exclude_class}
+    fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
+    try:
+        if args.head == "pixel":
+            res = st.train(scene, bank, train_cfg, exclude_class=args.exclude_class)
+        else:
+            head_cfg = mh.MaskHeadConfig(n_queries=args.queries)
+            res = mh.train_maskhead(scene, bank, head_cfg, train_cfg)
+    except TrainingDivergedError as exc:
+        return _diverged(exc, out_dir, fields)
     if args.head == "pixel":
-        res = st.train(scene, bank, train_cfg, exclude_class=args.exclude_class)
         _save_model(out_dir / "model", "pixel", res.params, scene_cfg, train_cfg,
                     {"exclude_class": args.exclude_class})
         _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "entail", "total"])
         pred_d = st.infer_distance(res.params, res.protos, scene)
         pred_a = st.infer_angle(res.params, res.protos, scene)
-        metrics["train_miou_distance"] = st.miou(pred_d, st.LabelMap(scene.labels, {}), scene.n_classes) if args.exclude_class is None else None
-        metrics["distance_angle_agreement"] = float((pred_d.values == pred_a.values).mean())
-        metrics["final_loss"] = res.final_loss
-    elif args.head == "mask":
-        head_cfg = mh.MaskHeadConfig(n_queries=args.queries)
-        res = mh.train_maskhead(scene, bank, head_cfg, train_cfg)
+        miou_d = None if args.exclude_class is not None else st.miou(pred_d, scene.labels, scene.n_classes)
+        metrics = {"train_miou_distance": miou_d,
+                   "distance_angle_agreement": float((pred_d.values == pred_a.values).mean())}
+    else:
         _save_model(out_dir / "model", "mask", res.params, scene_cfg, train_cfg,
                     {"head_cfg": dataclasses.asdict(head_cfg)}, queries=res.queries)
         _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "mask", "total"])
         pred = mh.predict_semantic(res, scene)
-        metrics["train_miou_semantic"] = st.miou(pred, st.LabelMap(scene.labels, {}), scene.n_classes)
-        metrics["final_loss"] = res.final_loss
-    else:
-        raise UsageError(f"unknown head {args.head!r}")
+        metrics = {"train_miou_semantic": st.miou(pred, scene.labels, scene.n_classes)}
+    metrics["final_loss"] = res.final_loss
     _write_label_map(out_dir / "gt", st.LabelMap(scene.labels, dict(enumerate(scene.class_names))))
-    outputs += [out_dir / "model.json", out_dir / "model.bin", out_dir / "trace.csv",
-                out_dir / "gt.pgm", out_dir / "gt.legend.json"]
     write_json(out_dir / "metrics.json", metrics)
-    outputs.append(out_dir / "metrics.json")
-    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
-           "head": args.head, "exclude_class": args.exclude_class}
-    write_json(out_dir / "manifest.json",
-               _manifest(f"train --head {args.head}", cfg, train_cfg.seed, [], outputs, started))
     print(json.dumps(metrics, sort_keys=True))
-    return 0
+    fields["outputs"] = [out_dir / "model.json", out_dir / "model.bin", out_dir / "trace.csv",
+                         out_dir / "gt.pgm", out_dir / "gt.legend.json", out_dir / "metrics.json"]
+    return 0, out_dir / "manifest.json", fields
 
 
-def cmd_infer(args) -> int:
-    started = time.time()
-    reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, queries, head_cfg = load_model(args.model)
-    exclude = extras.get("exclude_class")
+def cmd_infer(args):
+    head, params, scene_cfg, train_cfg, exclude, queries, head_cfg = load_model(args.model)
     scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,39 +310,33 @@ def cmd_infer(args) -> int:
         picked = pred_d if args.mode == "distance" else pred_a
         metrics["distance_angle_agreement"] = float((pred_d.values == pred_a.values).mean())
         if exclude is None:
-            metrics[f"miou_{args.mode}"] = st.miou(picked, st.LabelMap(scene.labels, {}), scene.n_classes)
+            metrics[f"miou_{args.mode}"] = st.miou(picked, scene.labels, scene.n_classes)
     elif head == "euclid":
         picked = st.infer_euclidean(params, bank, scene)
         if exclude is None:
-            metrics["miou_euclid"] = st.miou(picked, st.LabelMap(scene.labels, {}), scene.n_classes)
+            metrics["miou_euclid"] = st.miou(picked, scene.labels, scene.n_classes)
     elif head == "mask":
         protos = st.build_prototypes(bank, train_cfg.entail_cfg)
         res = mh.MaskHeadResult(queries, params, protos, bank, {}, head_cfg, train_cfg)
         picked = mh.predict_semantic(res, scene)
-        metrics["miou_semantic"] = st.miou(picked, st.LabelMap(scene.labels, {}), scene.n_classes)
+        metrics["miou_semantic"] = st.miou(picked, scene.labels, scene.n_classes)
     else:
         raise UsageError(f"model head {head!r} unknown")
     _write_label_map(out_dir / "pred", picked)
     write_json(out_dir / "metrics.json", metrics)
-    outputs = [out_dir / "pred.pgm", out_dir / "pred.legend.json", out_dir / "metrics.json"]
-    cfg = {"model": str(args.model), "mode": args.mode}
-    write_json(out_dir / "manifest.json",
-               _manifest("infer", cfg, train_cfg.seed, [args.model + ".json", args.model + ".bin"],
-                         outputs, started))
     print(json.dumps(metrics, sort_keys=True))
-    return 0
+    outputs = [out_dir / "pred.pgm", out_dir / "pred.legend.json", out_dir / "metrics.json"]
+    cfg = {"model": args.model, "mode": args.mode}
+    return 0, out_dir / "manifest.json", _fields(
+        "infer", cfg, train_cfg.seed, [args.model + ".json", args.model + ".bin"], outputs)
 
 
-def cmd_uncertainty(args) -> int:
-    started = time.time()
-    reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, queries, _ = load_model(args.model)
-    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, extras.get("exclude_class"))
+def cmd_uncertainty(args):
+    head, params, scene_cfg, train_cfg, exclude, queries, _ = load_model(args.model)
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
     grid = st.embed_scene(params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
     ru = unc.radius_uncertainty(grid)
     export_scalar_map(out_dir / "radius_uncertainty", ru.values, ru.kind)
     if head == "mask":
@@ -390,24 +351,18 @@ def cmd_uncertainty(args) -> int:
     conf = unc.class_confidence(grid, scene.labels == args.class_id)
     export_scalar_map(out_dir / f"confidence_class{args.class_id}", conf.values, conf.kind,
                       {"class_id": args.class_id})
-    for stem in ("radius_uncertainty", "angle_uncertainty", "boundary",
-                 f"confidence_class{args.class_id}"):
-        outputs += [out_dir / f"{stem}.pgm", out_dir / f"{stem}.csv", out_dir / f"{stem}.json"]
-    cfg = {"model": str(args.model), "percentile": args.percentile, "class_id": args.class_id}
-    write_json(out_dir / "manifest.json",
-               _manifest("uncertainty", cfg, train_cfg.seed,
-                         [args.model + ".json", args.model + ".bin"], outputs, started))
     print(f"wrote uncertainty maps to {out_dir}")
-    return 0
+    stems = ("radius_uncertainty", "angle_uncertainty", "boundary", f"confidence_class{args.class_id}")
+    outputs = [out_dir / f"{stem}.{ext}" for stem in stems for ext in ("pgm", "csv", "json")]
+    cfg = {"model": args.model, "percentile": args.percentile, "class_id": args.class_id}
+    return 0, out_dir / "manifest.json", _fields(
+        "uncertainty", cfg, train_cfg.seed, [args.model + ".json", args.model + ".bin"], outputs)
 
 
-def cmd_losscape(args) -> int:
-    started = time.time()
-    reset_clamp_events()
-    head, params, scene_cfg, train_cfg, extras, _, _ = load_model(args.model)
+def cmd_losscape(args):
+    head, params, scene_cfg, train_cfg, exclude, _, _ = load_model(args.model)
     if head not in ("pixel", "euclid"):
         raise UsageError("loss landscape supports the pixel and euclid heads")
-    exclude = extras.get("exclude_class")
     scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
     objective = st.PixelObjective.build(
         scene, bank, train_cfg, exclude, "lorentz" if head == "pixel" else "euclidean"
@@ -448,40 +403,38 @@ def cmd_losscape(args) -> int:
                 if a == 0.0 and b == 0.0:
                     center_loss = loss
                 fh.write(f"{repr(float(a))},{repr(float(b))},{repr(float(loss))}\n")
-    cfg = {"model": str(args.model), "directions_seed": args.directions_seed,
-           "grid": args.grid, "extent": args.extent}
-    write_json(str(out) + ".manifest.json",
-               _manifest("losscape", cfg, args.directions_seed,
-                         [args.model + ".json", args.model + ".bin"], [out], started))
     print(f"center_loss={center_loss!r}")
-    return 0
+    cfg = {"model": args.model, "directions_seed": args.directions_seed,
+           "grid": args.grid, "extent": args.extent}
+    return 0, Path(f"{out}.manifest.json"), _fields(
+        "losscape", cfg, args.directions_seed, [args.model + ".json", args.model + ".bin"], [out])
 
 
-def cmd_euclid_baseline(args) -> int:
-    started = time.time()
-    reset_clamp_events()
+def cmd_euclid_baseline(args):
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, "pixel")
     scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res = st.train_euclidean(scene, bank, train_cfg, exclude_class=args.exclude_class)
+    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
+           "exclude_class": args.exclude_class}
+    fields = _fields("euclid-baseline", cfg, train_cfg.seed, [], [])
+    try:
+        res = st.train_euclidean(scene, bank, train_cfg, exclude_class=args.exclude_class)
+    except TrainingDivergedError as exc:
+        return _diverged(exc, out_dir, fields)
     _save_model(out_dir / "model", "euclid", res.params, scene_cfg, train_cfg,
                 {"exclude_class": args.exclude_class})
     _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "total"])
     pred = st.infer_euclidean(res.params, bank, scene)
     metrics = {"final_loss": res.final_loss}
     if args.exclude_class is None:
-        metrics["train_miou_euclid"] = st.miou(pred, st.LabelMap(scene.labels, {}), scene.n_classes)
+        metrics["train_miou_euclid"] = st.miou(pred, scene.labels, scene.n_classes)
     write_json(out_dir / "metrics.json", metrics)
-    outputs = [out_dir / "model.json", out_dir / "model.bin",
-               out_dir / "trace.csv", out_dir / "metrics.json"]
-    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
-           "exclude_class": args.exclude_class}
-    write_json(out_dir / "manifest.json",
-               _manifest("euclid-baseline", cfg, train_cfg.seed, [], outputs, started))
     print(json.dumps(metrics, sort_keys=True))
-    return 0
+    fields["outputs"] = [out_dir / "model.json", out_dir / "model.bin",
+                         out_dir / "trace.csv", out_dir / "metrics.json"]
+    return 0, out_dir / "manifest.json", fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,17 +509,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    started = time.time()
+    reset_clamp_events()
     try:
-        return args.func(args)
+        code, path, fields = args.func(args)
+        write_json(path, {
+            **fields,
+            "outputs": [str(p) for p in fields["outputs"]],
+            "tool_version": __version__,
+            "wall_clock_s": time.time() - started,
+            "clamp_events": clamp_events(),
+        })
+        return code
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

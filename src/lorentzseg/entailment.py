@@ -231,19 +231,27 @@ def ext_angles_to_anchors(
     anchor_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exterior angles ext(anchor_j, point_i) for points (..., d) against
-    anchors (C, d), returned as (..., C).
-
-    Degenerate entries are handled instead of raised (grid workloads
-    tolerate them; the scalar API is the loud path): a point coinciding
-    with its anchor counts as maximally aligned, angle 0.  Precomputed
-    inner products and anchor spatial norms are accepted.
-    """
+    anchors (C, d), returned as (..., C).  Precomputed inner products and
+    anchor spatial norms are accepted."""
     if inner is None:
         inner = inner_to_anchors(spatial, time, anchor_spatial, anchor_time)
     if anchor_norms is None:
         anchor_norms = np.linalg.norm(anchor_spatial, axis=1)
+    return ext_angles_from_inner(inner, time[..., None], anchor_time, anchor_norms)
+
+
+def ext_angles_from_inner(inner: np.ndarray, time: np.ndarray, anchor_time: np.ndarray,
+                          anchor_norms: np.ndarray) -> np.ndarray:
+    """Exterior angles from the products of ``inner_to_anchors``, the point
+    times and the anchors' times and spatial norms, broadcast against
+    ``inner``: (..., C) for all pairs, or one anchor per row.
+
+    Degenerate entries are handled instead of raised (grid workloads
+    tolerate them; the scalar API is the loud path): a point coinciding
+    with its anchor counts as maximally aligned, angle 0.
+    """
     coincident = inner * inner - 1.0 <= _DEGENERATE_TOL
-    num = time[..., None] + anchor_time * inner
+    num = time + anchor_time * inner
     den = anchor_norms * np.sqrt(np.maximum(inner * inner - 1.0, _DEGENERATE_TOL))
     angles = np.arccos(np.clip(num / den, -1.0, 1.0))
     if np.any(coincident):

@@ -36,6 +36,8 @@ from .entailment import (
     PrototypeSet,
     anchor_apertures,
     cross_entropy_rows,
+    distance_logit_matrix,
+    ext_angles_from_inner,
     ext_angles_to_anchors,
     softmax_rows,
 )
@@ -63,10 +65,13 @@ class SceneConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.parents, self.children_per_parent, self.height, self.width) < 1:
-            raise UsageError("scene counts must all be >= 1")
-        if self.noise_sigma < 0 or not 0.0 <= self.edge_blend <= 1.0:
-            raise UsageError("noise_sigma must be >= 0 and edge_blend in [0, 1]")
+        for name in ("parents", "children_per_parent", "height", "width"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.noise_sigma < 0:
+            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.edge_blend <= 1.0:
+            raise UsageError(f"edge_blend must lie in [0, 1], got {self.edge_blend}")
 
     @property
     def n_classes(self) -> int:
@@ -400,8 +405,12 @@ class TrainConfig:
     embed_dim: int = 8
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0 or self.tau <= 0 or self.K <= 0:
-            raise UsageError("bad training config")
+        for name in ("epochs", "lr"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("tau", "K"):
+            if getattr(self, name) <= 0:
+                raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def entail_cfg(self) -> EntailmentConfig:
@@ -518,8 +527,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     asp, at, anorm = obj.protos.spatial, obj.protos.time, obj.protos.spatial_norms
     time, spatial = batched_exp_lift(v)
     inner = inner_to_anchors(spatial, time, asp, at)
-    dists = distances_from_inner(inner)
-    logits = -dists / cfg.tau
+    logits = distance_logit_matrix(spatial, time, asp, at, cfg.tau, inner=inner)
     n_used = int(use_mask.sum())
     if n_used == 0:
         raise UsageError("no pixels left to train on")
@@ -530,9 +538,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     gt_norm = anorm[labels_idx]
     gt_inner = np.take_along_axis(inner, labels_idx[:, None], axis=1)[:, 0]
     # per-pixel exterior angle against the ground-truth anchor only
-    num = time + gt_at * gt_inner
-    den = gt_norm * np.sqrt(np.maximum(gt_inner * gt_inner - 1.0, _EPS_FLOOR))
-    ext_gt = np.arccos(np.clip(num / den, -1.0, 1.0))
+    ext_gt = ext_angles_from_inner(gt_inner, time, gt_at, gt_norm)
     hinge = np.maximum(0.0, ext_gt - obj.apers[labels_idx])
     entail = float(hinge[use_mask].mean())
     total = ce + cfg.lambda_w * entail
@@ -704,13 +710,12 @@ def text_query(
     q = exp_lift_origin(bank.project(query))
     grid = embed_scene(params, scene)
     sp, t = grid.flat()
-    inner = inner_to_anchors(sp, t, q.spatial[None, :], np.array([q.time]))
+    anchor_sp, anchor_t = q.spatial[None, :], np.array([q.time])
+    inner = inner_to_anchors(sp, t, anchor_sp, anchor_t)
     if mode == "distance":
         scores = -distances_from_inner(inner)[:, 0]
     else:
-        scores = -ext_angles_to_anchors(
-            sp, t, q.spatial[None, :], np.array([q.time])
-        )[:, 0]
+        scores = -ext_angles_to_anchors(sp, t, anchor_sp, anchor_t, inner=inner)[:, 0]
     scores = scores.reshape(grid.shape)
     mask = scores > threshold if threshold is not None else np.ones_like(scores, dtype=bool)
     return mask, scores

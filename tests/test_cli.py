@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorentzseg
 from lorentzseg import hyperbolicity as hyp
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.cli import load_model, main
 from lorentzseg.entailment import anchor_apertures
+from lorentzseg.errors import TrainingDivergedError
 from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv, write_json
 
 
@@ -249,9 +255,17 @@ class TestExitCodes:
         assert run(["deltahyp", "--input", "x.csv", "--metric", "manhattan",
                     "--out", str(tmp_path / "r.json")]) == 2
 
-    def test_bad_config_exits_2(self, tmp_path):
+    def test_bad_config_exits_2(self, tmp_path, capsys):
         assert run(["train", "--head", "pixel", "--parents", "0",
                     "--out-dir", str(tmp_path / "o")]) == 2
+        # the scene config's own check is the one the user sees
+        assert capsys.readouterr().err.splitlines() == ["usage error: parents must be >= 1, got 0"]
+
+    def test_unwritable_manifest_exits_3(self, tmp_path, capsys):
+        # the manifest is written last, by main, after the command returned
+        (tmp_path / "g.json.manifest.json").mkdir()
+        assert run(["gradcheck", "--samples", "1", "--out", str(tmp_path / "g.json")]) == 3
+        assert capsys.readouterr().err.startswith("io error:")
 
     def test_batch_size_too_small_exits_2(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -353,9 +367,112 @@ class TestMaskModelConeConstant:
 
 class TestDivergence:
     def test_diverged_run_exits_1_with_step(self, tmp_path, capsys):
+        out = tmp_path / "euc"
         with np.errstate(all="ignore"):
             assert run(["euclid-baseline", *SMALL_TRAIN, "--lr", "1e9", "--epochs", "20",
-                        "--out-dir", str(tmp_path / "euc")]) == 1
+                        "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("training diverged:") and "at step" in err[0]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["diverged_at_step"] == int(err[0].rsplit(" ", 1)[1])
+        assert manifest["command"] == "euclid-baseline"
+        assert manifest["config"]["train"]["lr"] == 1e9
+        assert {"seed", "tool_version", "wall_clock_s", "clamp_events"} <= manifest.keys()
+        # nothing but the manifest was written, and it lists no outputs
+        assert manifest["inputs"] == [] and manifest["outputs"] == []
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_diverged_train_writes_manifest(self, tmp_path, monkeypatch, capsys):
+        # neither training head diverges even at lr 1e9 on the small scenes
+        # (the tangent clamp bounds them), so the divergence is injected
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError(3)
+        monkeypatch.setattr(st, "train", diverge)
+        out = tmp_path / "pix"
+        assert run(["train", "--head", "pixel", *SMALL_TRAIN, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "training diverged: loss became non-finite at step 3\n"
+        manifest = read_json(out / "manifest.json")
+        assert manifest["diverged_at_step"] == 3
+        assert manifest["command"] == "train --head pixel"
+        assert manifest["outputs"] == []
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_finished_run_has_no_diverged_step(self, trained_dir):
+        assert "diverged_at_step" not in read_json(trained_dir / "pix" / "manifest.json")
+
+
+CONTRACT_RUNS = {
+    # name: the command's flags up to its output flag; the test fills in the
+    # {pix}/{mask} model prefixes and the {csv} input, and appends the output path
+    "train-pixel": ["train", "--head", "pixel", *SMALL_TRAIN, "--out-dir"],
+    "train-mask": ["train", "--head", "mask", "--height", "16", "--width", "16",
+                   "--epochs", "2", "--out-dir"],
+    "euclid-baseline": ["euclid-baseline", *SMALL_TRAIN, "--out-dir"],
+    "infer-pixel": ["infer", "--model", "{pix}", "--out-dir"],
+    "infer-mask": ["infer", "--model", "{mask}", "--out-dir"],
+    "uncertainty-pixel": ["uncertainty", "--model", "{pix}", "--out-dir"],
+    "uncertainty-mask": ["uncertainty", "--model", "{mask}", "--out-dir"],
+    "losscape": ["losscape", "--model", "{pix}", "--grid", "3", "--out"],
+    "gradcheck": ["gradcheck", "--samples", "20", "--out"],
+    "gradfield": ["gradfield", "--resolution", "5", "--out"],
+    "deltahyp": ["deltahyp", "--input", "{csv}", "--batch-size", "20", "--batches", "3", "--out"],
+}
+
+
+def _without_clock(manifest):
+    return {k: v for k, v in manifest.items() if k != "wall_clock_s"}
+
+
+class TestManifestContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_RUNS))
+    def test_outputs_listed_exactly_and_reproduced(self, name, trained_dir, mask_k_dir, tmp_path):
+        csv = tmp_path / "e.csv"
+        write_embedding_csv(csv, np.random.default_rng(131).normal(size=(50, 3)))
+        paths = {"pix": trained_dir / "pix" / "model", "mask": mask_k_dir / "model", "csv": csv}
+        argv = [arg.format(**paths) for arg in CONTRACT_RUNS[name]]
+        run_dir = tmp_path / "run"
+        if argv[-1] == "--out-dir":
+            argv.append(str(run_dir))
+            manifest_path = run_dir / "manifest.json"
+        else:
+            argv.append(str(run_dir / "out"))
+            manifest_path = run_dir / "out.manifest.json"
+        assert run(argv) == 0
+        manifest = read_json(manifest_path)
+        outputs = [Path(p) for p in manifest["outputs"]]
+        assert outputs and all(p.is_file() for p in outputs)
+        assert all(Path(p).is_file() for p in manifest["inputs"])
+        # the run's directory holds the listed outputs and the manifest, nothing else
+        assert sorted(run_dir.iterdir()) == sorted(outputs + [manifest_path])
+        first = {p: p.read_bytes() for p in outputs}
+        assert run(argv) == 0
+        assert {p: p.read_bytes() for p in outputs} == first
+        assert _without_clock(read_json(manifest_path)) == _without_clock(manifest)
+
+
+class TestThreadCountDeterminism:
+    def test_outputs_identical_across_blas_and_pool_threads(self, tmp_path):
+        src = str(Path(lorentzseg.__file__).resolve().parents[1])
+        csv = tmp_path / "e.csv"
+        write_embedding_csv(csv, np.random.default_rng(132).normal(size=(512, 4)))
+        outputs = {}
+        for blas in ("1", "2"):
+            for pool in ("1", "2"):
+                out = tmp_path / f"blas{blas}_pool{pool}"
+                train = ["train", "--head", "pixel", *SMALL_TRAIN, "--epochs", "60",
+                         "--out-dir", str(out)]
+                delta = ["deltahyp", "--input", str(csv), "--metric", "lorentz",
+                         "--batch-size", "256", "--batches", "4", "--out", str(out / "delta.json")]
+                # one child runs both commands, so the numpy import is paid once
+                script = ("import sys; from lorentzseg.cli import main; "
+                          f"sys.exit(main({train!r}) or main({delta!r}))")
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "LSK_THREADS": pool,
+                       "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+                subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                               capture_output=True)
+                outputs[blas, pool] = {
+                    name: (out / name).read_bytes()
+                    for name in ("model.bin", "model.json", "trace.csv", "metrics.json", "delta.json")
+                }
+        assert all(files == outputs["1", "1"] for files in outputs.values())

@@ -325,6 +325,26 @@ class TestArrayKernels:
                 )
                 assert angles[i, j] == pytest.approx(scalar, abs=1e-10)
 
+    def test_per_row_body_equals_gathered_all_pairs(self):
+        # the shared exterior-angle body, fed one anchor per row, gives the
+        # gathered all-pairs angles bit for bit
+        rng = np.random.default_rng(50)
+        at, asp = lz.batched_exp_lift(rng.normal(size=(4, 3)) * 1.2)
+        pt, psp = lz.batched_exp_lift(rng.normal(size=(30, 3)))
+        labels = rng.integers(0, 4, size=30)
+        inner = lz.inner_to_anchors(psp, pt, asp, at)
+        rows = np.arange(30)
+        per_row = ent.ext_angles_from_inner(
+            inner[rows, labels], pt, at[labels], np.linalg.norm(asp, axis=1)[labels]
+        )
+        assert np.array_equal(per_row, ent.ext_angles_to_anchors(psp, pt, asp, at)[rows, labels])
+
+    def test_point_on_its_anchor_has_angle_zero(self):
+        at, asp = lz.batched_exp_lift(np.array([[0.7, -0.2]]))
+        inner = lz.inner_to_anchors(asp, at, asp, at)[:, 0]
+        angle = ent.ext_angles_from_inner(inner, at, at, np.linalg.norm(asp, axis=1))
+        assert angle.tolist() == [0.0]
+
     def test_distance_logits_match_scalar(self):
         rng = np.random.default_rng(48)
         anchors = rng.normal(size=(3, 4))

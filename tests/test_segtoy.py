@@ -56,6 +56,27 @@ class TestGenerateScene:
         assert not diff[~edge].any()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("config, field, value", [
+        (st.SceneConfig, "parents", 0),
+        (st.SceneConfig, "children_per_parent", 0),
+        (st.SceneConfig, "height", 0),
+        (st.SceneConfig, "width", -2),
+        (st.SceneConfig, "noise_sigma", -0.5),
+        (st.SceneConfig, "edge_blend", 1.5),
+        (st.TrainConfig, "epochs", -1),
+        (st.TrainConfig, "lr", -0.5),
+        (st.TrainConfig, "tau", 0.0),
+        (st.TrainConfig, "K", -0.1),
+    ])
+    def test_message_names_field_and_value(self, config, field, value):
+        # the CLI shows these messages as they are
+        with pytest.raises(UsageError) as info:
+            config(**{field: value})
+        message = str(info.value)
+        assert message.startswith(f"{field} must ") and message.endswith(f"got {value}")
+
+
 class TestPcaReduce:
     def test_subspace_data_reconstructs(self):
         rng = np.random.default_rng(50)
