@@ -29,7 +29,7 @@ def main_script():
     out.mkdir(parents=True, exist_ok=True)
 
     sh(["train", "--head", "pixel", "--out-dir", str(out / "pixel")])
-    sh(["euclid-baseline", "--out-dir", str(out / "euclid")])
+    sh(["train", "--head", "euclid", "--out-dir", str(out / "euclid")])
     sh(["train", "--head", "mask", "--out-dir", str(out / "mask")])
 
     sh(["infer", "--model", str(out / "pixel" / "model"), "--mode", "distance",

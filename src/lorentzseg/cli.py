@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Subcommands: deltahyp, gradcheck, gradfield, train, infer, uncertainty,
-losscape, euclid-baseline.  Each ``cmd_*`` returns its exit code, the
-path of its run manifest and the manifest's run-specific fields
-(command, full config, seed, inputs, outputs); ``main`` starts the
-clock, resets the clamp tally and writes every manifest, adding the
-version, wall clock and clamp events.  Re-running with the same flags
-reproduces every output byte for byte (the manifest itself carries the
-wall clock).
+losscape.  ``train --head`` takes pixel, euclid (the Euclidean ablation
+baseline) or mask; every trained head is one ``segtoy.TrainResult``,
+which ``load_model`` reads back with its scene for infer, uncertainty
+and losscape.  Each ``cmd_*`` returns its exit code, the path of its run
+manifest and the manifest's run-specific fields (command, full config,
+seed, inputs, outputs); ``main`` starts the clock, resets the clamp
+tally and writes every manifest, adding the version, wall clock and
+clamp events.  Re-running with the same flags reproduces every output
+byte for byte (the manifest itself carries the wall clock).
 
 Exit codes: 0 success, 1 failed numerical check or diverged training
 run (whose manifest records the failing step and no outputs), 2 usage
@@ -42,6 +44,8 @@ from .fileio import (
 from .lorentz import clamp_events, lift_point, reset_clamp_events
 from .reference import REFERENCE_MASK_HEAD, REFERENCE_SCENE, REFERENCE_TRAIN
 
+HEADS = ("pixel", "euclid", "mask")
+
 
 def _scene_flags(p: argparse.ArgumentParser):
     p.add_argument("--parents", type=int, default=REFERENCE_SCENE.parents)
@@ -56,7 +60,7 @@ def _scene_flags(p: argparse.ArgumentParser):
 
 def _train_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, default=REFERENCE_TRAIN.epochs)
-    p.add_argument("--lr", type=float, default=None, help="default 0.5 (pixel) or 2e-3 (mask)")
+    p.add_argument("--lr", type=float, default=None, help="default 0.5 (pixel, euclid) or 2e-3 (mask)")
     p.add_argument("--lambda-w", type=float, default=REFERENCE_TRAIN.lambda_w)
     p.add_argument("--tau", type=float, default=REFERENCE_TRAIN.tau)
     p.add_argument("--cone-k", type=float, default=REFERENCE_TRAIN.K)
@@ -97,24 +101,28 @@ def _write_label_map(prefix, label_map: st.LabelMap):
     write_json(str(prefix) + ".legend.json", {str(k): v for k, v in label_map.legend.items()})
 
 
-def _save_model(prefix, head, params, scene_cfg, train_cfg, extras_extra, queries=None):
-    blocks = params.blocks()
-    if queries is not None:
-        blocks["class_tangents"] = queries.class_tangents
-        blocks["mask_tangents"] = queries.mask_tangents
-        blocks["no_object_bias"] = np.array([queries.no_object_bias])
-    extras = {"head": head, "scene": dataclasses.asdict(scene_cfg),
-              "train": dataclasses.asdict(train_cfg), **extras_extra}
+def _save_model(prefix, scene: st.SyntheticScene, res: st.TrainResult):
+    blocks = res.params.blocks()
+    extras = {"head": res.head, "scene": dataclasses.asdict(scene.config),
+              "train": dataclasses.asdict(res.config), "exclude_class": res.exclude_class}
+    if res.queries is not None:
+        blocks["class_tangents"] = res.queries.class_tangents
+        blocks["mask_tangents"] = res.queries.mask_tangents
+        blocks["no_object_bias"] = np.array([res.queries.no_object_bias])
+        extras["head_cfg"] = dataclasses.asdict(res.head_cfg)
     save_param_blocks(prefix, blocks, extras)
 
 
 def load_model(prefix):
-    """Load a trained head: returns (head, params, scene_cfg, train_cfg,
-    exclude_class, queries, head_cfg), the last two None unless the head is
-    the mask head.  A descriptor that lacks a block or a key, or holds a value
-    of the wrong kind, raises ParseError."""
+    """Load a trained head: returns (scene, res), the scene regenerated from
+    the descriptor and a TrainResult with an empty trace, its bank and its
+    prototypes rebuilt.  A descriptor that lacks a block or a key, holds a
+    value of the wrong kind or names an unknown head raises ParseError."""
     try:
         blocks, extras = load_param_blocks(prefix)
+        head = extras["head"]
+        if head not in HEADS:
+            raise ParseError(f"{prefix}.json: unknown head {head!r}")
         params = st.EncoderParams.from_blocks(blocks)
         scene_cfg = st.SceneConfig(**extras["scene"])
         train = dict(extras["train"])
@@ -122,8 +130,9 @@ def load_model(prefix):
         if train.pop("momentum", 0.0) != 0.0:
             raise ParseError(f"{prefix}.json: momentum training is no longer supported")
         train_cfg = st.TrainConfig(**train)
+        exclude = extras.get("exclude_class")
         queries = head_cfg = None
-        if extras["head"] == "mask":
+        if head == "mask":
             queries = mh.QuerySet(
                 class_tangents=blocks["class_tangents"],
                 mask_tangents=blocks["mask_tangents"],
@@ -136,7 +145,9 @@ def load_model(prefix):
             head_cfg = mh.MaskHeadConfig(**head_block)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
-    return extras["head"], params, scene_cfg, train_cfg, extras.get("exclude_class"), queries, head_cfg
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+    protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.entail_cfg)
+    return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, queries, head_cfg)
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
@@ -256,6 +267,25 @@ def cmd_gradfield(args):
     return 0, Path(f"{out}.manifest.json"), _fields("gradfield", cfg, None, [], [out])
 
 
+def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
+    """The label map of a trained head on ``scene`` and its metrics: the
+    mIoU, unless a class was held out, and for the pixel head the share of
+    pixels where the distance and angle predictions agree."""
+    metrics = {}
+    if res.head == "pixel":
+        pred_d = st.infer_distance(res.params, res.protos, scene)
+        pred_a = st.infer_angle(res.params, res.protos, scene)
+        picked = pred_d if mode == "distance" else pred_a
+        metrics["distance_angle_agreement"] = float((pred_d.values == pred_a.values).mean())
+    elif res.head == "euclid":
+        picked, mode = st.infer_euclidean(res.params, res.bank, scene), "euclid"
+    else:
+        picked, mode = mh.predict_semantic(res, scene), "semantic"
+    if res.exclude_class is None:
+        metrics[f"miou_{mode}"] = st.miou(picked, scene.labels, scene.n_classes)
+    return picked, metrics
+
+
 def cmd_train(args):
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, args.head)
@@ -266,28 +296,19 @@ def cmd_train(args):
            "head": args.head, "exclude_class": args.exclude_class}
     fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
     try:
-        if args.head == "pixel":
-            res = st.train(scene, bank, train_cfg, exclude_class=args.exclude_class)
+        if args.head == "mask":
+            res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.queries), train_cfg)
         else:
-            head_cfg = mh.MaskHeadConfig(n_queries=args.queries)
-            res = mh.train_maskhead(scene, bank, head_cfg, train_cfg)
+            trainer = st.train if args.head == "pixel" else st.train_euclidean
+            res = trainer(scene, bank, train_cfg, exclude_class=args.exclude_class)
     except TrainingDivergedError as exc:
         return _diverged(exc, out_dir, fields)
-    if args.head == "pixel":
-        _save_model(out_dir / "model", "pixel", res.params, scene_cfg, train_cfg,
-                    {"exclude_class": args.exclude_class})
-        _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "entail", "total"])
-        pred_d = st.infer_distance(res.params, res.protos, scene)
-        pred_a = st.infer_angle(res.params, res.protos, scene)
-        miou_d = None if args.exclude_class is not None else st.miou(pred_d, scene.labels, scene.n_classes)
-        metrics = {"train_miou_distance": miou_d,
-                   "distance_angle_agreement": float((pred_d.values == pred_a.values).mean())}
-    else:
-        _save_model(out_dir / "model", "mask", res.params, scene_cfg, train_cfg,
-                    {"head_cfg": dataclasses.asdict(head_cfg)}, queries=res.queries)
-        _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "mask", "total"])
-        pred = mh.predict_semantic(res, scene)
-        metrics = {"train_miou_semantic": st.miou(pred, scene.labels, scene.n_classes)}
+    _save_model(out_dir / "model", scene, res)
+    # the Euclidean head has no cone term
+    columns = [c for c in res.trace if not (res.head == "euclid" and c == "entail")]
+    _write_trace_csv(out_dir / "trace.csv", res.trace, columns)
+    _, metrics = _predict(res, scene, "distance")
+    metrics = {("train_" + k if k.startswith("miou_") else k): v for k, v in metrics.items()}
     metrics["final_loss"] = res.final_loss
     _write_label_map(out_dir / "gt", st.LabelMap(scene.labels, dict(enumerate(scene.class_names))))
     write_json(out_dir / "metrics.json", metrics)
@@ -298,51 +319,31 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    head, params, scene_cfg, train_cfg, exclude, queries, head_cfg = load_model(args.model)
-    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+    scene, res = load_model(args.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = {}
-    if head == "pixel":
-        protos = st.build_prototypes(bank, train_cfg.entail_cfg)
-        pred_d = st.infer_distance(params, protos, scene)
-        pred_a = st.infer_angle(params, protos, scene)
-        picked = pred_d if args.mode == "distance" else pred_a
-        metrics["distance_angle_agreement"] = float((pred_d.values == pred_a.values).mean())
-        if exclude is None:
-            metrics[f"miou_{args.mode}"] = st.miou(picked, scene.labels, scene.n_classes)
-    elif head == "euclid":
-        picked = st.infer_euclidean(params, bank, scene)
-        if exclude is None:
-            metrics["miou_euclid"] = st.miou(picked, scene.labels, scene.n_classes)
-    elif head == "mask":
-        protos = st.build_prototypes(bank, train_cfg.entail_cfg)
-        res = mh.MaskHeadResult(queries, params, protos, bank, {}, head_cfg, train_cfg)
-        picked = mh.predict_semantic(res, scene)
-        metrics["miou_semantic"] = st.miou(picked, scene.labels, scene.n_classes)
-    else:
-        raise UsageError(f"model head {head!r} unknown")
+    picked, metrics = _predict(res, scene, args.mode)
     _write_label_map(out_dir / "pred", picked)
     write_json(out_dir / "metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True))
     outputs = [out_dir / "pred.pgm", out_dir / "pred.legend.json", out_dir / "metrics.json"]
     cfg = {"model": args.model, "mode": args.mode}
     return 0, out_dir / "manifest.json", _fields(
-        "infer", cfg, train_cfg.seed, [args.model + ".json", args.model + ".bin"], outputs)
+        "infer", cfg, res.config.seed, [args.model + ".json", args.model + ".bin"], outputs)
 
 
 def cmd_uncertainty(args):
-    head, params, scene_cfg, train_cfg, exclude, queries, _ = load_model(args.model)
-    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
-    grid = st.embed_scene(params, scene)
+    scene, res = load_model(args.model)
+    grid = st.embed_scene(res.params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ru = unc.radius_uncertainty(grid)
     export_scalar_map(out_dir / "radius_uncertainty", ru.values, ru.kind)
-    if head == "mask":
-        au = mh.mask_angle_uncertainty(grid, queries)
+    if res.head == "mask":
+        au = mh.mask_angle_uncertainty(grid, res.queries)
     else:
-        protos = st.build_prototypes(bank, train_cfg.entail_cfg)
+        # the euclid head is scored against the prototypes its bank would lift to
+        protos = res.protos or st.build_prototypes(res.bank, res.config.entail_cfg)
         au = unc.angle_uncertainty(grid, protos)
     export_scalar_map(out_dir / "angle_uncertainty", au.values, au.kind)
     bm = unc.boundary_map(au, args.percentile)
@@ -356,20 +357,18 @@ def cmd_uncertainty(args):
     outputs = [out_dir / f"{stem}.{ext}" for stem in stems for ext in ("pgm", "csv", "json")]
     cfg = {"model": args.model, "percentile": args.percentile, "class_id": args.class_id}
     return 0, out_dir / "manifest.json", _fields(
-        "uncertainty", cfg, train_cfg.seed, [args.model + ".json", args.model + ".bin"], outputs)
+        "uncertainty", cfg, res.config.seed, [args.model + ".json", args.model + ".bin"], outputs)
 
 
 def cmd_losscape(args):
-    head, params, scene_cfg, train_cfg, exclude, _, _ = load_model(args.model)
-    if head not in ("pixel", "euclid"):
+    scene, res = load_model(args.model)
+    if res.head == "mask":
         raise UsageError("loss landscape supports the pixel and euclid heads")
-    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
-    objective = st.PixelObjective.build(
-        scene, bank, train_cfg, exclude, "lorentz" if head == "pixel" else "euclidean"
-    )
+    geometry = "lorentz" if res.head == "pixel" else "euclidean"
+    objective = st.PixelObjective.build(scene, res.bank, res.config, res.exclude_class, geometry)
 
     rng = np.random.default_rng(args.directions_seed)
-    base = params.blocks()
+    base = res.params.blocks()
     dirs = []
     for _ in range(2):
         d = {}
@@ -392,13 +391,13 @@ def cmd_losscape(args):
         for a in coords:
             for b in coords:
                 if a == 0.0 and b == 0.0:
-                    probe = params
+                    probe = res.params
                 else:
                     blocks = {
                         name: np.asarray(block) + a * dirs[0][name] + b * dirs[1][name]
                         for name, block in base.items()
                     }
-                    probe = st.EncoderParams.from_blocks(blocks, seed=params.seed)
+                    probe = st.EncoderParams.from_blocks(blocks, seed=res.params.seed)
                 loss = st.evaluate_loss(probe, objective)
                 if a == 0.0 and b == 0.0:
                     center_loss = loss
@@ -408,33 +407,6 @@ def cmd_losscape(args):
            "grid": args.grid, "extent": args.extent}
     return 0, Path(f"{out}.manifest.json"), _fields(
         "losscape", cfg, args.directions_seed, [args.model + ".json", args.model + ".bin"], [out])
-
-
-def cmd_euclid_baseline(args):
-    scene_cfg = _scene_from_args(args)
-    train_cfg = _train_from_args(args, "pixel")
-    scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
-           "exclude_class": args.exclude_class}
-    fields = _fields("euclid-baseline", cfg, train_cfg.seed, [], [])
-    try:
-        res = st.train_euclidean(scene, bank, train_cfg, exclude_class=args.exclude_class)
-    except TrainingDivergedError as exc:
-        return _diverged(exc, out_dir, fields)
-    _save_model(out_dir / "model", "euclid", res.params, scene_cfg, train_cfg,
-                {"exclude_class": args.exclude_class})
-    _write_trace_csv(out_dir / "trace.csv", res.trace, ["epoch", "ce", "total"])
-    pred = st.infer_euclidean(res.params, bank, scene)
-    metrics = {"final_loss": res.final_loss}
-    if args.exclude_class is None:
-        metrics["train_miou_euclid"] = st.miou(pred, scene.labels, scene.n_classes)
-    write_json(out_dir / "metrics.json", metrics)
-    print(json.dumps(metrics, sort_keys=True))
-    fields["outputs"] = [out_dir / "model.json", out_dir / "model.bin",
-                         out_dir / "trace.csv", out_dir / "metrics.json"]
-    return 0, out_dir / "manifest.json", fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradfield)
 
     p = sub.add_parser("train", help="train a head on a synthetic scene")
-    p.add_argument("--head", choices=("pixel", "mask"), default="pixel")
+    p.add_argument("--head", choices=HEADS, default="pixel")
     _scene_flags(p)
     _train_flags(p)
     p.add_argument("--queries", type=int, default=REFERENCE_MASK_HEAD.n_queries)
@@ -493,12 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_losscape)
-
-    p = sub.add_parser("euclid-baseline", help="identical pipeline with Euclidean distances")
-    _scene_flags(p)
-    _train_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_euclid_baseline)
 
     return parser
 

@@ -10,8 +10,8 @@ descriptor plus a raw little-endian float64 blob.
 from __future__ import annotations
 
 import json
+import math
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ def read_embedding_csv(path) -> np.ndarray:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}:1: empty file, expected a dim=<n> header")
@@ -96,20 +96,22 @@ def write_pgm(path, values: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
         magic, rest = blob.split(b"\n", 1)
         if magic != b"P5":
             raise ValueError("not a P5 file")
         dims, rest = rest.split(b"\n", 1)
         w, h = (int(t) for t in dims.split())
+        if w < 0 or h < 0:
+            raise ValueError("negative dimensions")
         maxval, rest = rest.split(b"\n", 1)
         if int(maxval) != 255:
             raise ValueError("only 8-bit PGM supported")
         data = np.frombuffer(rest[: h * w], dtype=np.uint8).reshape(h, w)
-    except (ValueError, struct.error) as exc:
-        raise ParseError(f"{path}: malformed PGM ({exc})") from exc
+    except (OSError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: unreadable PGM ({exc})") from exc
     return data.copy()
 
 
@@ -123,10 +125,10 @@ def read_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def export_scalar_map(path_prefix, values: np.ndarray, kind: str, extras: dict | None = None):
@@ -170,16 +172,22 @@ def save_param_blocks(path_prefix, blocks: dict, extras: dict | None = None):
 def load_param_blocks(path_prefix):
     """Inverse of save_param_blocks; returns (blocks, extras)."""
     meta = read_json(str(path_prefix) + ".json")
-    if meta.get("format") != PARAMS_FORMAT:
-        raise ParseError(f"{path_prefix}.json: unknown params format {meta.get('format')!r}")
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != PARAMS_FORMAT:
+        raise ParseError(f"{path_prefix}.json: unknown params format {fmt!r}")
     try:
         raw = np.fromfile(str(path_prefix) + ".bin", dtype="<f8")
     except OSError as exc:
         raise ParseError(f"{path_prefix}.bin: {exc}") from exc
     blocks = {}
-    for entry in meta["blocks"]:
-        start, count = entry["offset"], entry["count"]
-        if start + count > raw.size:
-            raise ParseError(f"{path_prefix}.bin: truncated blob for block {entry['name']!r}")
-        blocks[entry["name"]] = raw[start : start + count].reshape(entry["shape"]).copy()
+    try:
+        for entry in meta["blocks"]:
+            start, count, shape = entry["offset"], entry["count"], tuple(entry["shape"])
+            if start < 0 or count < 0 or math.prod(shape) != count:
+                raise ParseError(f"{path_prefix}.json: bad offset, count or shape in {entry!r}")
+            if start + count > raw.size:
+                raise ParseError(f"{path_prefix}.bin: truncated blob for block {entry['name']!r}")
+            blocks[entry["name"]] = raw[start : start + count].reshape(shape).copy()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path_prefix}.json: malformed model descriptor ({exc!r})") from exc
     return blocks, meta.get("extras", {})

@@ -51,6 +51,8 @@ FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
 
 _REPORT_FORMAT = "lorentzseg/gradient-report/v1"
 
+_FLOOR = 1e-12  # floor of the sqrt arguments in the array layer's kernels
+
 
 def _require_unit_curvature(*points: LorentzPoint):
     for p in points:
@@ -363,19 +365,19 @@ def _ext_from_spatial(s: np.ndarray, y: LorentzPoint) -> float:
 # --------------------------------------------------------------------------
 
 
-def _distance_grad(psp, pt, asp, at, inner, floor):
+def _distance_grad(psp, pt, asp, at, inner):
     """dd/d(point spatial) on broadcast-compatible operands: times and
     ``inner`` share one shape S, spatial arrays are S + (d,)."""
-    den = np.sqrt(np.maximum(inner * inner - 1.0, floor))
+    den = np.sqrt(np.maximum(inner * inner - 1.0, _FLOOR))
     return -(asp - (at / pt)[..., None] * psp) / den[..., None]
 
 
-def _ext_grad_point(psp, pt, asp, at, inner, anorms, floor):
+def _ext_grad_point(psp, pt, asp, at, inner, anorms):
     """dext(anchor, point)/d(point spatial), broadcast as in _distance_grad."""
     L = inner
-    L2m1 = np.maximum(L * L - 1.0, floor)
+    L2m1 = np.maximum(L * L - 1.0, _FLOOR)
     A = (pt + at * L) / (anorms * np.sqrt(L2m1))
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
+    sin_term = np.sqrt(np.maximum(1.0 - A * A, _FLOOR))
     coef = 1.0 / (sin_term * anorms * np.sqrt(L2m1))
     bracket = (
         -psp / pt[..., None]
@@ -384,12 +386,12 @@ def _ext_grad_point(psp, pt, asp, at, inner, anorms, floor):
     return coef[..., None] * bracket
 
 
-def _ext_grad_anchor(psp, pt, asp, at, inner, anorms, floor):
+def _ext_grad_anchor(psp, pt, asp, at, inner, anorms):
     """dext(anchor, point)/d(anchor spatial), broadcast as in _distance_grad."""
     L = inner
-    D = np.sqrt(np.maximum(L * L - 1.0, floor))
+    D = np.sqrt(np.maximum(L * L - 1.0, _FLOOR))
     A = (pt + at * L) / (anorms * D)
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, floor))
+    sin_term = np.sqrt(np.maximum(1.0 - A * A, _FLOOR))
     dL = psp - (pt / at)[..., None] * asp
     dN = (L / at)[..., None] * asp + at[..., None] * dL
     d_nD = (asp / anorms[..., None]) * D[..., None] + (anorms * L / D)[..., None] * dL
@@ -397,38 +399,32 @@ def _ext_grad_anchor(psp, pt, asp, at, inner, anorms, floor):
     return -dA / sin_term[..., None]
 
 
-def batched_grad_ext_wrt_point(
-    pt_spatial, pt_time, an_spatial, an_time, inner, an_norms, floor=1e-12
-):
+def batched_grad_ext_wrt_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms):
     """dext(anchor, point)/d(point spatial) with one anchor per row: every
     argument is already gathered to N rows -> (N, d)."""
-    return _ext_grad_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms, floor)
+    return _ext_grad_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms)
 
 
-def grad_distance_cross(psp, pt, asp, at, inner, floor=1e-12):
+def grad_distance_cross(psp, pt, asp, at, inner):
     """All-pairs dd/d(point spatial): points (P, d) x anchors (A, d) ->
     (P, A, d), from precomputed inner products (P, A)."""
-    return _distance_grad(psp[:, None, :], pt[:, None], asp[None], at[None], inner, floor)
+    return _distance_grad(psp[:, None, :], pt[:, None], asp[None], at[None], inner)
 
 
-def grad_distance_cross_anchor(psp, pt, asp, at, inner, floor=1e-12):
+def grad_distance_cross_anchor(psp, pt, asp, at, inner):
     """All-pairs dd/d(anchor spatial) -> (P, A, d): the distance is
     symmetric, so this is the point gradient with the roles swapped."""
-    return _distance_grad(asp[None], at[None], psp[:, None, :], pt[:, None], inner, floor)
+    return _distance_grad(asp[None], at[None], psp[:, None, :], pt[:, None], inner)
 
 
-def grad_ext_cross_point(psp, pt, asp, at, inner, anorms, floor=1e-12):
+def grad_ext_cross_point(psp, pt, asp, at, inner, anorms):
     """All-pairs dext(anchor, point)/d(point spatial) -> (P, A, d)."""
-    return _ext_grad_point(
-        psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None], floor
-    )
+    return _ext_grad_point(psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None])
 
 
-def grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms, floor=1e-12):
+def grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms):
     """All-pairs dext(anchor, point)/d(anchor spatial) -> (P, A, d)."""
-    return _ext_grad_anchor(
-        psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None], floor
-    )
+    return _ext_grad_anchor(psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None])
 
 
 def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:

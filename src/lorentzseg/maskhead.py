@@ -44,10 +44,10 @@ from .lorentz import (
 )
 from .segtoy import (
     DescriptorBank,
-    EncoderParams,
     LabelMap,
     SyntheticScene,
     TrainConfig,
+    TrainResult,
     _encoder_parts,
     _encoder_step,
     _start_encoder,
@@ -182,14 +182,14 @@ def focal_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray, gamma: float = 2.
     return float(np.mean(-((1.0 - pt) ** gamma) * np.log(pt)))
 
 
-def dice_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray, eps: float = 1.0) -> float:
-    """1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps)."""
+def dice_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray) -> float:
+    """1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), eps = _DICE_EPS."""
     p = np.asarray(pred_prob_map, dtype=np.float64)
     g = np.asarray(gt_mask, dtype=np.float64)
     if p.shape != g.shape:
         raise UsageError("shape mismatch")
-    num = 2.0 * float((p * g).sum()) + eps
-    den = float(p.sum() + g.sum()) + eps
+    num = 2.0 * float((p * g).sum()) + _DICE_EPS
+    den = float(p.sum() + g.sum()) + _DICE_EPS
     return 1.0 - num / den
 
 
@@ -274,21 +274,6 @@ def _dice_dlogit(z, g):
     return dp * p * (1.0 - p)
 
 
-@dataclass
-class MaskHeadResult:
-    queries: QuerySet
-    params: EncoderParams
-    protos: PrototypeSet
-    bank: DescriptorBank
-    trace: dict
-    head_cfg: MaskHeadConfig
-    train_cfg: TrainConfig
-
-    @property
-    def final_loss(self) -> float:
-        return float(self.trace["total"][-1])
-
-
 def _forward_state(params, queries, flat, protos, head_cfg, apers):
     a1, u = _encoder_parts(params, flat)
     v_p = params.alpha * u
@@ -336,7 +321,7 @@ def train_maskhead(
     bank: DescriptorBank,
     head_cfg: MaskHeadConfig,
     train_cfg: TrainConfig,
-) -> MaskHeadResult:
+) -> TrainResult:
     """Hungarian-matched mask-classification training, all gradients by
     chain rule through the closed forms."""
     segments = scene_segments(scene)
@@ -345,6 +330,9 @@ def train_maskhead(
             f"{len(segments)} segments exceed {head_cfg.n_queries} queries"
         )
     class_to_idx = {cid: j for j, cid in enumerate(bank.included)}
+    held_out = [c for c, _ in segments if c not in class_to_idx]
+    if held_out:
+        raise UsageError(f"the mask head cannot hold out class {held_out[0]}, a segment of the scene")
     protos = build_prototypes(bank, train_cfg.entail_cfg)
     apers = anchor_apertures(protos.spatial_norms, train_cfg.K)
     flat = scene.features.reshape(-1, scene.features.shape[-1])
@@ -449,14 +437,15 @@ def train_maskhead(
     _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, head_cfg)
     rows.append((train_cfg.epochs, ce, mask_term, total))
     trace = _trace_arrays(("epoch", "ce", "mask", "total"), rows)
-    return MaskHeadResult(queries, params, protos, bank, trace, head_cfg, train_cfg)
+    return TrainResult("mask", params, protos, bank, trace, train_cfg, None, queries, head_cfg)
 
 
-def predict_semantic(result: MaskHeadResult, scene: SyntheticScene) -> LabelMap:
-    """MaskFormer-style assembly: softmax class probabilities without the
-    no-object column, weighted by sigmoid mask probabilities."""
+def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:
+    """MaskFormer-style assembly of a trained mask head: softmax class
+    probabilities without the no-object column, weighted by sigmoid mask
+    probabilities."""
     flat = scene.features.reshape(-1, scene.features.shape[-1])
-    apers = anchor_apertures(result.protos.spatial_norms, result.train_cfg.K)
+    apers = anchor_apertures(result.protos.spatial_norms, result.config.K)
     state = _forward_state(result.params, result.queries, flat, result.protos,
                            result.head_cfg, apers)
     probs_full = softmax_rows(state["full_logits"])[:, :-1]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .lorentz import (
     exp_lift_origin,
     inner_to_anchors,
 )
+
+if TYPE_CHECKING:  # annotations only; maskhead imports this module
+    from .maskhead import MaskHeadConfig, QuerySet
 
 _EPS_FLOOR = 1e-12
 
@@ -405,12 +409,14 @@ class TrainConfig:
     embed_dim: int = 8
 
     def __post_init__(self):
-        for name in ("epochs", "lr"):
+        for name in ("epochs", "lr", "lambda_w", "weight_decay"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("tau", "K"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.hidden < 1:
+            raise UsageError(f"hidden must be >= 1, got {self.hidden}")
 
     @property
     def entail_cfg(self) -> EntailmentConfig:
@@ -419,12 +425,18 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """A trained head: "pixel", "euclid" (the Euclidean pipeline, which has
+    no prototypes) or "mask" (the only one with queries and a head config)."""
+
+    head: str
     params: EncoderParams
-    protos: PrototypeSet | None  # None for the Euclidean pipeline
+    protos: PrototypeSet | None
     bank: DescriptorBank
-    trace: dict  # arrays: epoch, ce, entail, total (final row = post-training eval)
+    trace: dict  # one array per column, final row = post-training eval; {} when loaded
     config: TrainConfig
     exclude_class: int | None = None
+    queries: QuerySet | None = None
+    head_cfg: MaskHeadConfig | None = None
 
     @property
     def final_loss(self) -> float:
@@ -592,7 +604,8 @@ def _run_training(scene, bank, cfg, exclude_class, geometry) -> TrainResult:
     _, u = _encoder_parts(params, obj.flat)
     rows.append((cfg.epochs, *obj.loss(params.alpha * u, False)[:3]))
     trace = _trace_arrays(("epoch", "ce", "entail", "total"), rows)
-    return TrainResult(params, obj.protos, bank, trace, cfg, exclude_class)
+    head = "pixel" if geometry == "lorentz" else "euclid"
+    return TrainResult(head, params, obj.protos, bank, trace, cfg, exclude_class)
 
 
 def train(
@@ -735,27 +748,23 @@ def euclid_text_query(
     return mask, scores
 
 
-def recall_at_budget(scores: np.ndarray, gt_mask: np.ndarray, budget: int | None = None) -> float:
-    """Recall of the ground-truth pixels among the top-scoring ``budget``
-    pixels (budget defaults to the ground-truth count)."""
+def recall_at_budget(scores: np.ndarray, gt_mask: np.ndarray) -> float:
+    """Recall of the ground-truth pixels among as many top-scoring pixels
+    as there are ground-truth pixels."""
     gt_mask = np.asarray(gt_mask, dtype=bool)
     total = int(gt_mask.sum())
     if total == 0:
         raise UsageError("empty ground-truth mask")
-    if budget is None:
-        budget = total
     flat = np.asarray(scores).reshape(-1)
-    top = np.argsort(-flat, kind="stable")[:budget]
+    top = np.argsort(-flat, kind="stable")[:total]
     hits = int(gt_mask.reshape(-1)[top].sum())
     return hits / total
 
 
-def scene_segments(scene: SyntheticScene, exclude: tuple = ()):
+def scene_segments(scene: SyntheticScene):
     """One (class_id, binary mask) per class present in the scene."""
     segs = []
     for c in range(scene.n_classes):
-        if c in exclude:
-            continue
         mask = scene.labels == c
         if mask.any():
             segs.append((c, mask))

@@ -338,7 +338,7 @@ def test_criterion_7_mask_head_suite():
     protos = res.protos
     queries = res.queries
     cfg = res.head_cfg
-    logits = mh.class_query_logits(protos, queries, cfg, res.train_cfg.K)
+    logits = mh.class_query_logits(protos, queries, cfg, res.config.K)
     qt, qsp = queries.class_points()
     e_cfg = ent.EntailmentConfig(K=REFERENCE_MASK_TRAIN.K)
     for j in (0, 3, 7):
@@ -404,7 +404,7 @@ def test_criterion_9_loss_landscape(tmp_path):
     euc_dir = tmp_path / "euc"
     flags = ["--height", "32", "--width", "32", "--epochs", "200"]
     assert cli_main(["train", "--head", "pixel", *flags, "--out-dir", str(train_dir)]) == 0
-    assert cli_main(["euclid-baseline", *flags, "--out-dir", str(euc_dir)]) == 0
+    assert cli_main(["train", "--head", "euclid", *flags, "--out-dir", str(euc_dir)]) == 0
 
     surfaces = {}
     for tag, d in (("hyperbolic", train_dir), ("euclidean", euc_dir)):

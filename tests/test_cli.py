@@ -33,7 +33,7 @@ SMALL_TRAIN = [
 def trained_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_runs")
     assert run(["train", "--head", "pixel", *SMALL_TRAIN, "--out-dir", str(d / "pix")]) == 0
-    assert run(["euclid-baseline", *SMALL_TRAIN, "--out-dir", str(d / "euc")]) == 0
+    assert run(["train", "--head", "euclid", *SMALL_TRAIN, "--out-dir", str(d / "euc")]) == 0
     return d
 
 
@@ -85,6 +85,12 @@ class TestDeltahyp:
         bad = tmp_path / "bad.csv"
         bad.write_text("dim=2\n1.0,2.0\n3.0\n")
         assert run(["deltahyp", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_undecodable_file_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        assert run(["deltahyp", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("io error:")
 
 
 class TestGradcheck:
@@ -261,6 +267,12 @@ class TestExitCodes:
         # the scene config's own check is the one the user sees
         assert capsys.readouterr().err.splitlines() == ["usage error: parents must be >= 1, got 0"]
 
+    def test_mask_head_refuses_held_out_class(self, tmp_path, capsys):
+        assert run(["train", "--head", "mask", "--height", "16", "--width", "16", "--epochs", "2",
+                    "--exclude-class", "4", "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "class 4" in err[0]
+
     def test_unwritable_manifest_exits_3(self, tmp_path, capsys):
         # the manifest is written last, by main, after the command returned
         (tmp_path / "g.json.manifest.json").mkdir()
@@ -324,6 +336,22 @@ class TestModelLoading:
         final = read_json(trained_dir / "pix" / "metrics.json")["final_loss"]
         assert float(center[0].split(",")[2]) == final
 
+    def test_unknown_head_exits_3(self, trained_dir, tmp_path, capsys):
+        def rename_head(doc):
+            doc["extras"]["head"] = "conformal"
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", rename_head)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        assert "unknown head 'conformal'" in capsys.readouterr().err
+
+    def test_loaded_record_is_the_trained_head(self, trained_dir):
+        scene, res = load_model(str(trained_dir / "pix" / "model"))
+        assert (res.head, res.trace, res.exclude_class, res.queries) == ("pixel", {}, None, None)
+        assert scene.shape == (16, 16) and res.bank.d == res.config.embed_dim == 8
+        pred = st.infer_distance(res.params, res.protos, scene)
+        assert st.miou(pred, scene.labels, scene.n_classes) == 1.0
+        _, euc = load_model(str(trained_dir / "euc" / "model"))
+        assert euc.head == "euclid" and euc.protos is None
+
     def test_nonzero_momentum_exits_3(self, trained_dir, tmp_path):
         def add_momentum(doc):
             doc["extras"]["train"]["momentum"] = 0.9
@@ -342,15 +370,12 @@ def mask_k_dir(tmp_path_factory):
 
 class TestMaskModelConeConstant:
     def test_loaded_class_logits_match_training_forward(self, mask_k_dir):
-        _, params, scene_cfg, train_cfg, _, queries, head_cfg = load_model(str(mask_k_dir / "model"))
-        assert train_cfg.K == 0.2
-        scene = st.generate_scene(scene_cfg)
-        protos = st.build_prototypes(st.DescriptorBank.fit(scene, train_cfg.embed_dim),
-                                     train_cfg.entail_cfg)
+        scene, res = load_model(str(mask_k_dir / "model"))
+        assert res.head == "mask" and res.config.K == 0.2 and res.trace == {}
         flat = scene.features.reshape(-1, scene.features.shape[-1])
-        apers = anchor_apertures(protos.spatial_norms, train_cfg.K)
-        state = mh._forward_state(params, queries, flat, protos, head_cfg, apers)
-        logits = mh.class_query_logits(protos, queries, head_cfg, train_cfg.K)
+        apers = anchor_apertures(res.protos.spatial_norms, res.config.K)
+        state = mh._forward_state(res.params, res.queries, flat, res.protos, res.head_cfg, apers)
+        logits = mh.class_query_logits(res.protos, res.queries, res.head_cfg, res.config.K)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
     def test_model_with_head_cone_constant_still_loads(self, mask_k_dir, tmp_path):
@@ -369,14 +394,14 @@ class TestDivergence:
     def test_diverged_run_exits_1_with_step(self, tmp_path, capsys):
         out = tmp_path / "euc"
         with np.errstate(all="ignore"):
-            assert run(["euclid-baseline", *SMALL_TRAIN, "--lr", "1e9", "--epochs", "20",
+            assert run(["train", "--head", "euclid", *SMALL_TRAIN, "--lr", "1e9", "--epochs", "20",
                         "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("training diverged:") and "at step" in err[0]
         manifest = read_json(out / "manifest.json")
         assert manifest["diverged_at_step"] == int(err[0].rsplit(" ", 1)[1])
-        assert manifest["command"] == "euclid-baseline"
+        assert manifest["command"] == "train --head euclid"
         assert manifest["config"]["train"]["lr"] == 1e9
         assert {"seed", "tool_version", "wall_clock_s", "clamp_events"} <= manifest.keys()
         # nothing but the manifest was written, and it lists no outputs
@@ -408,7 +433,7 @@ CONTRACT_RUNS = {
     "train-pixel": ["train", "--head", "pixel", *SMALL_TRAIN, "--out-dir"],
     "train-mask": ["train", "--head", "mask", "--height", "16", "--width", "16",
                    "--epochs", "2", "--out-dir"],
-    "euclid-baseline": ["euclid-baseline", *SMALL_TRAIN, "--out-dir"],
+    "train-euclid": ["train", "--head", "euclid", *SMALL_TRAIN, "--out-dir"],
     "infer-pixel": ["infer", "--model", "{pix}", "--out-dir"],
     "infer-mask": ["infer", "--model", "{mask}", "--out-dir"],
     "uncertainty-pixel": ["uncertainty", "--model", "{pix}", "--out-dir"],

@@ -403,11 +403,11 @@ class TestBatchedKernels:
             grad.grad_ext_cross_point(ps, pt, asp, at, inner, an)[rows, pick],
         )
         np.testing.assert_array_equal(
-            grad._distance_grad(*gathered[:5], 1e-12),
+            grad._distance_grad(*gathered[:5]),
             grad.grad_distance_cross(ps, pt, asp, at, inner)[rows, pick],
         )
         np.testing.assert_array_equal(
-            grad._ext_grad_anchor(*gathered, 1e-12),
+            grad._ext_grad_anchor(*gathered),
             grad.grad_ext_cross_anchor(ps, pt, asp, at, inner, an)[rows, pick],
         )
         # dd/danchor is dd/dpoint with the roles swapped

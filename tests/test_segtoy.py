@@ -68,6 +68,10 @@ class TestConfigValidation:
         (st.TrainConfig, "lr", -0.5),
         (st.TrainConfig, "tau", 0.0),
         (st.TrainConfig, "K", -0.1),
+        (st.TrainConfig, "lambda_w", -5.0),
+        (st.TrainConfig, "weight_decay", -3.0),
+        (st.TrainConfig, "hidden", -1),
+        (st.TrainConfig, "hidden", 0),
     ])
     def test_message_names_field_and_value(self, config, field, value):
         # the CLI shows these messages as they are
