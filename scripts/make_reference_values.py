@@ -66,7 +66,7 @@ def main():
     recalls = []
     for p in range(REFERENCE_SCENE_NOISY.parents):
         gt = np.isin(noisy.labels, [c for c, pp in noisy.hierarchy.items() if pp == p])
-        _, s = st.text_query(res_n.params, noisy, noisy.parent_descriptors[p], bank_n, mode="angle")
+        s = st.text_query(res_n.params, noisy, noisy.parent_descriptors[p], bank_n, mode="angle")
         recalls.append(st.recall_at_budget(s, gt))
     out["PARENT_CHILD_RECALL_MIN"] = min(recalls)
 
@@ -76,16 +76,16 @@ def main():
     res_e = st.train_euclidean(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
     gt_h = noisy.labels == HELDOUT_CLASS
     q = noisy.class_descriptors[HELDOUT_CLASS]
-    _, s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")
-    _, s_e = st.euclid_text_query(res_e.params, noisy, q, bank_h)
+    s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")
+    s_e = st.euclid_text_query(res_e.params, noisy, q, bank_h)
     out["HELDOUT_RECALL_HYP"] = st.recall_at_budget(s_h, gt_h)
     out["HELDOUT_RECALL_EUC"] = st.recall_at_budget(s_e, gt_h)
 
     # cross-label: retrieved pixels of an unrelated random query carry
     # larger exterior angles than same-class retrievals
     rng = np.random.default_rng(0)
-    _, s_rand = st.text_query(res_n.params, noisy, rng.normal(size=16) * 2.0, bank_n, mode="angle")
-    _, s_cls = st.text_query(res_n.params, noisy, noisy.class_descriptors[0], bank_n, mode="angle")
+    s_rand = st.text_query(res_n.params, noisy, rng.normal(size=16) * 2.0, bank_n, mode="angle")
+    s_cls = st.text_query(res_n.params, noisy, noisy.class_descriptors[0], bank_n, mode="angle")
     n0 = int((noisy.labels == 0).sum())
     out["CROSSLABEL_EXT_RANDOM"] = float((-np.sort(s_rand.reshape(-1))[::-1][:n0]).mean())
     out["CROSSLABEL_EXT_SAMECLASS"] = float((-np.sort(s_cls.reshape(-1))[::-1][:n0]).mean())

@@ -113,11 +113,18 @@ def _save_model(prefix, scene: st.SyntheticScene, res: st.TrainResult):
     save_param_blocks(prefix, blocks, extras)
 
 
+# mask-head settings that became the upper-case maskhead constants: models
+# saved before record them, and load only if they hold the constant's value
+_RETIRED_HEAD_KEYS = ("w_d", "b_d", "s_d", "b_a", "gamma", "lambda_cls", "lambda_focal",
+                      "lambda_dice", "no_object_weight", "class_lr_scale")
+
+
 def load_model(prefix):
     """Load a trained head: returns (scene, res), the scene regenerated from
     the descriptor and a TrainResult with an empty trace, its bank and its
     prototypes rebuilt.  A descriptor that lacks a block or a key, holds a
-    value of the wrong kind or names an unknown head raises ParseError."""
+    value of the wrong kind or out of range, names an unknown head, or has
+    blocks whose shapes do not fit the rebuilt bank raises ParseError."""
     try:
         blocks, extras = load_param_blocks(prefix)
         head = extras["head"]
@@ -131,22 +138,35 @@ def load_model(prefix):
             raise ParseError(f"{prefix}.json: momentum training is no longer supported")
         train_cfg = st.TrainConfig(**train)
         exclude = extras.get("exclude_class")
+        if exclude is not None and (type(exclude) is not int or not 0 <= exclude < scene_cfg.n_classes):
+            raise ParseError(f"{prefix}.json: exclude_class {exclude!r} is not a class of the scene")
+        scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+        shapes = {"w1": (train_cfg.hidden, scene_cfg.descriptor_dim), "b1": (train_cfg.hidden,),
+                  "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,)}
         queries = head_cfg = None
         if head == "mask":
+            head_block = dict(extras["head_cfg"])
+            # mask models saved before the head's cone constant was folded
+            # into the training K carry their own, unused, "K"
+            head_block.pop("K", None)
+            for key in _RETIRED_HEAD_KEYS:
+                fixed = getattr(mh, key.upper())
+                if head_block.pop(key, fixed) != fixed:
+                    raise ParseError(f"{prefix}.json: head_cfg {key} differs from the fixed {fixed}")
+            head_cfg = mh.MaskHeadConfig(**head_block)
             queries = mh.QuerySet(
                 class_tangents=blocks["class_tangents"],
                 mask_tangents=blocks["mask_tangents"],
                 no_object_bias=float(blocks["no_object_bias"][0]),
             )
-            head_block = dict(extras["head_cfg"])
-            # mask models saved before the head's cone constant was folded
-            # into the training K carry their own, unused, "K"
-            head_block.pop("K", None)
-            head_cfg = mh.MaskHeadConfig(**head_block)
+            shapes["class_tangents"] = (head_cfg.n_queries, bank.d)
+        for name, shape in shapes.items():
+            if np.shape(blocks[name]) != shape:
+                raise ParseError(f"{prefix}.json: block {name} has shape "
+                                 f"{np.shape(blocks[name])}, expected {shape}")
+        protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.entail_cfg)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
-    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
-    protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.entail_cfg)
     return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, queries, head_cfg)
 
 
@@ -397,7 +417,7 @@ def cmd_losscape(args):
                         name: np.asarray(block) + a * dirs[0][name] + b * dirs[1][name]
                         for name, block in base.items()
                     }
-                    probe = st.EncoderParams.from_blocks(blocks, seed=res.params.seed)
+                    probe = st.EncoderParams.from_blocks(blocks)
                 loss = st.evaluate_loss(probe, objective)
                 if a == 0.0 and b == 0.0:
                     center_loss = loss

@@ -79,16 +79,10 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """C class anchors plus descriptor provenance.
-
-    ``scale`` records the factor applied to descriptor rows before the
-    exponential lift (the alpha_txt of the recipe that built the set).
-    """
+    """C class anchors on one hyperboloid, with their class labels."""
 
     anchors: tuple
     labels: tuple
-    descriptor_dim: int
-    scale: float = 1.0
 
     def __post_init__(self):
         if len(self.anchors) == 0:

@@ -48,6 +48,7 @@ from .errors import DomainError, OracleError, UsageError
 from .lorentz import MAX_TANGENT_NORM, LorentzPoint, sinh_ratio
 
 FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
+_SAMPLE_DIM = 3  # spatial dimension of the sampled verification pairs
 
 _REPORT_FORMAT = "lorentzseg/gradient-report/v1"
 
@@ -206,17 +207,18 @@ def grad_euclidean_exterior_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -gc / math.sqrt(1.0 - A * A)
 
 
-def finite_difference_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central differences (f(x + h e) - f(x - h e)) / 2h per coordinate."""
+def finite_difference_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central differences (f(x + h e) - f(x - h e)) / 2h per coordinate,
+    h = FD_STEP."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
-        step.flat[i] = h
+        step.flat[i] = FD_STEP
         hi, lo = f(x + step), f(x - step)
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise OracleError(f"non-finite evaluation near coordinate {i}")
-        out.flat[i] = (hi - lo) / (2.0 * h)
+        out.flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return out
 
 
@@ -253,12 +255,12 @@ class GradientReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def _sample_pair(rng, dim=3):
+def _sample_pair(rng):
     """Draw a pair clear of derivational degeneracies (coincidence,
     collinearity, tiny anchors)."""
     while True:
-        xs = rng.normal(size=dim) * rng.uniform(0.3, 1.2)
-        ys = rng.normal(size=dim) * rng.uniform(0.3, 1.2)
+        xs = rng.normal(size=_SAMPLE_DIM) * rng.uniform(0.3, 1.2)
+        ys = rng.normal(size=_SAMPLE_DIM) * rng.uniform(0.3, 1.2)
         nx, ny = np.linalg.norm(xs), np.linalg.norm(ys)
         if min(nx, ny) < 0.05:
             continue

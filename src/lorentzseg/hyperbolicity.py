@@ -30,6 +30,8 @@ _REPORT_FORMAT = "lorentzseg/hyperbolicity-report/v1"
 
 METRICS = ("euclidean", "lorentz")
 
+_MAXMIN_CHUNK = 16  # rows per step of the max-min product, bounding its memory
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -80,7 +82,7 @@ def gromov_products(D: DistanceMatrix | np.ndarray, base: int) -> np.ndarray:
     return 0.5 * (row[:, None] + row[None, :] - vals)
 
 
-def maxmin_product(A: np.ndarray, B: np.ndarray, chunk: int = 16) -> np.ndarray:
+def maxmin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A (x) B)_ij = max_k min(A_ik, B_kj), evaluated naively in row chunks."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -88,8 +90,8 @@ def maxmin_product(A: np.ndarray, B: np.ndarray, chunk: int = 16) -> np.ndarray:
         raise UsageError(f"non-conformable shapes {A.shape} x {B.shape}")
     n, m = A.shape[0], B.shape[1]
     out = np.empty((n, m))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _MAXMIN_CHUNK):
+        stop = min(start + _MAXMIN_CHUNK, n)
         # (rows, k, 1) vs (1, k, m)
         out[start:stop] = np.minimum(A[start:stop, :, None], B[None, :, :]).max(axis=1)
     return out
@@ -210,12 +212,8 @@ def batched_delta_rel_from_points(
         d = delta_from_matrix(D, 0)
         return {"batch": idx, "delta": d, "diameter": diam, "delta_rel": 2.0 * d / diam}
 
-    workers = min(worker_count(), batch_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_batch = list(pool.map(one, range(batch_count)))
-    else:
-        per_batch = [one(i) for i in range(batch_count)]
+    with ThreadPoolExecutor(max_workers=min(worker_count(), batch_count)) as pool:
+        per_batch = list(pool.map(one, range(batch_count)))
     return HyperbolicityReport(
         delta=float(np.mean([b["delta"] for b in per_batch])),
         diameter=float(np.mean([b["diameter"] for b in per_batch])),

@@ -314,10 +314,11 @@ def geodesic_distance(x: LorentzPoint, y: LorentzPoint) -> float:
     return math.acosh(arg) / x.curvature.sqrt_c
 
 
-def manifold_check(x, tol: float, curvature: Curvature = Curvature()) -> bool:
+def manifold_check(x, tol: float) -> bool:
     """True iff |<x,x>_L + 1/c| <= tol and the time component is positive.
 
-    Accepts a LorentzPoint or a raw ambient vector, so off-manifold and
+    Accepts a LorentzPoint, checked at its own curvature c, or a raw
+    ambient vector, checked at unit curvature, so off-manifold and
     wrong-sheet coordinates can be probed directly.
     """
     if tol <= 0:
@@ -326,7 +327,7 @@ def manifold_check(x, tol: float, curvature: Curvature = Curvature()) -> bool:
         amb, c = x.ambient, x.curvature.c
     else:
         amb = np.asarray(x, dtype=np.float64).reshape(-1)
-        c = curvature.c
+        c = 1.0
     ip = lorentz_inner(amb, amb)
     return abs(ip + 1.0 / c) <= tol and amb[0] > 0
 

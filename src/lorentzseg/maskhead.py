@@ -17,6 +17,12 @@ logit zero.  Training matches queries to ground-truth segments by
 Hungarian assignment each step, applies cross-entropy on classes plus
 focal and dice losses on matched masks, supervises unmatched queries
 toward no-object, and backpropagates through every term by chain rule.
+
+The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
+exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
+NO_OBJECT_WEIGHT and CLASS_LR_SCALE.  ``MaskHeadConfig`` holds the two
+settings that vary: the query count ``n_queries`` and the angle scale
+``s_a`` (0.02; the angle ablation sets it to 1e9).
 """
 
 from __future__ import annotations
@@ -58,33 +64,34 @@ from .segtoy import (
 from .uncertainty import ScalarMap, angle_uncertainty
 
 _DICE_EPS = 1.0  # the smoothing term of dice_loss
+W_D = 1.0
+B_D = 1.0
+S_D = 0.1
+B_A = 0.17
+GAMMA = 2.0
+LAMBDA_CLS = 1.0
+LAMBDA_FOCAL = 20.0
+LAMBDA_DICE = 1.0
+NO_OBJECT_WEIGHT = 0.1
+# the 1/s_a and 1/s_d factors make the mask-logit path far stiffer than the
+# class-logit path; a per-group learning rate rebalances them (the usual
+# encoder-vs-head split)
+CLASS_LR_SCALE = 100.0
 
 
 @dataclass(frozen=True)
 class MaskHeadConfig:
+    """The settable part of the head: the query count and the angle-logit
+    scale s_a (the angle ablation sets it to 1e9, switching m^a off)."""
+
     n_queries: int = 12
-    w_d: float = 1.0
-    b_d: float = 1.0
-    s_d: float = 0.1
-    b_a: float = 0.17
     s_a: float = 0.02
-    gamma: float = 2.0
-    lambda_cls: float = 1.0
-    lambda_focal: float = 20.0
-    lambda_dice: float = 1.0
-    no_object_weight: float = 0.1
-    # the 1/s_a and 1/s_d factors make the mask-logit path far stiffer
-    # than the class-logit path; per-group learning rates rebalance them
-    # (the usual encoder-vs-head split)
-    class_lr_scale: float = 100.0
 
     def __post_init__(self):
-        if self.s_d <= 0 or self.s_a <= 0:
-            raise UsageError("logit scales must be positive")
         if self.n_queries < 1:
-            raise UsageError("need at least one query")
-        if self.class_lr_scale <= 0:
-            raise UsageError("class_lr_scale must be positive")
+            raise UsageError(f"n_queries must be >= 1, got {self.n_queries}")
+        if not (math.isfinite(self.s_a) and self.s_a > 0):
+            raise UsageError(f"s_a must be finite and positive, got {self.s_a}")
 
 
 @dataclass
@@ -113,8 +120,8 @@ class QuerySet:
         return batched_exp_lift(self.mask_tangents)
 
 
-def _class_logits(qsp, qt, protos: PrototypeSet, apers, cfg: MaskHeadConfig):
-    """(N, C) class logits -w_d*distance minus the cone hinge of lifted
+def _class_logits(qsp, qt, protos: PrototypeSet, apers):
+    """(N, C) class logits -W_D*distance minus the cone hinge of lifted
     queries against the prototypes, with the inner products and the
     active-hinge mask that the backward pass reuses."""
     inner = inner_to_anchors(qsp, qt, protos.spatial, protos.time)
@@ -122,7 +129,7 @@ def _class_logits(qsp, qt, protos: PrototypeSet, apers, cfg: MaskHeadConfig):
     ext = ext_angles_to_anchors(
         qsp, qt, protos.spatial, protos.time, inner=inner, anchor_norms=protos.spatial_norms
     )
-    logits = -cfg.w_d * d - np.maximum(0.0, ext - apers[None, :])
+    logits = -W_D * d - np.maximum(0.0, ext - apers[None, :])
     return logits, inner, ext > apers[None, :]
 
 
@@ -132,17 +139,15 @@ def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
     inner = inner_to_anchors(sp, t, msp, mt)
     d = distances_from_inner(inner)
     ext = ext_angles_to_anchors(sp, t, msp, mt, inner=inner)
-    return (-d + cfg.b_d) / cfg.s_d + (-ext + cfg.b_a) / cfg.s_a, inner
+    return (-d + B_D) / S_D + (-ext + B_A) / cfg.s_a, inner
 
 
-def class_query_logits(
-    protos: PrototypeSet, queries: QuerySet, cfg: MaskHeadConfig, K: float
-) -> np.ndarray:
-    """(N, C) matrix of -w_d*distance minus the cone hinge, with the cone
+def class_query_logits(protos: PrototypeSet, queries: QuerySet, K: float) -> np.ndarray:
+    """(N, C) matrix of -W_D*distance minus the cone hinge, with the cone
     apertures of the training constant K (``TrainConfig.K``)."""
     qt, qsp = queries.class_points()
     apers = anchor_apertures(protos.spatial_norms, K)
-    return _class_logits(qsp, qt, protos, apers, cfg)[0]
+    return _class_logits(qsp, qt, protos, apers)[0]
 
 
 def mask_query_logits(queries: QuerySet, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
@@ -171,7 +176,7 @@ def hungarian_match(cost: np.ndarray) -> np.ndarray:
     return out
 
 
-def focal_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray, gamma: float = 2.0) -> float:
+def focal_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray, gamma: float = GAMMA) -> float:
     """Mean of -(1 - p_t)^gamma * log p_t over the map."""
     p = np.asarray(pred_prob_map, dtype=np.float64)
     g = np.asarray(gt_mask, dtype=np.float64)
@@ -193,12 +198,12 @@ def dice_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray) -> float:
     return 1.0 - num / den
 
 
-def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments, cfg: MaskHeadConfig) -> np.ndarray:
-    """(N, M) assignment cost: -lambda_cls * p(class) + lambda_focal *
-    focal + lambda_dice * dice, with focal and dice taken on
+def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments) -> np.ndarray:
+    """(N, M) assignment cost: -LAMBDA_CLS * p(class) + LAMBDA_FOCAL *
+    focal + LAMBDA_DICE * dice, with focal and dice taken on
     sigmoid(mask_logits) (N, ...).  ``segments`` is a list of
     (class_column, binary mask)."""
-    return _pair_costs(class_probs, mask_logits, segments, cfg)[0]
+    return _pair_costs(class_probs, mask_logits, segments)[0]
 
 
 def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -> LabelMap:
@@ -229,7 +234,7 @@ def _sigmoid_logs(z):
     return 1.0 / (1.0 + np.exp(-z)), -_softplus(-z), -_softplus(z)
 
 
-def _pair_costs(class_probs, mask_logits, segments, cfg: MaskHeadConfig):
+def _pair_costs(class_probs, mask_logits, segments):
     """(cost, focal, dice), each (N, M): the matching cost of every
     (query, segment) pair and the focal and dice losses it is made of.
 
@@ -238,8 +243,8 @@ def _pair_costs(class_probs, mask_logits, segments, cfg: MaskHeadConfig):
     n = class_probs.shape[0]
     z = np.ascontiguousarray(mask_logits, dtype=np.float64).reshape(n, -1)
     p, log_p, log_1p = _sigmoid_logs(z)
-    focal_on = -((1.0 - p) ** cfg.gamma) * log_p
-    focal_off = -(p**cfg.gamma) * log_1p
+    focal_on = -((1.0 - p) ** GAMMA) * log_p
+    focal_off = -(p**GAMMA) * log_1p
     p_sum = p.sum(axis=1)
     focal = np.empty((n, len(segments)))
     dice = np.empty((n, len(segments)))
@@ -249,7 +254,7 @@ def _pair_costs(class_probs, mask_logits, segments, cfg: MaskHeadConfig):
         num = 2.0 * (p * g).sum(axis=1) + _DICE_EPS
         dice[:, m] = 1.0 - num / ((p_sum + g.sum()) + _DICE_EPS)
     cols = [col for col, _ in segments]
-    cost = -cfg.lambda_cls * class_probs[:, cols] + cfg.lambda_focal * focal + cfg.lambda_dice * dice
+    cost = -LAMBDA_CLS * class_probs[:, cols] + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice
     return cost, focal, dice
 
 
@@ -280,7 +285,7 @@ def _forward_state(params, queries, flat, protos, head_cfg, apers):
     pt, psp = batched_exp_lift(v_p)
     qt, qsp = queries.class_points()
     mt, msp = queries.mask_points()
-    cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos, apers, head_cfg)
+    cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos, apers)
     full_logits = np.concatenate(
         [cls_logits, np.full((queries.n, 1), queries.no_object_bias)], axis=1
     )
@@ -293,26 +298,26 @@ def _forward_state(params, queries, flat, protos, head_cfg, apers):
     }
 
 
-def _mask_loss_at(state, segments, head_cfg):
+def _mask_loss_at(state, segments):
     """Hungarian-match the queries to ``segments`` at ``state``; returns
     (assign, ce, mask_term, total, targets, weights): class CE plus the
     matched focal/dice terms."""
     full_logits = state["full_logits"]
-    cost, focal, dice = _pair_costs(softmax_rows(full_logits), state["mq"].T, segments, head_cfg)
+    cost, focal, dice = _pair_costs(softmax_rows(full_logits), state["mq"].T, segments)
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
     for m, (col, _) in enumerate(segments):
         targets[assign[m]] = col
     ce_rows = cross_entropy_rows(full_logits, targets)
-    weights = np.where(targets == n_cls, head_cfg.no_object_weight, 1.0)
+    weights = np.where(targets == n_cls, NO_OBJECT_WEIGHT, 1.0)
     ce = float((ce_rows * weights).sum() / weights.sum())
     focal_total = dice_total = 0.0
     for m in range(len(segments)):
         focal_total += focal[assign[m], m]
         dice_total += dice[assign[m], m]
     m_count = max(len(segments), 1)
-    mask_term = (head_cfg.lambda_focal * focal_total + head_cfg.lambda_dice * dice_total) / m_count
+    mask_term = (LAMBDA_FOCAL * focal_total + LAMBDA_DICE * dice_total) / m_count
     return assign, ce, mask_term, ce + mask_term, targets, weights
 
 
@@ -350,9 +355,7 @@ def train_maskhead(
     rows = []
     for epoch in range(train_cfg.epochs):
         state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-        assign, ce, mask_term, total, targets, weights = _mask_loss_at(
-            state, segments_flat, head_cfg
-        )
+        assign, ce, mask_term, total, targets, weights = _mask_loss_at(state, segments_flat)
         if not math.isfinite(total):
             raise TrainingDivergedError(epoch)
         rows.append((epoch, ce, mask_term, total))
@@ -363,7 +366,7 @@ def train_maskhead(
         d_logits *= (weights / weights.sum())[:, None]
         g_bno = float(d_logits[:, n_classes].sum())
         dl = d_logits[:, :n_classes]
-        dl_dd = -head_cfg.w_d * dl
+        dl_dd = -W_D * dl
         dl_dext = -dl * state["hinge_active"]
         g_qsp = np.einsum(
             "nc,ncd->nd",
@@ -388,10 +391,10 @@ def train_maskhead(
         for m, (_, gmask) in enumerate(segments_flat):
             j = assign[m]
             z = state["mq"].T[j]
-            dz_f = _focal_dlogit(z, gmask, head_cfg.gamma)
+            dz_f = _focal_dlogit(z, gmask, GAMMA)
             dz_d = _dice_dlogit(z, gmask)
-            d_mq[:, j] += (head_cfg.lambda_focal * dz_f + head_cfg.lambda_dice * dz_d) / m_count
-        dd_mp = d_mq * (-1.0 / head_cfg.s_d)
+            d_mq[:, j] += (LAMBDA_FOCAL * dz_f + LAMBDA_DICE * dz_d) / m_count
+        dd_mp = d_mq * (-1.0 / S_D)
         dext_mp = d_mq * (-1.0 / head_cfg.s_a)
         mnorms = np.linalg.norm(state["msp"], axis=1)
         g_psp = np.einsum(
@@ -428,13 +431,13 @@ def train_maskhead(
         g_vp = gr.exp_lift_backward(state["v_p"], g_psp)
 
         _encoder_step(params, flat, state["a1"], state["u"], g_vp, train_cfg)
-        cls_lr = train_cfg.lr * head_cfg.class_lr_scale
+        cls_lr = train_cfg.lr * CLASS_LR_SCALE
         queries.class_tangents = queries.class_tangents - cls_lr * g_qc
         queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
         queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
 
     state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, head_cfg)
+    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat)
     rows.append((train_cfg.epochs, ce, mask_term, total))
     trace = _trace_arrays(("epoch", "ce", "mask", "total"), rows)
     return TrainResult("mask", params, protos, bank, trace, train_cfg, None, queries, head_cfg)

@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # annotations only; maskhead imports this module
     from .maskhead import MaskHeadConfig, QuerySet
 
 _EPS_FLOOR = 1e-12
+_JACOBI_SWEEPS = 64  # cap on the cyclic Jacobi sweeps of the PCA
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,14 @@ class SceneConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("parents", "children_per_parent", "height", "width"):
+        for name in ("parents", "children_per_parent", "height", "width", "descriptor_dim"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        for name in ("noise_sigma", "edge_blend"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.edge_blend <= 1.0:
@@ -87,7 +93,6 @@ class SyntheticScene:
     features: np.ndarray  # (H, W, d_orig)
     labels: np.ndarray  # (H, W) int
     hierarchy: dict  # child class id -> parent id
-    seed: int
     config: SceneConfig
     class_names: tuple
     class_descriptors: np.ndarray  # (C, d_orig) noise-free child descriptors
@@ -174,7 +179,6 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
         features=features,
         labels=labels,
         hierarchy=parent_map,
-        seed=cfg.seed,
         config=cfg,
         class_names=names,
         class_descriptors=child,
@@ -187,13 +191,13 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
 # --------------------------------------------------------------------------
 
 
-def _jacobi_eigh(S: np.ndarray, sweeps: int = 64):
+def _jacobi_eigh(S: np.ndarray):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix; returns
     (eigenvalues desc, eigenvectors as columns), bit-deterministic."""
     A = np.array(S, dtype=np.float64, copy=True)
     n = A.shape[0]
     V = np.eye(n)
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
         if off <= 1e-14 * max(1.0, float(np.abs(np.diag(A)).max())):
             break
@@ -273,8 +277,6 @@ class DescriptorBank:
     mean_norm: float
     d: int
     names: tuple
-    parent_map: dict
-    parent_raw: np.ndarray
 
     @classmethod
     def fit(cls, scene: SyntheticScene, d: int, exclude: tuple = ()) -> "DescriptorBank":
@@ -296,14 +298,7 @@ class DescriptorBank:
             mean_norm=mean_norm,
             d=proj.shape[1],
             names=tuple(scene.class_names[i] for i in included),
-            parent_map=dict(scene.hierarchy),
-            parent_raw=scene.parent_descriptors,
         )
-
-    @property
-    def alpha_txt(self) -> float:
-        """Descriptor scaling: inverse of the mean reduced-row norm."""
-        return 1.0 / self.mean_norm
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """Run a raw descriptor-space vector through the trained PCA and
@@ -322,13 +317,7 @@ def build_prototypes(bank: DescriptorBank, entail_cfg: EntailmentConfig) -> Prot
     if np.any(norms == 0.0):
         raise UsageError("zero-norm descriptor row cannot anchor a cone")
     anchors = tuple(exp_lift_origin(row) for row in bank.reduced)
-    protos = PrototypeSet(
-        anchors=anchors,
-        labels=bank.names,
-        descriptor_dim=bank.d,
-        scale=bank.alpha_txt,
-    )
-    return protos.validate_apertures(entail_cfg)
+    return PrototypeSet(anchors=anchors, labels=bank.names).validate_apertures(entail_cfg)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +332,6 @@ class EncoderParams:
     w2: np.ndarray
     b2: np.ndarray
     alpha: float
-    seed: int
 
     def blocks(self) -> dict:
         return {
@@ -355,10 +343,10 @@ class EncoderParams:
         }
 
     @classmethod
-    def from_blocks(cls, blocks: dict, seed: int = 0) -> "EncoderParams":
+    def from_blocks(cls, blocks: dict) -> "EncoderParams":
         return cls(
             w1=blocks["w1"], b1=blocks["b1"], w2=blocks["w2"], b2=blocks["b2"],
-            alpha=float(np.asarray(blocks["alpha"]).reshape(-1)[0]), seed=seed,
+            alpha=float(np.asarray(blocks["alpha"]).reshape(-1)[0]),
         )
 
 
@@ -370,7 +358,6 @@ def init_encoder(d_in: int, hidden: int, d_out: int, seed: int) -> EncoderParams
         w2=rng.normal(size=(d_out, hidden)) / math.sqrt(hidden),
         b2=np.zeros(d_out),
         alpha=1.0,
-        seed=seed,
     )
 
 
@@ -409,14 +396,18 @@ class TrainConfig:
     embed_dim: int = 8
 
     def __post_init__(self):
-        for name in ("epochs", "lr", "lambda_w", "weight_decay"):
+        for name in ("lr", "lambda_w", "tau", "K", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("epochs", "seed", "lr", "lambda_w", "weight_decay"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("tau", "K"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.hidden < 1:
-            raise UsageError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("hidden", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def entail_cfg(self) -> EntailmentConfig:
@@ -709,14 +700,12 @@ def text_query(
     query: np.ndarray,
     bank: DescriptorBank,
     mode: str = "distance",
-    threshold: float | None = None,
-):
+) -> np.ndarray:
     """Score every pixel against a raw descriptor-space query.
 
     The query passes through the bank's PCA projection and scaling, is
-    lifted, and scores are -distance or -exterior angle.  Returns
-    (mask, scores); the mask is scores > threshold (all True when the
-    threshold is None).
+    lifted, and scores are -distance or -exterior angle.  Returns the
+    (H, W) scores.
     """
     if mode not in ("distance", "angle"):
         raise UsageError(f"mode must be 'distance' or 'angle', got {mode!r}")
@@ -729,9 +718,7 @@ def text_query(
         scores = -distances_from_inner(inner)[:, 0]
     else:
         scores = -ext_angles_to_anchors(sp, t, anchor_sp, anchor_t, inner=inner)[:, 0]
-    scores = scores.reshape(grid.shape)
-    mask = scores > threshold if threshold is not None else np.ones_like(scores, dtype=bool)
-    return mask, scores
+    return scores.reshape(grid.shape)
 
 
 def euclid_text_query(
@@ -739,13 +726,12 @@ def euclid_text_query(
     scene: SyntheticScene,
     query: np.ndarray,
     bank: DescriptorBank,
-    threshold: float | None = None,
-):
+) -> np.ndarray:
+    """(H, W) scores -||v - q|| of the Euclidean pipeline against the
+    projected query."""
     q = bank.project(query)
     v = encoder_forward(params, scene.features)
-    scores = -np.linalg.norm(v - q[None, None, :], axis=-1)
-    mask = scores > threshold if threshold is not None else np.ones_like(scores, dtype=bool)
-    return mask, scores
+    return -np.linalg.norm(v - q[None, None, :], axis=-1)
 
 
 def recall_at_budget(scores: np.ndarray, gt_mask: np.ndarray) -> float:

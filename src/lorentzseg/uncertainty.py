@@ -112,35 +112,28 @@ def boundary_map(u: ScalarMap, percentile: float = 90.0) -> ScalarMap:
     return ScalarMap((u.values > thr).astype(np.float64), "boundary")
 
 
-def label_boundary_mask(labels: np.ndarray, dilation: int = 1) -> np.ndarray:
-    """Pixels within ``dilation`` steps of a label change (4-neighborhood)."""
+def label_boundary_mask(labels: np.ndarray) -> np.ndarray:
+    """Pixels with a 4-neighbor of another label."""
     labels = np.asarray(labels)
     edge = np.zeros(labels.shape, dtype=bool)
     edge[:-1, :] |= labels[:-1, :] != labels[1:, :]
     edge[1:, :] |= labels[1:, :] != labels[:-1, :]
     edge[:, :-1] |= labels[:, :-1] != labels[:, 1:]
     edge[:, 1:] |= labels[:, 1:] != labels[:, :-1]
-    for _ in range(dilation - 1):
-        grown = edge.copy()
-        grown[:-1, :] |= edge[1:, :]
-        grown[1:, :] |= edge[:-1, :]
-        grown[:, :-1] |= edge[:, 1:]
-        grown[:, 1:] |= edge[:, :-1]
-        edge = grown
     return edge
 
 
-def boundary_interior_margin(u: ScalarMap, labels: np.ndarray, dilation: int = 1) -> float:
-    """Mean over the dilated region borders minus the interior mean."""
-    edge = label_boundary_mask(labels, dilation)
+def boundary_interior_margin(u: ScalarMap, labels: np.ndarray) -> float:
+    """Mean over the region borders minus the interior mean."""
+    edge = label_boundary_mask(labels)
     if edge.all() or not edge.any():
         raise UsageError("degenerate boundary mask")
     return float(u.values[edge].mean() - u.values[~edge].mean())
 
 
-def boundary_recall(pred_boundary: ScalarMap, labels: np.ndarray, dilation: int = 1) -> float:
-    """Fraction of true (dilated) border pixels flagged by the map."""
-    edge = label_boundary_mask(labels, dilation)
+def boundary_recall(pred_boundary: ScalarMap, labels: np.ndarray) -> float:
+    """Fraction of true border pixels flagged by the map."""
+    edge = label_boundary_mask(labels)
     if not edge.any():
         raise UsageError("no boundary pixels in the label map")
     flagged = pred_boundary.values > 0.5

@@ -117,9 +117,9 @@ def test_criterion_2_published_constants():
         assert lo <= ip <= hi
 
     cfg = mh.MaskHeadConfig()
-    sig_d = 1.0 / (1.0 + math.exp(-(-0.78 + cfg.b_d) / cfg.s_d))
+    sig_d = 1.0 / (1.0 + math.exp(-(-0.78 + mh.B_D) / mh.S_D))
     assert 0.90 <= sig_d <= 0.905
-    sig_a = 1.0 / (1.0 + math.exp(-(-0.13 + cfg.b_a) / cfg.s_a))
+    sig_a = 1.0 / (1.0 + math.exp(-(-0.13 + mh.B_A) / cfg.s_a))
     assert 0.87 <= sig_a <= 0.90
 
     elapsed = time.perf_counter() - started
@@ -289,8 +289,8 @@ def test_criterion_6_uncertainty_properties(boundary_run, boundary_scene):
 
     ru = unc.radius_uncertainty(grid)
     au = unc.angle_uncertainty(grid, boundary_run.protos)
-    margin_r = unc.boundary_interior_margin(ru, boundary_scene.labels, dilation=1)
-    margin_a = unc.boundary_interior_margin(au, boundary_scene.labels, dilation=1)
+    margin_r = unc.boundary_interior_margin(ru, boundary_scene.labels)
+    margin_a = unc.boundary_interior_margin(au, boundary_scene.labels)
     assert margin_r >= ref.BOUNDARY_MARGIN_RADIUS_MIN
     assert margin_a >= ref.BOUNDARY_MARGIN_ANGLE_MIN
 
@@ -338,14 +338,14 @@ def test_criterion_7_mask_head_suite():
     protos = res.protos
     queries = res.queries
     cfg = res.head_cfg
-    logits = mh.class_query_logits(protos, queries, cfg, res.config.K)
+    logits = mh.class_query_logits(protos, queries, res.config.K)
     qt, qsp = queries.class_points()
     e_cfg = ent.EntailmentConfig(K=REFERENCE_MASK_TRAIN.K)
     for j in (0, 3, 7):
         q = lz.lift_point(qsp[j])
         for i in (0, 4, 8):
             expected = (
-                -cfg.w_d * lz.geodesic_distance(protos.anchors[i], q)
+                -mh.W_D * lz.geodesic_distance(protos.anchors[i], q)
                 - ent.entailment_loss(protos.anchors[i], q, e_cfg)
             )
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
@@ -356,8 +356,8 @@ def test_criterion_7_mask_head_suite():
         anchor = lz.lift_point(msp[i])
         for (r, c) in ((3, 3), (40, 50)):
             p = grid.point(r, c)
-            expected = (-lz.geodesic_distance(anchor, p) + cfg.b_d) / cfg.s_d + (
-                -ent.exterior_angle(anchor, p) + cfg.b_a
+            expected = (-lz.geodesic_distance(anchor, p) + mh.B_D) / mh.S_D + (
+                -ent.exterior_angle(anchor, p) + mh.B_A
             ) / cfg.s_a
             assert mlogits[i, r, c] == pytest.approx(expected, abs=1e-8)
 
@@ -375,7 +375,7 @@ def test_criterion_8_retrieval_zero_shot():
     parent_recall = 1.0
     for p in range(noisy.config.parents):
         gt = np.isin(noisy.labels, [c for c, pp in noisy.hierarchy.items() if pp == p])
-        _, s = st.text_query(res.params, noisy, noisy.parent_descriptors[p], bank, mode="angle")
+        s = st.text_query(res.params, noisy, noisy.parent_descriptors[p], bank, mode="angle")
         parent_recall = min(parent_recall, st.recall_at_budget(s, gt))
     assert parent_recall >= ref.PARENT_CHILD_RECALL_MIN
 
@@ -384,8 +384,8 @@ def test_criterion_8_retrieval_zero_shot():
     res_e = st.train_euclidean(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
     gt = noisy.labels == HELDOUT_CLASS
     q = noisy.class_descriptors[HELDOUT_CLASS]
-    _, s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")
-    _, s_e = st.euclid_text_query(res_e.params, noisy, q, bank_h)
+    s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")
+    s_e = st.euclid_text_query(res_e.params, noisy, q, bank_h)
     recall_h = st.recall_at_budget(s_h, gt)
     recall_e = st.recall_at_budget(s_e, gt)
     assert recall_h >= ref.HELDOUT_RECALL_HYP_MIN

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from test_fileio import JSON_VALUES
 
 import lorentzseg
 from lorentzseg import hyperbolicity as hyp
@@ -267,6 +270,21 @@ class TestExitCodes:
         # the scene config's own check is the one the user sees
         assert capsys.readouterr().err.splitlines() == ["usage error: parents must be >= 1, got 0"]
 
+    @pytest.mark.parametrize("head, flag, value, message", [
+        ("pixel", "--noise", "nan", "noise_sigma must be finite, got nan"),
+        ("pixel", "--tau", "nan", "tau must be finite, got nan"),
+        ("pixel", "--embed-dim", "0", "embed_dim must be >= 1, got 0"),
+        ("euclid", "--lambda-w", "nan", "lambda_w must be finite, got nan"),
+        ("euclid", "--lr", "nan", "lr must be finite, got nan"),
+        ("mask", "--weight-decay", "inf", "weight_decay must be finite, got inf"),
+        ("mask", "--weight-decay", "nan", "weight_decay must be finite, got nan"),
+        ("mask", "--scene-seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, head, flag, value, message):
+        assert run(["train", "--head", head, "--height", "16", "--width", "16", "--epochs", "2",
+                    flag, value, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
     def test_mask_head_refuses_held_out_class(self, tmp_path, capsys):
         assert run(["train", "--head", "mask", "--height", "16", "--width", "16", "--epochs", "2",
                     "--exclude-class", "4", "--out-dir", str(tmp_path / "o")]) == 2
@@ -375,7 +393,7 @@ class TestMaskModelConeConstant:
         flat = scene.features.reshape(-1, scene.features.shape[-1])
         apers = anchor_apertures(res.protos.spatial_norms, res.config.K)
         state = mh._forward_state(res.params, res.queries, flat, res.protos, res.head_cfg, apers)
-        logits = mh.class_query_logits(res.protos, res.queries, res.head_cfg, res.config.K)
+        logits = mh.class_query_logits(res.protos, res.queries, res.config.K)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
     def test_model_with_head_cone_constant_still_loads(self, mask_k_dir, tmp_path):
@@ -388,6 +406,94 @@ class TestMaskModelConeConstant:
                     "--out-dir", str(tmp_path / "new")]) == 0
         for name in ("pred.pgm", "metrics.json"):
             assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    def test_model_with_retired_head_settings_still_loads(self, mask_k_dir, tmp_path):
+        # mask models saved while the head constants were MaskHeadConfig
+        # fields record all twelve, at these values
+        def add_retired(doc):
+            doc["extras"]["head_cfg"].update(RETIRED_HEAD_CFG)
+        model = _edited_model(mask_k_dir, tmp_path / "m", add_retired)
+        for command in ("infer", "uncertainty"):
+            for tag, prefix in (("old", model), ("new", str(mask_k_dir / "model"))):
+                assert run([command, "--model", prefix, "--out-dir", str(tmp_path / command / tag)]) == 0
+            new = sorted(p for p in (tmp_path / command / "new").iterdir() if p.name != "manifest.json")
+            assert new
+            for path in new:
+                assert (tmp_path / command / "old" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("w_d", 0.7), ("class_lr_scale", 10.0),
+                                            ("gamma", None), ("n_queries", 3)])
+    def test_head_setting_that_disagrees_exits_3(self, mask_k_dir, tmp_path, key, value, capsys):
+        def edit(doc):
+            doc["extras"]["head_cfg"].update(RETIRED_HEAD_CFG)
+            doc["extras"]["head_cfg"][key] = value
+        model = _edited_model(mask_k_dir, tmp_path / "m", edit)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:")
+
+
+RETIRED_HEAD_CFG = {
+    "w_d": 1.0, "b_d": 1.0, "s_d": 0.1, "b_a": 0.17, "gamma": 2.0, "lambda_cls": 1.0,
+    "lambda_focal": 20.0, "lambda_dice": 1.0, "no_object_weight": 0.1, "class_lr_scale": 100.0,
+}
+
+
+def _set_extra(path, value):
+    def edit(doc):
+        owner = doc["extras"]
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return edit
+
+
+class TestModelDescriptorValues:
+    """Every value of a model's extras that the loader cannot use exits 3
+    with one stderr line, never a traceback or a usage error."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("exclude_class",), [1]),
+        (("exclude_class",), 99),
+        (("exclude_class",), True),
+        (("scene", "seed"), "x"),
+        (("scene", "seed"), -1),
+        (("scene", "parents"), 20),
+        (("scene", "descriptor_dim"), 4),
+        (("scene", "descriptor_dim"), 32),
+        (("scene", "noise_sigma"), None),
+        (("train", "embed_dim"), 0),
+        (("train", "embed_dim"), 4),
+        (("train", "embed_dim"), 50),
+        (("train", "hidden"), 16),
+        (("train", "tau"), "nan"),
+    ])
+    def test_unusable_value_exits_3(self, trained_dir, tmp_path, path, value, capsys):
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", _set_extra(path, value))
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=hs.data())
+    def test_any_one_value_replaced_exits_0_or_3(self, trained_dir, mask_k_dir, fuzz_model_dir, data):
+        src = data.draw(hs.sampled_from([trained_dir / "pix", mask_k_dir]))
+        doc = read_json(src / "model.json")
+        extras = doc["extras"]
+        paths = [(key,) for key in extras]
+        paths += [(key, sub) for key, inner in extras.items() if isinstance(inner, dict) for sub in inner]
+        _set_extra(data.draw(hs.sampled_from(paths)), data.draw(JSON_VALUES))(doc)
+        write_json(fuzz_model_dir / "model.json", doc)
+        (fuzz_model_dir / "model.bin").write_bytes((src / "model.bin").read_bytes())
+        with np.errstate(all="ignore"):
+            code = run(["infer", "--model", str(fuzz_model_dir / "model"),
+                        "--out-dir", str(fuzz_model_dir / "inf")])
+        assert code in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_model")
 
 
 class TestDivergence:

@@ -21,7 +21,7 @@ EXT_VALUE = 1.75924670927751742091
 def make_protos(vectors, labels=None, cfg=None):
     anchors = tuple(lz.exp_lift_origin(np.asarray(v, dtype=float)) for v in vectors)
     labels = tuple(labels or [f"c{i}" for i in range(len(anchors))])
-    protos = ent.PrototypeSet(anchors, labels, descriptor_dim=len(vectors[0]))
+    protos = ent.PrototypeSet(anchors, labels)
     if cfg is not None:
         protos.validate_apertures(cfg)
     return protos
@@ -76,7 +76,7 @@ class TestHalfAperture:
         # ||x'|| = 0.15 lies above 2K/sqrt(4) = 0.1 but below 2K = 0.2
         cfg = ent.EntailmentConfig(K=0.1)
         at_c4 = lz.lift_point([0.15, 0.0], lz.Curvature(4.0))
-        protos = ent.PrototypeSet((at_c4,), ("a",), descriptor_dim=2)
+        protos = ent.PrototypeSet((at_c4,), ("a",))
         assert protos.validate_apertures(cfg) is protos
         with pytest.raises(UsageError):
             make_protos([[0.15, 0.0]], cfg=cfg)
@@ -302,7 +302,7 @@ class TestPrototypeSet:
         a = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(1.0))
         b = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(2.0))
         with pytest.raises(UsageError):
-            ent.PrototypeSet((a, b), ("a", "b"), 2)
+            ent.PrototypeSet((a, b), ("a", "b"))
 
     def test_cached_arrays(self):
         protos = make_protos([[1.0, 0.0], [0.0, 2.0]])

@@ -21,7 +21,7 @@ import reference_values as ref
 
 def make_protos(vectors):
     anchors = tuple(lz.exp_lift_origin(np.asarray(v, dtype=float)) for v in vectors)
-    return ent.PrototypeSet(anchors, tuple(f"c{i}" for i in range(len(anchors))), len(vectors[0]))
+    return ent.PrototypeSet(anchors, tuple(f"c{i}" for i in range(len(anchors))))
 
 
 def logit(p):
@@ -32,8 +32,7 @@ def logit(p):
 def pair_losses(z, g):
     """Focal (gamma 2) and dice values of one (mask logits, mask) pair, as
     matching sees them."""
-    cfg = mh.MaskHeadConfig(n_queries=1)
-    _, focal, dice = mh._pair_costs(np.zeros((1, 1)), z[None], [(0, g)], cfg)
+    _, focal, dice = mh._pair_costs(np.zeros((1, 1)), z[None], [(0, g)])
     return focal[0, 0], dice[0, 0]
 
 
@@ -46,52 +45,50 @@ class TestClassQueryLogits:
     def test_query_at_prototype_scores_zero(self):
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[1.0, 0.0], [0.4, 0.4]])
-        cfg = mh.MaskHeadConfig(n_queries=2)
-        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
+        logits = mh.class_query_logits(protos, queries, K=0.1)
         # coincident pair: exact zero up to the acosh noise floor sqrt(2 ulp)
         assert logits[0, 0] == pytest.approx(0.0, abs=1e-7)
         assert logits[0].argmax() == 0
         assert np.all(logits <= 1e-12)
 
     def test_zero_distance_weight_leaves_hinge(self):
+        # with the distance term added back, what is left is the hinge
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[0.9, 0.4], [0.2, 1.0]])
-        cfg = mh.MaskHeadConfig(n_queries=2, w_d=0.0)
-        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
+        logits = mh.class_query_logits(protos, queries, K=0.1)
         qt, qsp = queries.class_points()
         e_cfg = ent.EntailmentConfig(K=0.1)
         for j in range(2):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
                 hinge = ent.entailment_loss(anchor, q, e_cfg)
-                assert logits[j, i] == pytest.approx(-hinge, abs=1e-9)
+                distance_term = mh.W_D * lz.geodesic_distance(anchor, q)
+                assert logits[j, i] + distance_term == pytest.approx(-hinge, abs=1e-9)
 
     def test_in_cone_query_reduces_to_distance_term(self):
         # a query beyond the anchor on its outward ray sits inside the
         # cone: the hinge is exactly zero and the logit is -w_d * d
         protos = make_protos([[1.1, 0.0]])
         queries = queries_from([[2.6, 0.0]])
-        cfg = mh.MaskHeadConfig(n_queries=1, w_d=0.7)
-        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
+        logits = mh.class_query_logits(protos, queries, K=0.1)
         qt, qsp = queries.class_points()
         inner = lz.inner_to_anchors(qsp, qt, protos.spatial, protos.time)
         d_batched = lz.distances_from_inner(inner)[0, 0]
-        assert logits[0, 0] == -cfg.w_d * d_batched  # bitwise: hinge is 0
+        assert logits[0, 0] == -mh.W_D * d_batched  # bitwise: hinge is 0
         d_scalar = lz.geodesic_distance(protos.anchors[0], lz.lift_point(qsp[0]))
-        assert logits[0, 0] == pytest.approx(-cfg.w_d * d_scalar, rel=1e-12)
+        assert logits[0, 0] == pytest.approx(-mh.W_D * d_scalar, rel=1e-12)
 
     def test_matches_componentwise_recomputation(self):
         rng = np.random.default_rng(110)
         protos = make_protos(rng.normal(size=(4, 3)))
         queries = queries_from(rng.normal(size=(5, 3)))
-        cfg = mh.MaskHeadConfig(n_queries=5, w_d=0.7)
-        logits = mh.class_query_logits(protos, queries, cfg, K=0.1)
+        logits = mh.class_query_logits(protos, queries, K=0.1)
         e_cfg = ent.EntailmentConfig(K=0.1)
         qt, qsp = queries.class_points()
         for j in range(5):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
-                expected = -0.7 * lz.geodesic_distance(anchor, q) - ent.entailment_loss(
+                expected = -mh.W_D * lz.geodesic_distance(anchor, q) - ent.entailment_loss(
                     anchor, q, e_cfg
                 )
                 assert logits[j, i] == pytest.approx(expected, abs=1e-9)
@@ -99,15 +96,14 @@ class TestClassQueryLogits:
 
 class TestMaskQueryLogits:
     def test_published_distance_constant(self):
-        cfg = mh.MaskHeadConfig()
         # geodesic distance 0.78 -> logit 2.2 -> sigmoid 0.9002
-        val = 1.0 / (1.0 + math.exp(-(-0.78 + cfg.b_d) / cfg.s_d))
+        val = 1.0 / (1.0 + math.exp(-(-0.78 + mh.B_D) / mh.S_D))
         assert 0.90 <= val <= 0.905
 
     def test_published_angle_constant(self):
         cfg = mh.MaskHeadConfig()
         # exterior angle 0.13 -> logit 2.0 -> sigmoid 0.8808
-        val = 1.0 / (1.0 + math.exp(-(-0.13 + cfg.b_a) / cfg.s_a))
+        val = 1.0 / (1.0 + math.exp(-(-0.13 + mh.B_A) / cfg.s_a))
         assert 0.87 <= val <= 0.90
 
     def test_pixel_at_query_distance_logit(self):
@@ -117,7 +113,7 @@ class TestMaskQueryLogits:
         grid = lz.EmbeddingGrid.from_tangent(np.array([[u]]))
         logits = mh.mask_query_logits(queries, grid, cfg)
         # coincident pair: distance 0 and angle 0 by the alignment rule
-        expected = cfg.b_d / cfg.s_d + cfg.b_a / cfg.s_a
+        expected = mh.B_D / mh.S_D + mh.B_A / cfg.s_a
         assert logits[0, 0, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_monotone_in_distance_and_angle(self):
@@ -141,8 +137,8 @@ class TestMaskQueryLogits:
             for r in range(2):
                 for c in range(5):
                     p = grid.point(r, c)
-                    expected = (-lz.geodesic_distance(anchor, p) + cfg.b_d) / cfg.s_d + (
-                        -ent.exterior_angle(anchor, p) + cfg.b_a
+                    expected = (-lz.geodesic_distance(anchor, p) + mh.B_D) / mh.S_D + (
+                        -ent.exterior_angle(anchor, p) + mh.B_A
                     ) / cfg.s_a
                     assert logits[i, r, c] == pytest.approx(expected, abs=1e-8)
 
@@ -260,31 +256,20 @@ class TestMatchingCost:
         gmask[:8] = 1.0
         mask_probs = np.full((n, 16), 0.5)
         mask_probs[1] = np.clip(gmask, 0.01, 0.99)
-        cfg = mh.MaskHeadConfig(n_queries=3)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)], cfg)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)])
         assert cost[:, 0].argmin() == 1
-
-    def test_reduces_to_class_probability(self):
-        rng = np.random.default_rng(119)
-        class_probs = rng.uniform(size=(4, 3))
-        mask_probs = rng.uniform(0.1, 0.9, size=(4, 9))
-        gmask = (rng.uniform(size=9) > 0.5).astype(float)
-        cfg = mh.MaskHeadConfig(n_queries=4, lambda_focal=0.0, lambda_dice=0.0)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(2, gmask)], cfg)
-        np.testing.assert_allclose(cost[:, 0], -class_probs[:, 2], atol=1e-12)
 
     def test_compositional_recomputation(self):
         rng = np.random.default_rng(120)
         class_probs = rng.uniform(size=(3, 4))
         mask_probs = rng.uniform(0.1, 0.9, size=(3, 12))
         gmask = (rng.uniform(size=12) > 0.4).astype(float)
-        cfg = mh.MaskHeadConfig(n_queries=3, lambda_cls=0.8, lambda_focal=5.0, lambda_dice=2.0)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)], cfg)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)])
         for j in range(3):
             expected = (
-                -0.8 * class_probs[j, 1]
-                + 5.0 * mh.focal_loss(mask_probs[j], gmask, cfg.gamma)
-                + 2.0 * mh.dice_loss(mask_probs[j], gmask)
+                -mh.LAMBDA_CLS * class_probs[j, 1]
+                + mh.LAMBDA_FOCAL * mh.focal_loss(mask_probs[j], gmask, mh.GAMMA)
+                + mh.LAMBDA_DICE * mh.dice_loss(mask_probs[j], gmask)
             )
             assert cost[j, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -381,7 +366,7 @@ class TestTrainMaskheadGradient:
 
         def loss_at(params, queries):
             state = mh._forward_state(params, queries, flat, before.protos, head, apers)
-            return mh._mask_loss_at(state, segments, head)[3]
+            return mh._mask_loss_at(state, segments)[3]
 
         state = mh._forward_state(before.params, before.queries, flat, before.protos, head, apers)
         assert state["hinge_active"].any()  # the class-logit cone hinge is exercised
@@ -397,7 +382,7 @@ class TestTrainMaskheadGradient:
             owner = "queries" if block in self.QUERY_BLOCKS else "params"
             x0 = np.atleast_1d(getattr(getattr(before, owner), block))
             x1 = np.atleast_1d(getattr(getattr(after, owner), block))
-            lr = self.LR * (head.class_lr_scale if block == "class_tangents" else 1.0)
+            lr = self.LR * (mh.CLASS_LR_SCALE if block == "class_tangents" else 1.0)
             applied = (x0 - x1) / lr
             fd = gr.finite_difference_gradient(lambda x: perturbed(block, x), x0)
             err = np.linalg.norm(applied - fd) / np.linalg.norm(applied)

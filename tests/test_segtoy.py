@@ -8,6 +8,7 @@ import pytest
 from lorentzseg import entailment as ent
 from lorentzseg import grad as gr
 from lorentzseg import lorentz as lz
+from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.errors import TrainingDivergedError, UsageError
 from lorentzseg.reference import EMBED_DIM
@@ -51,7 +52,7 @@ class TestGenerateScene:
         diff = np.abs(clean.features - blended.features).sum(axis=2) > 0
         from lorentzseg.uncertainty import label_boundary_mask
 
-        edge = label_boundary_mask(clean.labels, 1)
+        edge = label_boundary_mask(clean.labels)
         assert diff.any()
         assert not diff[~edge].any()
 
@@ -72,6 +73,21 @@ class TestConfigValidation:
         (st.TrainConfig, "weight_decay", -3.0),
         (st.TrainConfig, "hidden", -1),
         (st.TrainConfig, "hidden", 0),
+        (st.SceneConfig, "noise_sigma", math.nan),
+        (st.SceneConfig, "edge_blend", math.nan),
+        (st.SceneConfig, "descriptor_dim", 0),
+        (st.SceneConfig, "seed", -1),
+        (st.TrainConfig, "lr", math.nan),
+        (st.TrainConfig, "lambda_w", math.nan),
+        (st.TrainConfig, "tau", math.nan),
+        (st.TrainConfig, "K", math.inf),
+        (st.TrainConfig, "weight_decay", math.inf),
+        (st.TrainConfig, "weight_decay", math.nan),
+        (st.TrainConfig, "embed_dim", 0),
+        (st.TrainConfig, "seed", -1),
+        (mh.MaskHeadConfig, "n_queries", 0),
+        (mh.MaskHeadConfig, "s_a", 0.0),
+        (mh.MaskHeadConfig, "s_a", math.nan),
     ])
     def test_message_names_field_and_value(self, config, field, value):
         # the CLI shows these messages as they are
@@ -151,7 +167,7 @@ class TestBuildPrototypes:
         forced = st.DescriptorBank(
             raw=bank.raw, included=bank.included, projection=bank.projection,
             mean=bank.mean, reduced=rows, mean_norm=1.0, d=bank.d,
-            names=bank.names, parent_map=bank.parent_map, parent_raw=bank.parent_raw,
+            names=bank.names,
         )
         protos = st.build_prototypes(forced, ent.EntailmentConfig(K=0.1))
         o = lz.origin(bank.d)
@@ -184,7 +200,10 @@ class TestBuildPrototypes:
 
     def test_mean_scaling_recorded(self, clean_scene, clean_bank):
         protos = st.build_prototypes(clean_bank, ent.EntailmentConfig(K=0.1))
-        assert protos.scale == pytest.approx(clean_bank.alpha_txt)
+        # each anchor lies at geodesic radius equal to its scaled row's norm
+        o = lz.origin(clean_bank.d)
+        for a, row in zip(protos.anchors, clean_bank.reduced):
+            assert lz.geodesic_distance(o, a) == pytest.approx(np.linalg.norm(row), rel=1e-12)
         assert np.linalg.norm(clean_bank.reduced, axis=1).mean() == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_norm_row_rejected(self, clean_bank):
@@ -194,8 +213,7 @@ class TestBuildPrototypes:
             raw=clean_bank.raw, included=clean_bank.included,
             projection=clean_bank.projection, mean=clean_bank.mean,
             reduced=rows, mean_norm=clean_bank.mean_norm, d=clean_bank.d,
-            names=clean_bank.names, parent_map=clean_bank.parent_map,
-            parent_raw=clean_bank.parent_raw,
+            names=clean_bank.names,
         )
         with pytest.raises(UsageError):
             st.build_prototypes(broken, ent.EntailmentConfig(K=0.1))
@@ -325,7 +343,7 @@ class TestInference:
         params.w1 = np.zeros_like(params.w1)
         params.w2 = np.zeros_like(params.w2)  # all pixels at the origin
         anchors = (lz.exp_lift_origin([1.0, 0.0]), lz.exp_lift_origin([-1.0, 0.0]))
-        protos = ent.PrototypeSet(anchors, ("a", "b"), 2)
+        protos = ent.PrototypeSet(anchors, ("a", "b"))
         pred = st.infer_distance(params, protos, scene)
         assert np.all(pred.values == 0)
 
@@ -393,23 +411,11 @@ class TestMiou:
 class TestRetrieval:
     def test_class_query_recalls_own_pixels(self, clean_run, clean_scene, clean_bank):
         gt = clean_scene.labels == 2
-        _, scores = st.text_query(
+        scores = st.text_query(
             clean_run.params, clean_scene, clean_scene.class_descriptors[2],
             clean_bank, mode="distance",
         )
         assert st.recall_at_budget(scores, gt) == 1.0
-
-    def test_threshold_masks(self, clean_run, clean_scene, clean_bank):
-        _, scores = st.text_query(
-            clean_run.params, clean_scene, clean_scene.class_descriptors[0],
-            clean_bank, mode="angle",
-        )
-        thr = float(np.quantile(scores, 0.9))
-        mask, _ = st.text_query(
-            clean_run.params, clean_scene, clean_scene.class_descriptors[0],
-            clean_bank, mode="angle", threshold=thr,
-        )
-        assert mask.sum() <= 0.11 * mask.size
 
     def test_dimension_mismatch(self, clean_run, clean_scene, clean_bank):
         with pytest.raises(UsageError):
@@ -422,7 +428,7 @@ class TestRetrieval:
                 noisy_scene.labels,
                 [c for c, pp in noisy_scene.hierarchy.items() if pp == p],
             )
-            _, s = st.text_query(
+            s = st.text_query(
                 noisy_run.params, noisy_scene, noisy_scene.parent_descriptors[p],
                 noisy_bank, mode="angle",
             )
@@ -431,10 +437,10 @@ class TestRetrieval:
 
     def test_unrelated_query_carries_higher_angles(self, noisy_run, noisy_scene, noisy_bank):
         rng = np.random.default_rng(0)
-        _, s_rand = st.text_query(
+        s_rand = st.text_query(
             noisy_run.params, noisy_scene, rng.normal(size=16) * 2.0, noisy_bank, mode="angle"
         )
-        _, s_cls = st.text_query(
+        s_cls = st.text_query(
             noisy_run.params, noisy_scene, noisy_scene.class_descriptors[0],
             noisy_bank, mode="angle",
         )
@@ -453,8 +459,8 @@ class TestHeldOut:
         bank, hyp_run, euc_run = heldout_runs
         gt = noisy_scene.labels == 4
         q = noisy_scene.class_descriptors[4]
-        _, s_h = st.text_query(hyp_run.params, noisy_scene, q, bank, mode="distance")
-        _, s_e = st.euclid_text_query(euc_run.params, noisy_scene, q, bank)
+        s_h = st.text_query(hyp_run.params, noisy_scene, q, bank, mode="distance")
+        s_e = st.euclid_text_query(euc_run.params, noisy_scene, q, bank)
         r_h = st.recall_at_budget(s_h, gt)
         r_e = st.recall_at_budget(s_e, gt)
         assert r_h >= ref.HELDOUT_RECALL_HYP_MIN

@@ -136,17 +136,19 @@ class TestLabelBoundaryMask:
     def test_vertical_split(self):
         labels = np.zeros((4, 6), dtype=int)
         labels[:, 3:] = 1
-        edge = unc.label_boundary_mask(labels, 1)
+        edge = unc.label_boundary_mask(labels)
         assert np.all(edge[:, 2:4])
         assert not edge[:, 0].any() and not edge[:, 5].any()
 
-    def test_dilation_grows(self):
-        labels = np.zeros((8, 8), dtype=int)
-        labels[:, 4:] = 1
-        e1 = unc.label_boundary_mask(labels, 1)
-        e2 = unc.label_boundary_mask(labels, 2)
-        assert e2.sum() > e1.sum()
-        assert np.all(e2[e1])
+    def test_marks_exactly_the_pixels_beside_a_change(self):
+        rng = np.random.default_rng(105)
+        labels = rng.integers(0, 3, size=(7, 9))
+        edge = unc.label_boundary_mask(labels)
+        for r in range(7):
+            for c in range(9):
+                neighbors = [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                             if 0 <= r + dr < 7 and 0 <= c + dc < 9]
+                assert edge[r, c] == any(labels[n] != labels[r, c] for n in neighbors)
 
 
 class TestReferenceRunStatistics:
