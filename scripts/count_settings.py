@@ -4,18 +4,21 @@ Run from anywhere, with no flags:
 
     python scripts/count_settings.py
 
-It prints the line count of src/lorentzseg/*.py and three counts taken
+It prints the line count of src/lorentzseg/*.py and five counts taken
 from the syntax trees of those files: the ``add_argument`` calls that
 register a ``--`` flag, the annotated fields of ``@dataclass`` classes,
-and the parameters of every ``def`` (self and cls included).  Each
-setting is a configuration the tests must cover, so these numbers only
-fall when a knob nothing sets is deleted.
+the parameters of every ``def`` (self and cls included), the
+``@dataclass`` classes and the ``def``s themselves.  Each setting is a
+configuration the tests must cover, so the first three numbers only fall
+when a knob nothing sets is deleted; the last two fall when a config
+type or a helper goes.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lorentzseg"
+KEYS = ("cli_flags", "dataclass_fields", "function_parameters", "dataclasses", "functions")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -28,7 +31,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def counts(tree: ast.AST) -> dict:
-    out = {"cli_flags": 0, "dataclass_fields": 0, "function_parameters": 0}
+    out = dict.fromkeys(KEYS, 0)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add_argument"
@@ -37,7 +40,9 @@ def counts(tree: ast.AST) -> dict:
             out["cli_flags"] += 1
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             out["dataclass_fields"] += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+            out["dataclasses"] += 1
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out["functions"] += 1
             a = node.args
             out["function_parameters"] += (len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
                                            + (a.vararg is not None) + (a.kwarg is not None))
@@ -46,7 +51,7 @@ def counts(tree: ast.AST) -> dict:
 
 def main():
     files = sorted(SRC.glob("*.py"))
-    total = {"lines": 0, "cli_flags": 0, "dataclass_fields": 0, "function_parameters": 0}
+    total = {"lines": 0, **dict.fromkeys(KEYS, 0)}
     for path in files:
         text = path.read_text()
         total["lines"] += text.count("\n")

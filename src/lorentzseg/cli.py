@@ -23,6 +23,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ def load_model(prefix):
             if np.shape(blocks[name]) != shape:
                 raise ParseError(f"{prefix}.json: block {name} has shape "
                                  f"{np.shape(blocks[name])}, expected {shape}")
-        protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.entail_cfg)
+        protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.K)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
     return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, queries, head_cfg)
@@ -309,6 +310,10 @@ def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
 def cmd_train(args):
     scene_cfg = _scene_from_args(args)
     train_cfg = _train_from_args(args, args.head)
+    if args.head == "mask" and args.exclude_class is not None:
+        # refused before the bank fit, whose rank-deficiency warning would
+        # otherwise print ahead of the error
+        raise UsageError(f"the mask head cannot hold out class {args.exclude_class}")
     scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,11 +321,15 @@ def cmd_train(args):
            "head": args.head, "exclude_class": args.exclude_class}
     fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
     try:
-        if args.head == "mask":
-            res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.queries), train_cfg)
-        else:
-            trainer = st.train if args.head == "pixel" else st.train_euclidean
-            res = trainer(scene, bank, train_cfg, exclude_class=args.exclude_class)
+        # a run that overflows ends in TrainingDivergedError; numpy's
+        # floating-point warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.head == "mask":
+                res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.queries),
+                                        train_cfg)
+            else:
+                trainer = st.train if args.head == "pixel" else st.train_euclidean
+                res = trainer(scene, bank, train_cfg, exclude_class=args.exclude_class)
     except TrainingDivergedError as exc:
         return _diverged(exc, out_dir, fields)
     _save_model(out_dir / "model", scene, res)
@@ -363,7 +372,7 @@ def cmd_uncertainty(args):
         au = mh.mask_angle_uncertainty(grid, res.queries)
     else:
         # the euclid head is scored against the prototypes its bank would lift to
-        protos = res.protos or st.build_prototypes(res.bank, res.config.entail_cfg)
+        protos = res.protos or st.build_prototypes(res.bank, res.config.K)
         au = unc.angle_uncertainty(grid, protos)
     export_scalar_map(out_dir / "angle_uncertainty", au.values, au.kind)
     bm = unc.boundary_map(au, args.percentile)
@@ -384,8 +393,7 @@ def cmd_losscape(args):
     scene, res = load_model(args.model)
     if res.head == "mask":
         raise UsageError("loss landscape supports the pixel and euclid heads")
-    geometry = "lorentz" if res.head == "pixel" else "euclidean"
-    objective = st.PixelObjective.build(scene, res.bank, res.config, res.exclude_class, geometry)
+    objective = st.PixelObjective.build(scene, res.bank, res.config, res.exclude_class, res.head)
 
     rng = np.random.default_rng(args.directions_seed)
     base = res.params.blocks()
@@ -489,6 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_):
+    """``warnings.showwarning`` that prints one stderr line, without the
+    source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -497,22 +511,24 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.time()
     reset_clamp_events()
-    try:
-        code, path, fields = args.func(args)
-        write_json(path, {
-            **fields,
-            "outputs": [str(p) for p in fields["outputs"]],
-            "tool_version": __version__,
-            "wall_clock_s": time.time() - started,
-            "clamp_events": clamp_events(),
-        })
-        return code
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            code, path, fields = args.func(args)
+            write_json(path, {
+                **fields,
+                "outputs": [str(p) for p in fields["outputs"]],
+                "tool_version": __version__,
+                "wall_clock_s": time.time() - started,
+                "clamp_events": clamp_events(),
+            })
+            return code
+        except (UsageError, ValueError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (ParseError, OSError) as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ y swings off-axis.  The hinge max(0, ext - aper) penalizes points outside
 the cone; classification logits are negative geodesic distances scaled by
 a temperature.
 
-The scalar functions read c from the anchor's own ``Curvature``; the
-array layer works at unit curvature, like the rest of the array kernels.
+The scalar functions read c from the anchor's own ``Curvature`` and take
+K as a float; the array layer works at unit curvature, like the rest of
+the array kernels.  A ``PrototypeSet`` carries K and turns it into its
+anchors' apertures once, at construction.
 """
 
 from __future__ import annotations
@@ -43,48 +45,17 @@ _DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EntailmentConfig:
-    """Cone constant K; the curvature is the anchors' own."""
-
-    K: float = 0.1
-
-    def __post_init__(self):
-        if not (self.K > 0 and math.isfinite(self.K)):
-            raise UsageError(f"cone constant K must be positive, got {self.K}")
-
-    @property
-    def min_anchor_norm(self) -> float:
-        """Smallest spatial norm at which the aperture of a unit-curvature
-        anchor is defined; at curvature c it is this over sqrt(c)."""
-        return 2.0 * self.K
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Scalars of the per-pixel objective.
-
-    tau is the softmax temperature on negative distances and lambda_w
-    weighs the entailment hinge.
-    """
-
-    tau: float = 0.1
-    lambda_w: float = 0.5
-
-    def __post_init__(self):
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise UsageError(f"temperature must be positive, got {self.tau}")
-        if not (self.lambda_w >= 0 and math.isfinite(self.lambda_w)):
-            raise UsageError(f"entailment weight must be nonnegative, got {self.lambda_w}")
-
-
-@dataclass(frozen=True)
 class PrototypeSet:
-    """C class anchors on one hyperboloid, with their class labels."""
+    """C class anchors on one hyperboloid, with their class labels and the
+    cone constant K; ``apertures`` holds each anchor's half-aperture
+    asin(2K/(sqrt(c)||x'||)), computed once here."""
 
     anchors: tuple
     labels: tuple
+    K: float
 
     def __post_init__(self):
+        _check_cone_constant(self.K)
         if len(self.anchors) == 0:
             raise UsageError("prototype set needs at least one anchor")
         if len(self.anchors) != len(self.labels):
@@ -99,6 +70,18 @@ class PrototypeSet:
                 raise DomainError("anchor fails the manifold check")
         object.__setattr__(self, "_spatial", np.stack([a.spatial for a in self.anchors]))
         object.__setattr__(self, "_time", np.array([a.time for a in self.anchors]))
+        floor = 2.0 * self.K / self.curvature.sqrt_c
+        norms = self.spatial_norms
+        bad = np.nonzero(norms <= floor)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise UsageError(
+                f"anchor {self.labels[i]!r} has spatial norm {norms[i]:.6g} <= "
+                f"2K/sqrt(c) = {floor:.6g}; its cone aperture is undefined"
+            )
+        object.__setattr__(
+            self, "apertures", anchor_apertures(norms * self.curvature.sqrt_c, self.K)
+        )
 
     @property
     def n_classes(self) -> int:
@@ -120,26 +103,18 @@ class PrototypeSet:
     def spatial_norms(self) -> np.ndarray:
         return np.linalg.norm(self._spatial, axis=1)
 
-    def validate_apertures(self, cfg: EntailmentConfig) -> "PrototypeSet":
-        """Reject anchors whose cone aperture is undefined (degenerate
-        ||x'|| <= 2K/sqrt(c)); returns self for chaining."""
-        floor = cfg.min_anchor_norm / self.curvature.sqrt_c
-        norms = self.spatial_norms
-        bad = np.nonzero(norms <= floor)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise UsageError(
-                f"anchor {self.labels[i]!r} has spatial norm {norms[i]:.6g} <= "
-                f"2K/sqrt(c) = {floor:.6g}; its cone aperture is undefined"
-            )
-        return self
+
+def _check_cone_constant(K: float):
+    if not (K > 0 and math.isfinite(K)):
+        raise UsageError(f"cone constant K must be positive, got {K}")
 
 
-def half_aperture(x: LorentzPoint, cfg: EntailmentConfig) -> float:
+def half_aperture(x: LorentzPoint, K: float) -> float:
     """Half-aperture asin(2K/(sqrt(c)||x'||)) at the anchor's own
     curvature c, in (0, pi/2], strictly decreasing in its spatial norm."""
+    _check_cone_constant(K)
     norm = x.spatial_norm
-    arg = 2.0 * cfg.K / (x.curvature.sqrt_c * norm) if norm > 0 else math.inf
+    arg = 2.0 * K / (x.curvature.sqrt_c * norm) if norm > 0 else math.inf
     if arg > 1.0 + 1e-12:
         raise DomainError(
             f"aperture undefined at anchor with ||x'|| = {norm:.6g}: "
@@ -166,16 +141,16 @@ def exterior_angle(x: LorentzPoint, y: LorentzPoint) -> float:
     return math.acos(min(1.0, max(-1.0, num / den)))
 
 
-def entailment_loss(x: LorentzPoint, y: LorentzPoint, cfg: EntailmentConfig) -> float:
+def entailment_loss(x: LorentzPoint, y: LorentzPoint, K: float) -> float:
     """Hinge max(0, ext(x, y) - aper(x)); zero iff y is inside or on the cone."""
-    return max(0.0, exterior_angle(x, y) - half_aperture(x, cfg))
+    return max(0.0, exterior_angle(x, y) - half_aperture(x, K))
 
 
-def distance_logits(protos: PrototypeSet, y: LorentzPoint, cfg: LossConfig) -> np.ndarray:
+def distance_logits(protos: PrototypeSet, y: LorentzPoint, tau: float) -> np.ndarray:
     """Length-C vector with component i = -d_L(x_i, y)/tau; the argmax is
     the nearest prototype."""
     d = np.array([geodesic_distance(a, y) for a in protos.anchors])
-    return -d / cfg.tau
+    return -d / tau
 
 
 def pixel_cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -192,15 +167,15 @@ def combined_pixel_loss(
     protos: PrototypeSet,
     y: LorentzPoint,
     label: int,
-    entail_cfg: EntailmentConfig,
-    loss_cfg: LossConfig,
+    tau: float,
+    lambda_w: float,
 ) -> float:
-    """Cross-entropy plus lambda_w times the hinge against the
-    ground-truth prototype only."""
-    ce = pixel_cross_entropy(distance_logits(protos, y, loss_cfg), label)
-    if loss_cfg.lambda_w == 0.0:
+    """Cross-entropy over -distance/tau logits plus lambda_w times the hinge
+    against the ground-truth prototype only, with the set's cone constant."""
+    ce = pixel_cross_entropy(distance_logits(protos, y, tau), label)
+    if lambda_w == 0.0:
         return ce
-    return ce + loss_cfg.lambda_w * entailment_loss(protos.anchors[label], y, entail_cfg)
+    return ce + lambda_w * entailment_loss(protos.anchors[label], y, protos.K)
 
 
 # --------------------------------------------------------------------------

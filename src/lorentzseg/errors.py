@@ -26,6 +26,6 @@ class OracleError(RuntimeError):
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during optimization."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"loss became non-finite at step {step}")
+        super().__init__(f"loss became non-finite at step {step}")

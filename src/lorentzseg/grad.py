@@ -240,16 +240,8 @@ class GradientReport:
     samples: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "format": _REPORT_FORMAT,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-            "max_rel_error": self.max_rel_error,
-            "sign_agreement_rate": self.sign_agreement_rate,
-            "euclid_orthogonality_violations": self.euclid_orthogonality_violations,
-            "samples": self.samples,
-        }
+        # vars, not dataclasses.asdict, which would deep-copy every sample
+        return {"format": _REPORT_FORMAT, **vars(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

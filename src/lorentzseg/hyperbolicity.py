@@ -160,19 +160,8 @@ class HyperbolicityReport:
     per_batch: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "format": _REPORT_FORMAT,
-            "delta": self.delta,
-            "diameter": self.diameter,
-            "delta_rel": self.delta_rel,
-            "base_index": self.base_index,
-            "batch_size": self.batch_size,
-            "batch_count": self.batch_count,
-            "seed": self.seed,
-            "metric": self.metric,
-            "n_points": self.n_points,
-            "per_batch": self.per_batch,
-        }
+        # vars, not dataclasses.asdict, which would deep-copy every batch
+        return {"format": _REPORT_FORMAT, **vars(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

@@ -36,7 +36,6 @@ from scipy.optimize import linear_sum_assignment
 from . import grad as gr
 from .entailment import (
     PrototypeSet,
-    anchor_apertures,
     cross_entropy_rows,
     ext_angles_to_anchors,
     softmax_rows,
@@ -120,17 +119,18 @@ class QuerySet:
         return batched_exp_lift(self.mask_tangents)
 
 
-def _class_logits(qsp, qt, protos: PrototypeSet, apers):
+def _class_logits(qsp, qt, protos: PrototypeSet):
     """(N, C) class logits -W_D*distance minus the cone hinge of lifted
-    queries against the prototypes, with the inner products and the
-    active-hinge mask that the backward pass reuses."""
+    queries against the prototypes and their apertures, with the inner
+    products and the active-hinge mask that the backward pass reuses."""
     inner = inner_to_anchors(qsp, qt, protos.spatial, protos.time)
     d = distances_from_inner(inner)
     ext = ext_angles_to_anchors(
         qsp, qt, protos.spatial, protos.time, inner=inner, anchor_norms=protos.spatial_norms
     )
-    logits = -W_D * d - np.maximum(0.0, ext - apers[None, :])
-    return logits, inner, ext > apers[None, :]
+    apers = protos.apertures[None, :]
+    logits = -W_D * d - np.maximum(0.0, ext - apers)
+    return logits, inner, ext > apers
 
 
 def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
@@ -142,12 +142,11 @@ def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
     return (-d + B_D) / S_D + (-ext + B_A) / cfg.s_a, inner
 
 
-def class_query_logits(protos: PrototypeSet, queries: QuerySet, K: float) -> np.ndarray:
+def class_query_logits(protos: PrototypeSet, queries: QuerySet) -> np.ndarray:
     """(N, C) matrix of -W_D*distance minus the cone hinge, with the cone
-    apertures of the training constant K (``TrainConfig.K``)."""
+    apertures the prototype set carries."""
     qt, qsp = queries.class_points()
-    apers = anchor_apertures(protos.spatial_norms, K)
-    return _class_logits(qsp, qt, protos, apers)[0]
+    return _class_logits(qsp, qt, protos)[0]
 
 
 def mask_query_logits(queries: QuerySet, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
@@ -198,14 +197,6 @@ def dice_loss(pred_prob_map: np.ndarray, gt_mask: np.ndarray) -> float:
     return 1.0 - num / den
 
 
-def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments) -> np.ndarray:
-    """(N, M) assignment cost: -LAMBDA_CLS * p(class) + LAMBDA_FOCAL *
-    focal + LAMBDA_DICE * dice, with focal and dice taken on
-    sigmoid(mask_logits) (N, ...).  ``segments`` is a list of
-    (class_column, binary mask)."""
-    return _pair_costs(class_probs, mask_logits, segments)[0]
-
-
 def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -> LabelMap:
     """Per-pixel argmax of sum_i class_probs[i, c] * mask_probs[i, h, w];
     ties break to the lowest class index."""
@@ -234,9 +225,12 @@ def _sigmoid_logs(z):
     return 1.0 / (1.0 + np.exp(-z)), -_softplus(-z), -_softplus(z)
 
 
-def _pair_costs(class_probs, mask_logits, segments):
-    """(cost, focal, dice), each (N, M): the matching cost of every
-    (query, segment) pair and the focal and dice losses it is made of.
+def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments):
+    """(cost, focal, dice), each (N, M): the assignment cost -LAMBDA_CLS *
+    p(class) + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice of every (query,
+    segment) pair and the focal and dice losses it is made of, taken on
+    sigmoid(mask_logits) (N, ...).  ``segments`` is a list of
+    (class_column, binary mask).
 
     The sigmoid terms are computed once for all queries; each segment then
     only selects and sums them, one query row at a time."""
@@ -279,13 +273,13 @@ def _dice_dlogit(z, g):
     return dp * p * (1.0 - p)
 
 
-def _forward_state(params, queries, flat, protos, head_cfg, apers):
+def _forward_state(params, queries, flat, protos, head_cfg):
     a1, u = _encoder_parts(params, flat)
     v_p = params.alpha * u
     pt, psp = batched_exp_lift(v_p)
     qt, qsp = queries.class_points()
     mt, msp = queries.mask_points()
-    cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos, apers)
+    cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos)
     full_logits = np.concatenate(
         [cls_logits, np.full((queries.n, 1), queries.no_object_bias)], axis=1
     )
@@ -298,12 +292,15 @@ def _forward_state(params, queries, flat, protos, head_cfg, apers):
     }
 
 
-def _mask_loss_at(state, segments):
+def _mask_loss_at(state, segments, step):
     """Hungarian-match the queries to ``segments`` at ``state``; returns
     (assign, ce, mask_term, total, targets, weights): class CE plus the
-    matched focal/dice terms."""
+    matched focal/dice terms.  A non-finite matching cost is a run that
+    diverged at ``step``."""
     full_logits = state["full_logits"]
-    cost, focal, dice = _pair_costs(softmax_rows(full_logits), state["mq"].T, segments)
+    cost, focal, dice = matching_cost(softmax_rows(full_logits), state["mq"].T, segments)
+    if not np.all(np.isfinite(cost)):
+        raise TrainingDivergedError(step)
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
@@ -338,8 +335,7 @@ def train_maskhead(
     held_out = [c for c, _ in segments if c not in class_to_idx]
     if held_out:
         raise UsageError(f"the mask head cannot hold out class {held_out[0]}, a segment of the scene")
-    protos = build_prototypes(bank, train_cfg.entail_cfg)
-    apers = anchor_apertures(protos.spatial_norms, train_cfg.K)
+    protos = build_prototypes(bank, train_cfg.K)
     flat = scene.features.reshape(-1, scene.features.shape[-1])
     segments_flat = [(class_to_idx[c], m.reshape(-1).astype(np.float64)) for c, m in segments]
 
@@ -354,8 +350,8 @@ def train_maskhead(
     n_classes = len(bank.included)
     rows = []
     for epoch in range(train_cfg.epochs):
-        state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-        assign, ce, mask_term, total, targets, weights = _mask_loss_at(state, segments_flat)
+        state = _forward_state(params, queries, flat, protos, head_cfg)
+        assign, ce, mask_term, total, targets, weights = _mask_loss_at(state, segments_flat, epoch)
         if not math.isfinite(total):
             raise TrainingDivergedError(epoch)
         rows.append((epoch, ce, mask_term, total))
@@ -436,8 +432,8 @@ def train_maskhead(
         queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
         queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
 
-    state = _forward_state(params, queries, flat, protos, head_cfg, apers)
-    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat)
+    state = _forward_state(params, queries, flat, protos, head_cfg)
+    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, train_cfg.epochs)
     rows.append((train_cfg.epochs, ce, mask_term, total))
     trace = _trace_arrays(("epoch", "ce", "mask", "total"), rows)
     return TrainResult("mask", params, protos, bank, trace, train_cfg, None, queries, head_cfg)
@@ -448,9 +444,7 @@ def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:
     probabilities without the no-object column, weighted by sigmoid mask
     probabilities."""
     flat = scene.features.reshape(-1, scene.features.shape[-1])
-    apers = anchor_apertures(result.protos.spatial_norms, result.config.K)
-    state = _forward_state(result.params, result.queries, flat, result.protos,
-                           result.head_cfg, apers)
+    state = _forward_state(result.params, result.queries, flat, result.protos, result.head_cfg)
     probs_full = softmax_rows(state["full_logits"])[:, :-1]
     h, w = scene.shape
     mask_probs = (1.0 / (1.0 + np.exp(-state["mq"].T))).reshape(result.queries.n, h, w)

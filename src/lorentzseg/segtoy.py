@@ -33,9 +33,7 @@ import numpy as np
 
 from . import grad as gr
 from .entailment import (
-    EntailmentConfig,
     PrototypeSet,
-    anchor_apertures,
     cross_entropy_rows,
     distance_logit_matrix,
     ext_angles_from_inner,
@@ -175,6 +173,8 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     rng = np.random.default_rng(cfg.seed + 1)
     if cfg.noise_sigma > 0.0:
         features = features + rng.normal(0.0, cfg.noise_sigma, size=features.shape)
+        if not np.all(np.isfinite(features)):
+            raise UsageError(f"noise_sigma {cfg.noise_sigma} overflows the scene features")
     return SyntheticScene(
         features=features,
         labels=labels,
@@ -311,13 +311,14 @@ class DescriptorBank:
         return (vec - self.mean) @ self.projection / self.mean_norm
 
 
-def build_prototypes(bank: DescriptorBank, entail_cfg: EntailmentConfig) -> PrototypeSet:
-    """Lift the scaled descriptor rows to the hyperboloid."""
+def build_prototypes(bank: DescriptorBank, K: float) -> PrototypeSet:
+    """Lift the scaled descriptor rows to the hyperboloid as the anchors of
+    cones with constant K; a row whose aperture is undefined raises."""
     norms = np.linalg.norm(bank.reduced, axis=1)
     if np.any(norms == 0.0):
         raise UsageError("zero-norm descriptor row cannot anchor a cone")
     anchors = tuple(exp_lift_origin(row) for row in bank.reduced)
-    return PrototypeSet(anchors=anchors, labels=bank.names).validate_apertures(entail_cfg)
+    return PrototypeSet(anchors=anchors, labels=bank.names, K=K)
 
 
 # --------------------------------------------------------------------------
@@ -409,10 +410,6 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    @property
-    def entail_cfg(self) -> EntailmentConfig:
-        return EntailmentConfig(K=self.K)
-
 
 @dataclass
 class TrainResult:
@@ -474,9 +471,9 @@ class PixelObjective:
 
     ``labels_idx`` holds each pixel's column among the bank's included
     classes; pixels of a held-out class map to column 0 and are left out
-    by ``use_mask``.  The Lorentz geometry scores against the lifted
-    prototypes with their cone apertures; the Euclidean one (``protos``
-    None) against the bank's reduced rows.
+    by ``use_mask``.  The pixel head scores against the lifted prototypes
+    and their cone apertures; the euclid head (``protos`` None) against the
+    bank's reduced rows.
     """
 
     flat: np.ndarray  # (Npx, d_orig) scene features
@@ -484,25 +481,21 @@ class PixelObjective:
     use_mask: np.ndarray
     rows: np.ndarray  # the bank's reduced rows, the Euclidean prototypes
     protos: PrototypeSet | None
-    apers: np.ndarray | None
     cfg: TrainConfig
 
     @classmethod
-    def build(cls, scene, bank, cfg, exclude_class=None, geometry="lorentz") -> "PixelObjective":
+    def build(cls, scene, bank, cfg, exclude_class=None, head="pixel") -> "PixelObjective":
         labels_flat = scene.labels.reshape(-1)
         column = np.zeros(scene.n_classes, dtype=np.int64)
         column[list(bank.included)] = np.arange(len(bank.included))
         use_mask = np.ones(labels_flat.size, dtype=bool)
         if exclude_class is not None:
             use_mask = labels_flat != exclude_class
-        protos = apers = None
-        if geometry == "lorentz":
-            protos = build_prototypes(bank, cfg.entail_cfg)
-            apers = anchor_apertures(protos.spatial_norms, cfg.K)
+        protos = build_prototypes(bank, cfg.K) if head == "pixel" else None
         return cls(
             flat=scene.features.reshape(-1, scene.features.shape[-1]),
             labels_idx=column[labels_flat], use_mask=use_mask, rows=bank.reduced,
-            protos=protos, apers=apers, cfg=cfg,
+            protos=protos, cfg=cfg,
         )
 
     def loss(self, v: np.ndarray, want_grad: bool):
@@ -542,7 +535,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     gt_inner = np.take_along_axis(inner, labels_idx[:, None], axis=1)[:, 0]
     # per-pixel exterior angle against the ground-truth anchor only
     ext_gt = ext_angles_from_inner(gt_inner, time, gt_at, gt_norm)
-    hinge = np.maximum(0.0, ext_gt - obj.apers[labels_idx])
+    hinge = np.maximum(0.0, ext_gt - obj.protos.apertures[labels_idx])
     entail = float(hinge[use_mask].mean())
     total = ce + cfg.lambda_w * entail
     if not want_grad:
@@ -579,10 +572,10 @@ def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     return ce, 0.0, ce, g_v
 
 
-def _run_training(scene, bank, cfg, exclude_class, geometry) -> TrainResult:
+def _run_training(scene, bank, cfg, exclude_class, head) -> TrainResult:
     if exclude_class is not None and exclude_class in bank.included:
         raise UsageError("bank must be fit with the held-out class excluded")
-    obj = PixelObjective.build(scene, bank, cfg, exclude_class, geometry)
+    obj = PixelObjective.build(scene, bank, cfg, exclude_class, head)
     params = _start_encoder(obj.flat, cfg, bank.d)
     rows = []
     for epoch in range(cfg.epochs):
@@ -595,7 +588,6 @@ def _run_training(scene, bank, cfg, exclude_class, geometry) -> TrainResult:
     _, u = _encoder_parts(params, obj.flat)
     rows.append((cfg.epochs, *obj.loss(params.alpha * u, False)[:3]))
     trace = _trace_arrays(("epoch", "ce", "entail", "total"), rows)
-    head = "pixel" if geometry == "lorentz" else "euclid"
     return TrainResult(head, params, obj.protos, bank, trace, cfg, exclude_class)
 
 
@@ -606,7 +598,7 @@ def train(
     exclude_class: int | None = None,
 ) -> TrainResult:
     """Full-batch gradient descent on the mean combined loss."""
-    return _run_training(scene, bank, cfg, exclude_class, "lorentz")
+    return _run_training(scene, bank, cfg, exclude_class, "pixel")
 
 
 def train_euclidean(
@@ -617,7 +609,7 @@ def train_euclidean(
 ) -> TrainResult:
     """Identical pipeline with Euclidean prototype distances: no lift, no
     cone, cross-entropy only."""
-    return _run_training(scene, bank, cfg, exclude_class, "euclidean")
+    return _run_training(scene, bank, cfg, exclude_class, "euclid")
 
 
 def evaluate_loss(params: EncoderParams, objective: PixelObjective) -> float:

@@ -100,7 +100,7 @@ def test_criterion_1_manifold_round_trips():
 def test_criterion_2_published_constants():
     started = time.perf_counter()
 
-    aper = ent.half_aperture(lz.exp_lift_origin([1.0, 0.0]), ent.EntailmentConfig(K=0.1))
+    aper = ent.half_aperture(lz.exp_lift_origin([1.0, 0.0]), 0.1)
     assert 0.165 <= aper <= 0.175
 
     rng = np.random.default_rng(1002)
@@ -338,15 +338,14 @@ def test_criterion_7_mask_head_suite():
     protos = res.protos
     queries = res.queries
     cfg = res.head_cfg
-    logits = mh.class_query_logits(protos, queries, res.config.K)
+    logits = mh.class_query_logits(protos, queries)
     qt, qsp = queries.class_points()
-    e_cfg = ent.EntailmentConfig(K=REFERENCE_MASK_TRAIN.K)
     for j in (0, 3, 7):
         q = lz.lift_point(qsp[j])
         for i in (0, 4, 8):
             expected = (
                 -mh.W_D * lz.geodesic_distance(protos.anchors[i], q)
-                - ent.entailment_loss(protos.anchors[i], q, e_cfg)
+                - ent.entailment_loss(protos.anchors[i], q, REFERENCE_MASK_TRAIN.K)
             )
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
     grid = st.embed_scene(res.params, scene)

@@ -17,7 +17,6 @@ from lorentzseg import hyperbolicity as hyp
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.cli import load_model, main
-from lorentzseg.entailment import anchor_apertures
 from lorentzseg.errors import TrainingDivergedError
 from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv, write_json
 
@@ -279,11 +278,22 @@ class TestExitCodes:
         ("mask", "--weight-decay", "inf", "weight_decay must be finite, got inf"),
         ("mask", "--weight-decay", "nan", "weight_decay must be finite, got nan"),
         ("mask", "--scene-seed", "-1", "seed must be >= 0, got -1"),
+        ("pixel", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
+        ("euclid", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
+        ("mask", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
+        ("pixel", "--cone-k", "5", "anchor 'p0.c0' has spatial norm 1.21678 <= 2K/sqrt(c) = 10; "
+                                   "its cone aperture is undefined"),
     ])
     def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, head, flag, value, message):
         assert run(["train", "--head", head, "--height", "16", "--width", "16", "--epochs", "2",
                     flag, value, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+    def test_warning_prints_as_one_line(self, tmp_path, capsys):
+        assert run(["train", *SMALL_TRAIN, "--epochs", "2", "--exclude-class", "4",
+                    "--out-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: rank deficiency: requested 8 components, keeping 7\n")
 
     def test_mask_head_refuses_held_out_class(self, tmp_path, capsys):
         assert run(["train", "--head", "mask", "--height", "16", "--width", "16", "--epochs", "2",
@@ -391,9 +401,8 @@ class TestMaskModelConeConstant:
         scene, res = load_model(str(mask_k_dir / "model"))
         assert res.head == "mask" and res.config.K == 0.2 and res.trace == {}
         flat = scene.features.reshape(-1, scene.features.shape[-1])
-        apers = anchor_apertures(res.protos.spatial_norms, res.config.K)
-        state = mh._forward_state(res.params, res.queries, flat, res.protos, res.head_cfg, apers)
-        logits = mh.class_query_logits(res.protos, res.queries, res.config.K)
+        state = mh._forward_state(res.params, res.queries, flat, res.protos, res.head_cfg)
+        logits = mh.class_query_logits(res.protos, res.queries)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
     def test_model_with_head_cone_constant_still_loads(self, mask_k_dir, tmp_path):
@@ -467,6 +476,7 @@ class TestModelDescriptorValues:
         (("train", "embed_dim"), 50),
         (("train", "hidden"), 16),
         (("train", "tau"), "nan"),
+        (("scene", "noise_sigma"), 1e308),
     ])
     def test_unusable_value_exits_3(self, trained_dir, tmp_path, path, value, capsys):
         model = _edited_model(trained_dir / "pix", tmp_path / "m", _set_extra(path, value))
@@ -498,21 +508,23 @@ def fuzz_model_dir(tmp_path_factory):
 
 class TestDivergence:
     def test_diverged_run_exits_1_with_step(self, tmp_path, capsys):
-        out = tmp_path / "euc"
-        with np.errstate(all="ignore"):
-            assert run(["train", "--head", "euclid", *SMALL_TRAIN, "--lr", "1e9", "--epochs", "20",
+        # the mask head diverges through a non-finite matching cost; numpy's
+        # overflow warnings on the way must not reach stderr either
+        for head, lr in (("euclid", "1e9"), ("mask", "1e300")):
+            out = tmp_path / head
+            assert run(["train", "--head", head, *SMALL_TRAIN, "--lr", lr, "--epochs", "20",
                         "--out-dir", str(out)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("training diverged:") and "at step" in err[0]
-        manifest = read_json(out / "manifest.json")
-        assert manifest["diverged_at_step"] == int(err[0].rsplit(" ", 1)[1])
-        assert manifest["command"] == "train --head euclid"
-        assert manifest["config"]["train"]["lr"] == 1e9
-        assert {"seed", "tool_version", "wall_clock_s", "clamp_events"} <= manifest.keys()
-        # nothing but the manifest was written, and it lists no outputs
-        assert manifest["inputs"] == [] and manifest["outputs"] == []
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("training diverged:") and "at step" in err[0]
+            manifest = read_json(out / "manifest.json")
+            assert manifest["diverged_at_step"] == int(err[0].rsplit(" ", 1)[1])
+            assert manifest["command"] == f"train --head {head}"
+            assert manifest["config"]["train"]["lr"] == float(lr)
+            assert {"seed", "tool_version", "wall_clock_s", "clamp_events"} <= manifest.keys()
+            # nothing but the manifest was written, and it lists no outputs
+            assert manifest["inputs"] == [] and manifest["outputs"] == []
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_diverged_train_writes_manifest(self, tmp_path, monkeypatch, capsys):
         # neither training head diverges even at lr 1e9 on the small scenes

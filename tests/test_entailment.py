@@ -18,68 +18,60 @@ EXT_YS = [-0.7124734710058194, -0.36373662813737806, -0.79331724399717]
 EXT_VALUE = 1.75924670927751742091
 
 
-def make_protos(vectors, labels=None, cfg=None):
+def make_protos(vectors, labels=None, K=0.1):
     anchors = tuple(lz.exp_lift_origin(np.asarray(v, dtype=float)) for v in vectors)
     labels = tuple(labels or [f"c{i}" for i in range(len(anchors))])
-    protos = ent.PrototypeSet(anchors, labels)
-    if cfg is not None:
-        protos.validate_apertures(cfg)
-    return protos
+    return ent.PrototypeSet(anchors, labels, K)
 
 
 class TestHalfAperture:
     def test_published_constant_at_unit_radius(self):
         # anchor at geodesic radius 1 has spatial norm sinh(1)
         x = lz.exp_lift_origin([1.0, 0.0])
-        aper = ent.half_aperture(x, ent.EntailmentConfig(K=0.1))
+        aper = ent.half_aperture(x, 0.1)
         assert x.spatial_norm == pytest.approx(math.sinh(1.0), rel=1e-12)
         assert 0.165 <= aper <= 0.175
 
     def test_boundary_norm_gives_right_angle(self):
-        cfg = ent.EntailmentConfig(K=0.1)
-        x = lz.lift_point([cfg.min_anchor_norm, 0.0])
-        assert ent.half_aperture(x, cfg) == pytest.approx(math.pi / 2, abs=1e-12)
+        K = 0.1
+        x = lz.lift_point([2 * K, 0.0])
+        assert ent.half_aperture(x, K) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_halves_to_first_order_when_norm_doubles(self):
-        cfg = ent.EntailmentConfig(K=0.1)
-        a1 = ent.half_aperture(lz.lift_point([8.0, 0.0]), cfg)
-        a2 = ent.half_aperture(lz.lift_point([16.0, 0.0]), cfg)
+        a1 = ent.half_aperture(lz.lift_point([8.0, 0.0]), 0.1)
+        a2 = ent.half_aperture(lz.lift_point([16.0, 0.0]), 0.1)
         assert a2 / a1 == pytest.approx(0.5, rel=1e-3)
 
     def test_strictly_decreasing(self):
-        cfg = ent.EntailmentConfig(K=0.1)
         norms = np.linspace(0.25, 6.0, 40)
-        apers = [ent.half_aperture(lz.lift_point([n, 0.0]), cfg) for n in norms]
+        apers = [ent.half_aperture(lz.lift_point([n, 0.0]), 0.1) for n in norms]
         assert np.all(np.diff(apers) < 0)
 
     def test_domain_error_inside_floor(self):
-        cfg = ent.EntailmentConfig(K=0.1)
         with pytest.raises(DomainError) as err:
-            ent.half_aperture(lz.lift_point([0.05, 0.0]), cfg)
+            ent.half_aperture(lz.lift_point([0.05, 0.0]), 0.1)
         assert "0.05" in str(err.value)
 
     def test_reads_the_anchor_curvature(self):
         # the aperture of an anchor at c = 4 is asin(2K/(sqrt(c)||x'||)),
         # half-ish of the unit-curvature value at the same spatial norm
         c4 = lz.Curvature(4.0)
-        cfg = ent.EntailmentConfig(K=0.1)
         x = lz.exp_lift_origin([1.0, 0.0], c4)
         expected = math.asin(2.0 * 0.1 / (2.0 * x.spatial_norm))
-        assert ent.half_aperture(x, cfg) == pytest.approx(expected, rel=1e-14)
-        assert ent.half_aperture(x, cfg) == pytest.approx(0.0552, abs=1e-4)
+        assert ent.half_aperture(x, 0.1) == pytest.approx(expected, rel=1e-14)
+        assert ent.half_aperture(x, 0.1) == pytest.approx(0.0552, abs=1e-4)
         y = lz.exp_lift_origin([2.0, 0.5], c4)
-        loss = ent.entailment_loss(x, y, cfg)
+        loss = ent.entailment_loss(x, y, 0.1)
         assert loss > 0.0
         assert loss == pytest.approx(ent.exterior_angle(x, y) - expected, rel=1e-14)
 
     def test_validation_floor_reads_the_anchor_curvature(self):
         # ||x'|| = 0.15 lies above 2K/sqrt(4) = 0.1 but below 2K = 0.2
-        cfg = ent.EntailmentConfig(K=0.1)
         at_c4 = lz.lift_point([0.15, 0.0], lz.Curvature(4.0))
-        protos = ent.PrototypeSet((at_c4,), ("a",))
-        assert protos.validate_apertures(cfg) is protos
+        protos = ent.PrototypeSet((at_c4,), ("a",), 0.1)
+        assert protos.n_classes == 1
         with pytest.raises(UsageError):
-            make_protos([[0.15, 0.0]], cfg=cfg)
+            make_protos([[0.15, 0.0]], K=0.1)
 
 
 class TestExteriorAngle:
@@ -122,16 +114,14 @@ class TestExteriorAngle:
 
 class TestEntailmentLoss:
     def test_inside_cone_zero(self):
-        cfg = ent.EntailmentConfig(K=0.1)
         u = np.array([1.0, 0.0])
         x = lz.exp_lift_origin(u)
         y = lz.exp_lift_origin(3.0 * u)  # straight out along the axis
-        assert ent.entailment_loss(x, y, cfg) == 0.0
+        assert ent.entailment_loss(x, y, 0.1) == 0.0
 
     def test_boundary_zero(self):
-        cfg = ent.EntailmentConfig(K=0.1)
         x = lz.exp_lift_origin([1.0, 0.0])
-        aper = ent.half_aperture(x, cfg)
+        aper = ent.half_aperture(x, 0.1)
         # walk the exterior angle onto the aperture by bisection on the
         # mixing parameter of an off-axis target
         lo, hi = 0.0, 1.0
@@ -144,57 +134,56 @@ class TestEntailmentLoss:
             else:
                 hi = mid
         y = lz.exp_lift_origin(base + lo * off)
-        assert ent.entailment_loss(x, y, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert ent.entailment_loss(x, y, 0.1) == pytest.approx(0.0, abs=1e-9)
 
     def test_direction_dominates_distance(self):
         # a nearer point in a bad direction must out-score a farther
         # point sitting inside the cone
-        cfg = ent.EntailmentConfig(K=0.1)
         x = lz.exp_lift_origin([1.0, 0.0])
         y_far_in = lz.exp_lift_origin([3.2, 0.0])
         y_near_bad = lz.exp_lift_origin([0.9, 0.55])
         assert lz.geodesic_distance(x, y_near_bad) < lz.geodesic_distance(x, y_far_in)
-        assert ent.entailment_loss(x, y_near_bad, cfg) > ent.entailment_loss(x, y_far_in, cfg)
+        assert ent.entailment_loss(x, y_near_bad, 0.1) > ent.entailment_loss(x, y_far_in, 0.1)
 
     def test_loss_range(self):
-        cfg = ent.EntailmentConfig(K=0.1)
+        K = 0.1
         rng = np.random.default_rng(41)
         for _ in range(200):
             x = lz.exp_lift_origin(rng.normal(size=2) * 1.5)
-            if x.spatial_norm <= cfg.min_anchor_norm:
+            if x.spatial_norm <= 2 * K:
                 continue
             y = lz.exp_lift_origin(rng.normal(size=2) * 1.5)
             if x.same_coords(y):
                 continue
-            val = ent.entailment_loss(x, y, cfg)
+            val = ent.entailment_loss(x, y, K)
             assert 0.0 <= val <= math.pi
 
     def test_ray_transitivity(self):
         # members stay members when pushed outward along their origin ray
-        cfg = ent.EntailmentConfig(K=0.1)
+        K = 0.1
         rng = np.random.default_rng(42)
         tested = 0
         while tested < 50:
             x = lz.exp_lift_origin(rng.normal(size=3))
-            if x.spatial_norm <= 3 * cfg.min_anchor_norm:
+            if x.spatial_norm <= 3 * (2 * K):
                 continue
             v = rng.normal(size=3)
             y = lz.exp_lift_origin(v)
             try:
-                if ent.entailment_loss(x, y, cfg) > 0.0:
+                if ent.entailment_loss(x, y, K) > 0.0:
                     continue
             except DomainError:
                 continue
             for t in (1.25, 1.5, 2.0, 3.0):
                 y_t = lz.exp_lift_origin(t * v)
-                assert ent.entailment_loss(x, y_t, cfg) <= 1e-9
+                assert ent.entailment_loss(x, y_t, K) <= 1e-9
             tested += 1
 
 
 class TestDistanceLogits:
     def test_at_prototype(self):
         protos = make_protos([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        logits = ent.distance_logits(protos, protos.anchors[1], ent.LossConfig())
+        logits = ent.distance_logits(protos, protos.anchors[1], 0.1)
         assert logits[1] == 0.0
         assert logits.argmax() == 1
         assert np.all(np.delete(logits, 1) < 0.0)
@@ -203,8 +192,8 @@ class TestDistanceLogits:
         rng = np.random.default_rng(43)
         protos = make_protos(rng.normal(size=(4, 3)))
         y = lz.exp_lift_origin(rng.normal(size=3))
-        a = ent.distance_logits(protos, y, ent.LossConfig(tau=0.1))
-        b = ent.distance_logits(protos, y, ent.LossConfig(tau=2.0))
+        a = ent.distance_logits(protos, y, 0.1)
+        b = ent.distance_logits(protos, y, 2.0)
         assert a.argmax() == b.argmax()
         assert not np.allclose(a, b)
 
@@ -212,11 +201,11 @@ class TestDistanceLogits:
         rng = np.random.default_rng(44)
         protos = make_protos(rng.normal(size=(3, 4)))
         y = lz.exp_lift_origin(rng.normal(size=4))
-        cfg = ent.LossConfig(tau=0.37)
-        logits = ent.distance_logits(protos, y, cfg)
+        tau = 0.37
+        logits = ent.distance_logits(protos, y, tau)
         for i, anchor in enumerate(protos.anchors):
             assert logits[i] == pytest.approx(
-                -lz.geodesic_distance(anchor, y) / cfg.tau, rel=1e-14
+                -lz.geodesic_distance(anchor, y) / tau, rel=1e-14
             )
 
     def test_argmin_distance_equals_argmax_logits(self):
@@ -225,7 +214,7 @@ class TestDistanceLogits:
         for _ in range(100):
             y = lz.exp_lift_origin(rng.normal(size=3) * 1.5)
             d = np.array([lz.geodesic_distance(a, y) for a in protos.anchors])
-            logits = ent.distance_logits(protos, y, ent.LossConfig())
+            logits = ent.distance_logits(protos, y, 0.1)
             assert d.argmin() == logits.argmax()
 
 
@@ -264,45 +253,55 @@ def test_hypothesis_ce_shift_invariant(logits, shift):
 
 class TestCombinedLoss:
     def setup_method(self):
-        self.e_cfg = ent.EntailmentConfig(K=0.1)
-        self.protos = make_protos([[1.2, 0.0], [0.0, 1.2]], cfg=self.e_cfg)
+        self.protos = make_protos([[1.2, 0.0], [0.0, 1.2]], K=0.1)
 
     def test_zero_weight_reduces_to_ce(self):
         y = lz.exp_lift_origin([0.4, 0.9])
-        cfg = ent.LossConfig(lambda_w=0.0)
-        assert ent.combined_pixel_loss(self.protos, y, 1, self.e_cfg, cfg) == (
-            ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, cfg), 1)
+        assert ent.combined_pixel_loss(self.protos, y, 1, 0.1, 0.0) == (
+            ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, 0.1), 1)
         )
 
     def test_in_cone_reduces_to_ce(self):
         y = lz.exp_lift_origin([3.0, 0.0])  # inside anchor 0's cone
-        cfg = ent.LossConfig(lambda_w=0.5)
-        assert ent.entailment_loss(self.protos.anchors[0], y, self.e_cfg) == 0.0
-        assert ent.combined_pixel_loss(self.protos, y, 0, self.e_cfg, cfg) == (
-            ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, cfg), 0)
+        assert ent.entailment_loss(self.protos.anchors[0], y, 0.1) == 0.0
+        assert ent.combined_pixel_loss(self.protos, y, 0, 0.1, 0.5) == (
+            ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, 0.1), 0)
         )
 
     def test_sum_of_constituents(self):
         y = lz.exp_lift_origin([0.3, 0.8])
-        cfg = ent.LossConfig(lambda_w=0.5)
-        ce = ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, cfg), 0)
-        hinge = ent.entailment_loss(self.protos.anchors[0], y, self.e_cfg)
-        got = ent.combined_pixel_loss(self.protos, y, 0, self.e_cfg, cfg)
+        ce = ent.pixel_cross_entropy(ent.distance_logits(self.protos, y, 0.1), 0)
+        hinge = ent.entailment_loss(self.protos.anchors[0], y, 0.1)
+        got = ent.combined_pixel_loss(self.protos, y, 0, 0.1, 0.5)
         assert got == pytest.approx(ce + 0.5 * hinge, rel=1e-14)
         assert hinge > 0.0
 
 
 class TestPrototypeSet:
     def test_degenerate_anchor_rejected_at_construction(self):
-        cfg = ent.EntailmentConfig(K=0.1)
         with pytest.raises(UsageError):
-            make_protos([[1.0, 0.0], [0.1, 0.0]], cfg=cfg)
+            make_protos([[1.0, 0.0], [0.1, 0.0]], K=0.1)
 
     def test_mixed_curvature_rejected(self):
         a = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(1.0))
         b = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(2.0))
         with pytest.raises(UsageError):
-            ent.PrototypeSet((a, b), ("a", "b"))
+            ent.PrototypeSet((a, b), ("a", "b"), 0.1)
+
+    @pytest.mark.parametrize("c", [1.0, 4.0])
+    def test_apertures_match_scalar_half_aperture(self, c):
+        rng = np.random.default_rng(51)
+        anchors = tuple(lz.exp_lift_origin(v, lz.Curvature(c)) for v in rng.normal(size=(5, 3)) + 1.0)
+        protos = ent.PrototypeSet(anchors, tuple("abcde"), 0.1)
+        for anchor, aper in zip(anchors, protos.apertures):
+            assert aper == pytest.approx(ent.half_aperture(anchor, 0.1), rel=1e-14)
+
+    @pytest.mark.parametrize("K", [0.0, -1.0, math.nan])
+    def test_cone_constant_must_be_finite_and_positive(self, K):
+        with pytest.raises(UsageError, match="cone constant K"):
+            make_protos([[1.0, 0.0]], K=K)
+        with pytest.raises(UsageError, match="cone constant K"):
+            ent.half_aperture(lz.exp_lift_origin([1.0, 0.0]), K)
 
     def test_cached_arrays(self):
         protos = make_protos([[1.0, 0.0], [0.0, 2.0]])
@@ -351,11 +350,11 @@ class TestArrayKernels:
         at, asp = lz.batched_exp_lift(anchors)
         protos = make_protos(anchors)
         y = lz.exp_lift_origin(rng.normal(size=4))
-        cfg = ent.LossConfig(tau=0.2)
+        tau = 0.2
         batched = ent.distance_logit_matrix(
-            y.spatial[None, :], np.array([y.time]), asp, at, cfg.tau
+            y.spatial[None, :], np.array([y.time]), asp, at, tau
         )[0]
-        np.testing.assert_allclose(batched, ent.distance_logits(protos, y, cfg), atol=1e-12)
+        np.testing.assert_allclose(batched, ent.distance_logits(protos, y, tau), atol=1e-12)
 
     def test_cross_entropy_rows_matches_scalar(self):
         rng = np.random.default_rng(49)

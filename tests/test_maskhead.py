@@ -21,7 +21,7 @@ import reference_values as ref
 
 def make_protos(vectors):
     anchors = tuple(lz.exp_lift_origin(np.asarray(v, dtype=float)) for v in vectors)
-    return ent.PrototypeSet(anchors, tuple(f"c{i}" for i in range(len(anchors))))
+    return ent.PrototypeSet(anchors, tuple(f"c{i}" for i in range(len(anchors))), 0.1)
 
 
 def logit(p):
@@ -32,7 +32,7 @@ def logit(p):
 def pair_losses(z, g):
     """Focal (gamma 2) and dice values of one (mask logits, mask) pair, as
     matching sees them."""
-    _, focal, dice = mh._pair_costs(np.zeros((1, 1)), z[None], [(0, g)])
+    _, focal, dice = mh.matching_cost(np.zeros((1, 1)), z[None], [(0, g)])
     return focal[0, 0], dice[0, 0]
 
 
@@ -45,7 +45,7 @@ class TestClassQueryLogits:
     def test_query_at_prototype_scores_zero(self):
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[1.0, 0.0], [0.4, 0.4]])
-        logits = mh.class_query_logits(protos, queries, K=0.1)
+        logits = mh.class_query_logits(protos, queries)
         # coincident pair: exact zero up to the acosh noise floor sqrt(2 ulp)
         assert logits[0, 0] == pytest.approx(0.0, abs=1e-7)
         assert logits[0].argmax() == 0
@@ -55,13 +55,12 @@ class TestClassQueryLogits:
         # with the distance term added back, what is left is the hinge
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[0.9, 0.4], [0.2, 1.0]])
-        logits = mh.class_query_logits(protos, queries, K=0.1)
+        logits = mh.class_query_logits(protos, queries)
         qt, qsp = queries.class_points()
-        e_cfg = ent.EntailmentConfig(K=0.1)
         for j in range(2):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
-                hinge = ent.entailment_loss(anchor, q, e_cfg)
+                hinge = ent.entailment_loss(anchor, q, 0.1)
                 distance_term = mh.W_D * lz.geodesic_distance(anchor, q)
                 assert logits[j, i] + distance_term == pytest.approx(-hinge, abs=1e-9)
 
@@ -70,7 +69,7 @@ class TestClassQueryLogits:
         # cone: the hinge is exactly zero and the logit is -w_d * d
         protos = make_protos([[1.1, 0.0]])
         queries = queries_from([[2.6, 0.0]])
-        logits = mh.class_query_logits(protos, queries, K=0.1)
+        logits = mh.class_query_logits(protos, queries)
         qt, qsp = queries.class_points()
         inner = lz.inner_to_anchors(qsp, qt, protos.spatial, protos.time)
         d_batched = lz.distances_from_inner(inner)[0, 0]
@@ -82,14 +81,13 @@ class TestClassQueryLogits:
         rng = np.random.default_rng(110)
         protos = make_protos(rng.normal(size=(4, 3)))
         queries = queries_from(rng.normal(size=(5, 3)))
-        logits = mh.class_query_logits(protos, queries, K=0.1)
-        e_cfg = ent.EntailmentConfig(K=0.1)
+        logits = mh.class_query_logits(protos, queries)
         qt, qsp = queries.class_points()
         for j in range(5):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
                 expected = -mh.W_D * lz.geodesic_distance(anchor, q) - ent.entailment_loss(
-                    anchor, q, e_cfg
+                    anchor, q, 0.1
                 )
                 assert logits[j, i] == pytest.approx(expected, abs=1e-9)
 
@@ -256,7 +254,7 @@ class TestMatchingCost:
         gmask[:8] = 1.0
         mask_probs = np.full((n, 16), 0.5)
         mask_probs[1] = np.clip(gmask, 0.01, 0.99)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)])
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)])[0]
         assert cost[:, 0].argmin() == 1
 
     def test_compositional_recomputation(self):
@@ -264,7 +262,7 @@ class TestMatchingCost:
         class_probs = rng.uniform(size=(3, 4))
         mask_probs = rng.uniform(0.1, 0.9, size=(3, 12))
         gmask = (rng.uniform(size=12) > 0.4).astype(float)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)])
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)])[0]
         for j in range(3):
             expected = (
                 -mh.LAMBDA_CLS * class_probs[j, 1]
@@ -359,16 +357,15 @@ class TestTrainMaskheadGradient:
         after = mh.train_maskhead(scene, bank, head, dataclasses.replace(cfg, epochs=1))
 
         flat = scene.features.reshape(-1, scene.features.shape[-1])
-        apers = ent.anchor_apertures(before.protos.spatial_norms, cfg.K)
         column = {c: j for j, c in enumerate(bank.included)}
         segments = [(column[c], m.reshape(-1).astype(np.float64))
                     for c, m in st.scene_segments(scene)]
 
         def loss_at(params, queries):
-            state = mh._forward_state(params, queries, flat, before.protos, head, apers)
-            return mh._mask_loss_at(state, segments)[3]
+            state = mh._forward_state(params, queries, flat, before.protos, head)
+            return mh._mask_loss_at(state, segments, 0)[3]
 
-        state = mh._forward_state(before.params, before.queries, flat, before.protos, head, apers)
+        state = mh._forward_state(before.params, before.queries, flat, before.protos, head)
         assert state["hinge_active"].any()  # the class-logit cone hinge is exercised
 
         def perturbed(block, x):

@@ -169,15 +169,14 @@ class TestBuildPrototypes:
             mean=bank.mean, reduced=rows, mean_norm=1.0, d=bank.d,
             names=bank.names,
         )
-        protos = st.build_prototypes(forced, ent.EntailmentConfig(K=0.1))
+        protos = st.build_prototypes(forced, 0.1)
         o = lz.origin(bank.d)
         for a in protos.anchors:
             assert lz.geodesic_distance(o, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_aperture_constant_at_unit_radius(self, clean_scene):
-        cfg = ent.EntailmentConfig(K=0.1)
         x = lz.exp_lift_origin(np.array([1.0] + [0.0] * 7))
-        aper = ent.half_aperture(x, cfg)
+        aper = ent.half_aperture(x, 0.1)
         assert 0.165 <= aper <= 0.175
 
     def test_unit_radius_pair_inner_product_bounds(self):
@@ -199,7 +198,7 @@ class TestBuildPrototypes:
             assert lo <= ip <= hi
 
     def test_mean_scaling_recorded(self, clean_scene, clean_bank):
-        protos = st.build_prototypes(clean_bank, ent.EntailmentConfig(K=0.1))
+        protos = st.build_prototypes(clean_bank, 0.1)
         # each anchor lies at geodesic radius equal to its scaled row's norm
         o = lz.origin(clean_bank.d)
         for a, row in zip(protos.anchors, clean_bank.reduced):
@@ -216,7 +215,7 @@ class TestBuildPrototypes:
             names=clean_bank.names,
         )
         with pytest.raises(UsageError):
-            st.build_prototypes(broken, ent.EntailmentConfig(K=0.1))
+            st.build_prototypes(broken, 0.1)
 
 
 class TestEncoder:
@@ -309,20 +308,20 @@ class TestPixelObjectiveGradient:
     """End to end: the dL/dv that both pixel trainers apply, against central
     differences of the loss they report."""
 
-    @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
-    def test_matches_finite_differences(self, geometry):
+    @pytest.mark.parametrize("head", ["pixel", "euclid"], ids=["lorentz", "euclidean"])
+    def test_matches_finite_differences(self, head):
         scene = st.generate_scene(st.SceneConfig(
             parents=2, children_per_parent=2, height=10, width=10,
             noise_sigma=0.3, edge_blend=0.5,
         ))
         bank = st.DescriptorBank.fit(scene, d=3)
         cfg = st.TrainConfig(embed_dim=3)
-        obj = st.PixelObjective.build(scene, bank, cfg, geometry=geometry)
+        obj = st.PixelObjective.build(scene, bank, cfg, head=head)
         params = st._start_encoder(obj.flat, cfg, bank.d)
         _, u = st._encoder_parts(params, obj.flat)
         v = params.alpha * u
         _, entail, _, g = obj.loss(v, True)
-        if geometry == "lorentz":
+        if head == "pixel":
             assert entail > 0.0  # the cone hinge is part of what is checked
         fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[2], v)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
@@ -343,7 +342,7 @@ class TestInference:
         params.w1 = np.zeros_like(params.w1)
         params.w2 = np.zeros_like(params.w2)  # all pixels at the origin
         anchors = (lz.exp_lift_origin([1.0, 0.0]), lz.exp_lift_origin([-1.0, 0.0]))
-        protos = ent.PrototypeSet(anchors, ("a", "b"))
+        protos = ent.PrototypeSet(anchors, ("a", "b"), 0.1)
         pred = st.infer_distance(params, protos, scene)
         assert np.all(pred.values == 0)
 
@@ -361,7 +360,7 @@ class TestInference:
         for _ in range(20):
             r, c = rng.integers(0, 64, size=2)
             logits = ent.distance_logits(
-                clean_run.protos, grid.point(r, c), ent.LossConfig(tau=0.37)
+                clean_run.protos, grid.point(r, c), 0.37
             )
             assert int(np.argmax(logits)) == pred.values[r, c]
 
