@@ -10,11 +10,14 @@ rounded down ~5 percent to absorb BLAS-ordering jitter across platforms;
 the runs themselves are deterministic per seed on a given machine.
 """
 
+import warnings
+
 import numpy as np
 
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg import uncertainty as unc
+from lorentzseg.cli import _print_warning
 from lorentzseg.reference import (
     EMBED_DIM,
     HELDOUT_CLASS,
@@ -73,7 +76,7 @@ def main():
     # held-out child class: hyperbolic vs euclidean recall, same seed
     bank_h = st.DescriptorBank.fit(noisy, EMBED_DIM, exclude=(HELDOUT_CLASS,))
     res_h = st.train(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
-    res_e = st.train_euclidean(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
+    res_e = st.train(noisy, bank_h, REFERENCE_TRAIN, HELDOUT_CLASS, "euclid")
     gt_h = noisy.labels == HELDOUT_CLASS
     q = noisy.class_descriptors[HELDOUT_CLASS]
     s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")
@@ -120,4 +123,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning  # one line, as the CLI prints it
+        main()

@@ -12,8 +12,9 @@ clamp events.  Re-running with the same flags reproduces every output
 byte for byte (the manifest itself carries the wall clock).
 
 Exit codes: 0 success, 1 failed numerical check or diverged training
-run (whose manifest records the failing step and no outputs), 2 usage
-error, 3 IO/parse error.
+run (a non-finite loss at any step, the post-training evaluation
+included; the manifest records that step and no outputs), 2 usage error
+(checked before any output file is opened), 3 IO/parse error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import warnings
@@ -89,12 +91,12 @@ def _train_from_args(args, head: str) -> st.TrainConfig:
     )
 
 
-def _write_trace_csv(path, trace: dict, columns):
+def _write_trace_csv(path, trace: dict):
     with open(path, "w") as fh:
         fh.write("# lorentzseg/trace/v1\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(trace) + "\n")
         for i in range(len(trace["epoch"])):
-            fh.write(",".join(repr(float(trace[c][i])) for c in columns) + "\n")
+            fh.write(",".join(repr(float(column[i])) for column in trace.values()) + "\n")
 
 
 def _write_label_map(prefix, label_map: st.LabelMap):
@@ -139,8 +141,6 @@ def load_model(prefix):
             raise ParseError(f"{prefix}.json: momentum training is no longer supported")
         train_cfg = st.TrainConfig(**train)
         exclude = extras.get("exclude_class")
-        if exclude is not None and (type(exclude) is not int or not 0 <= exclude < scene_cfg.n_classes):
-            raise ParseError(f"{prefix}.json: exclude_class {exclude!r} is not a class of the scene")
         scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
         shapes = {"w1": (train_cfg.hidden, scene_cfg.descriptor_dim), "b1": (train_cfg.hidden,),
                   "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,)}
@@ -172,7 +172,11 @@ def load_model(prefix):
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
-    """A scene and the descriptor bank fit on it without the held-out class."""
+    """A scene and the descriptor bank fit on it without the held-out class,
+    which must be one of the scene's classes."""
+    if exclude_class is not None and (type(exclude_class) is not int
+                                      or not 0 <= exclude_class < scene_cfg.n_classes):
+        raise UsageError(f"exclude_class {exclude_class!r} is not a class of the scene")
     scene = st.generate_scene(scene_cfg)
     exclude = () if exclude_class is None else (exclude_class,)
     return scene, st.DescriptorBank.fit(scene, d=embed_dim, exclude=exclude)
@@ -271,6 +275,15 @@ def cmd_gradfield(args):
     target = np.array([float(t) for t in args.target.split(",")])
     if target.size != 2:
         raise UsageError("--target expects 'a,b'")
+    try:
+        with np.errstate(over="ignore"):
+            lift_point(target)
+    except (OverflowError, UsageError):
+        raise UsageError(f"--target {args.target} is not finite or overflows the lift") from None
+    # the exp-map Jacobian takes sinh and cosh of the grid's corner radius
+    if not math.hypot(args.grid_extent, args.grid_extent) < math.asinh(sys.float_info.max):
+        raise UsageError(f"--grid-extent {args.grid_extent} is not finite or overflows "
+                         "the exponential map")
     coords = np.linspace(-args.grid_extent, args.grid_extent, args.resolution)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -328,14 +341,11 @@ def cmd_train(args):
                 res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.queries),
                                         train_cfg)
             else:
-                trainer = st.train if args.head == "pixel" else st.train_euclidean
-                res = trainer(scene, bank, train_cfg, exclude_class=args.exclude_class)
+                res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
     except TrainingDivergedError as exc:
         return _diverged(exc, out_dir, fields)
     _save_model(out_dir / "model", scene, res)
-    # the Euclidean head has no cone term
-    columns = [c for c in res.trace if not (res.head == "euclid" and c == "entail")]
-    _write_trace_csv(out_dir / "trace.csv", res.trace, columns)
+    _write_trace_csv(out_dir / "trace.csv", res.trace)
     _, metrics = _predict(res, scene, "distance")
     metrics = {("train_" + k if k.startswith("miou_") else k): v for k, v in metrics.items()}
     metrics["final_loss"] = res.final_loss
@@ -390,6 +400,10 @@ def cmd_uncertainty(args):
 
 
 def cmd_losscape(args):
+    if args.grid < 1 or args.grid % 2 == 0:
+        raise UsageError(f"--grid must be odd and positive, got {args.grid}")
+    if not (math.isfinite(args.extent) and args.extent > 0):
+        raise UsageError(f"--extent must be finite and positive, got {args.extent}")
     scene, res = load_model(args.model)
     if res.head == "mask":
         raise UsageError("loss landscape supports the pixel and euclid heads")
@@ -410,6 +424,7 @@ def cmd_losscape(args):
         dirs.append(d)
 
     coords = np.linspace(-args.extent, args.extent, args.grid)
+    coords[args.grid // 2] = 0.0  # the trained model itself, wherever linspace rounds
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     center_loss = None

@@ -34,7 +34,6 @@ from .errors import DomainError, UsageError
 from .lorentz import (
     Curvature,
     LorentzPoint,
-    distances_from_inner,
     geodesic_distance,
     inner_to_anchors,
     lorentz_inner,
@@ -197,15 +196,13 @@ def ext_angles_to_anchors(
     anchor_spatial: np.ndarray,
     anchor_time: np.ndarray,
     inner: np.ndarray | None = None,
-    anchor_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exterior angles ext(anchor_j, point_i) for points (..., d) against
-    anchors (C, d), returned as (..., C).  Precomputed inner products and
-    anchor spatial norms are accepted."""
+    anchors (C, d), returned as (..., C).  Precomputed inner products are
+    accepted."""
     if inner is None:
         inner = inner_to_anchors(spatial, time, anchor_spatial, anchor_time)
-    if anchor_norms is None:
-        anchor_norms = np.linalg.norm(anchor_spatial, axis=1)
+    anchor_norms = np.linalg.norm(anchor_spatial, axis=1)
     return ext_angles_from_inner(inner, time[..., None], anchor_time, anchor_norms)
 
 
@@ -226,20 +223,6 @@ def ext_angles_from_inner(inner: np.ndarray, time: np.ndarray, anchor_time: np.n
     if np.any(coincident):
         angles = np.where(coincident, 0.0, angles)
     return angles
-
-
-def distance_logit_matrix(
-    spatial: np.ndarray,
-    time: np.ndarray,
-    anchor_spatial: np.ndarray,
-    anchor_time: np.ndarray,
-    tau: float,
-    inner: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched -d_L/tau logits, shape (..., C)."""
-    if inner is None:
-        inner = inner_to_anchors(spatial, time, anchor_spatial, anchor_time)
-    return -distances_from_inner(inner) / tau
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

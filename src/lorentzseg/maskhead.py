@@ -13,10 +13,12 @@ score pixel embeddings against each mask query (sample-to-sample),
 
 with a sigmoid downstream; the published shifts put the cone boundary
 (b_a = 0.17, the unit-radius aperture) and the b_d = 1 distance shell at
-logit zero.  Training matches queries to ground-truth segments by
-Hungarian assignment each step, applies cross-entropy on classes plus
-focal and dice losses on matched masks, supervises unmatched queries
-toward no-object, and backpropagates through every term by chain rule.
+logit zero.  Training runs in the loop every head shares
+(``segtoy._descend``).  Each step matches queries to ground-truth segments
+by Hungarian assignment, applies cross-entropy on classes plus focal and
+dice losses on matched masks, supervises unmatched queries toward
+no-object, and backpropagates through every term by chain rule; the six
+all-pairs gradient contractions live in ``_pair_backward``.
 
 The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
 exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
@@ -40,7 +42,7 @@ from .entailment import (
     ext_angles_to_anchors,
     softmax_rows,
 )
-from .errors import TrainingDivergedError, UsageError
+from .errors import UsageError
 from .lorentz import (
     EmbeddingGrid,
     batched_exp_lift,
@@ -53,11 +55,9 @@ from .segtoy import (
     SyntheticScene,
     TrainConfig,
     TrainResult,
-    _encoder_parts,
-    _encoder_step,
-    _start_encoder,
-    _trace_arrays,
+    _descend,
     build_prototypes,
+    encoder_forward,
     scene_segments,
 )
 from .uncertainty import ScalarMap, angle_uncertainty
@@ -125,9 +125,7 @@ def _class_logits(qsp, qt, protos: PrototypeSet):
     products and the active-hinge mask that the backward pass reuses."""
     inner = inner_to_anchors(qsp, qt, protos.spatial, protos.time)
     d = distances_from_inner(inner)
-    ext = ext_angles_to_anchors(
-        qsp, qt, protos.spatial, protos.time, inner=inner, anchor_norms=protos.spatial_norms
-    )
+    ext = ext_angles_to_anchors(qsp, qt, protos.spatial, protos.time, inner=inner)
     apers = protos.apertures[None, :]
     logits = -W_D * d - np.maximum(0.0, ext - apers)
     return logits, inner, ext > apers
@@ -273,9 +271,9 @@ def _dice_dlogit(z, g):
     return dp * p * (1.0 - p)
 
 
-def _forward_state(params, queries, flat, protos, head_cfg):
-    a1, u = _encoder_parts(params, flat)
-    v_p = params.alpha * u
+def _forward_state(v_p, queries, protos, head_cfg):
+    """Lifted pixels (from their tangent vectors ``v_p``) and queries, the
+    class and mask logits, and what the backward pass reuses."""
     pt, psp = batched_exp_lift(v_p)
     qt, qsp = queries.class_points()
     mt, msp = queries.mask_points()
@@ -285,22 +283,21 @@ def _forward_state(params, queries, flat, protos, head_cfg):
     )
     mq, inner_mp = _mask_logits(psp, pt, msp, mt, head_cfg)
     return {
-        "a1": a1, "u": u, "v_p": v_p, "pt": pt, "psp": psp,
-        "qt": qt, "qsp": qsp, "mt": mt, "msp": msp,
+        "pt": pt, "psp": psp, "qt": qt, "qsp": qsp, "mt": mt, "msp": msp,
         "inner_cq": inner_cq, "hinge_active": hinge_active,
         "full_logits": full_logits, "inner_mp": inner_mp, "mq": mq,
     }
 
 
-def _mask_loss_at(state, segments, step):
+def _mask_loss_at(state, segments):
     """Hungarian-match the queries to ``segments`` at ``state``; returns
     (assign, ce, mask_term, total, targets, weights): class CE plus the
-    matched focal/dice terms.  A non-finite matching cost is a run that
-    diverged at ``step``."""
+    matched focal/dice terms.  A non-finite matching cost, which only a
+    diverged run produces, has no assignment: it returns None."""
     full_logits = state["full_logits"]
     cost, focal, dice = matching_cost(softmax_rows(full_logits), state["mq"].T, segments)
     if not np.all(np.isfinite(cost)):
-        raise TrainingDivergedError(step)
+        return None
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
@@ -318,43 +315,53 @@ def _mask_loss_at(state, segments, step):
     return assign, ce, mask_term, ce + mask_term, targets, weights
 
 
-def train_maskhead(
-    scene: SyntheticScene,
-    bank: DescriptorBank,
-    head_cfg: MaskHeadConfig,
-    train_cfg: TrainConfig,
-) -> TrainResult:
-    """Hungarian-matched mask-classification training, all gradients by
-    chain rule through the closed forms."""
+def _pair_backward(w_d, w_ext, psp, pt, asp, at, inner, anorms, want_anchor):
+    """Backward of sum(w_d * d + w_ext * ext) over every (point, anchor)
+    pair, with (points, anchors) weights, to the points' spatial parts and,
+    with ``want_anchor``, to the anchors' (else None)."""
+    g_p = np.einsum("pa,pad->pd", w_d, gr.grad_distance_cross(psp, pt, asp, at, inner))
+    g_p += np.einsum("pa,pad->pd", w_ext, gr.grad_ext_cross_point(psp, pt, asp, at, inner, anorms))
+    if not want_anchor:
+        return g_p, None
+    g_a = np.einsum("pa,pad->ad", w_d, gr.grad_distance_cross_anchor(psp, pt, asp, at, inner))
+    g_a += np.einsum("pa,pad->ad", w_ext,
+                     gr.grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms))
+    return g_p, g_a
+
+
+def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHeadConfig,
+                   train_cfg: TrainConfig) -> TrainResult:
+    """Hungarian-matched mask-classification training in the loop every
+    head shares (``segtoy._descend``); the loss it descends steps the
+    queries and the no-object bias as well, all gradients by chain rule
+    through the closed forms."""
     segments = scene_segments(scene)
     if len(segments) > head_cfg.n_queries:
-        raise UsageError(
-            f"{len(segments)} segments exceed {head_cfg.n_queries} queries"
-        )
+        raise UsageError(f"{len(segments)} segments exceed {head_cfg.n_queries} queries")
     class_to_idx = {cid: j for j, cid in enumerate(bank.included)}
     held_out = [c for c, _ in segments if c not in class_to_idx]
     if held_out:
         raise UsageError(f"the mask head cannot hold out class {held_out[0]}, a segment of the scene")
     protos = build_prototypes(bank, train_cfg.K)
-    flat = scene.features.reshape(-1, scene.features.shape[-1])
     segments_flat = [(class_to_idx[c], m.reshape(-1).astype(np.float64)) for c, m in segments]
 
     rng = np.random.default_rng(train_cfg.seed)
-    params = _start_encoder(flat, train_cfg, bank.d)
     queries = QuerySet(
         class_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
         mask_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
-        no_object_bias=0.0,
     )
-
     n_classes = len(bank.included)
-    rows = []
-    for epoch in range(train_cfg.epochs):
-        state = _forward_state(params, queries, flat, protos, head_cfg)
-        assign, ce, mask_term, total, targets, weights = _mask_loss_at(state, segments_flat, epoch)
-        if not math.isfinite(total):
-            raise TrainingDivergedError(epoch)
-        rows.append((epoch, ce, mask_term, total))
+    cls_lr = train_cfg.lr * CLASS_LR_SCALE
+
+    def loss(v_p, want_grad):
+        state = _forward_state(v_p, queries, protos, head_cfg)
+        matched = _mask_loss_at(state, segments_flat)
+        if matched is None:
+            return {"total": math.nan}, None
+        assign, ce, mask_term, total, targets, weights = matched
+        terms = {"ce": ce, "mask": mask_term, "total": total}
+        if not want_grad:
+            return terms, None
 
         # ---- backward: class logits ----
         d_logits = softmax_rows(state["full_logits"])
@@ -362,22 +369,9 @@ def train_maskhead(
         d_logits *= (weights / weights.sum())[:, None]
         g_bno = float(d_logits[:, n_classes].sum())
         dl = d_logits[:, :n_classes]
-        dl_dd = -W_D * dl
-        dl_dext = -dl * state["hinge_active"]
-        g_qsp = np.einsum(
-            "nc,ncd->nd",
-            dl_dd,
-            gr.grad_distance_cross(
-                state["qsp"], state["qt"], protos.spatial, protos.time, state["inner_cq"]
-            ),
-        )
-        g_qsp += np.einsum(
-            "nc,ncd->nd",
-            dl_dext,
-            gr.grad_ext_cross_point(
-                state["qsp"], state["qt"], protos.spatial, protos.time,
-                state["inner_cq"], protos.spatial_norms,
-            ),
+        g_qsp, _ = _pair_backward(
+            -W_D * dl, -dl * state["hinge_active"], state["qsp"], state["qt"],
+            protos.spatial, protos.time, state["inner_cq"], protos.spatial_norms, False,
         )
         g_qc = gr.exp_lift_backward(queries.class_tangents, g_qsp)
 
@@ -387,55 +381,22 @@ def train_maskhead(
         for m, (_, gmask) in enumerate(segments_flat):
             j = assign[m]
             z = state["mq"].T[j]
-            dz_f = _focal_dlogit(z, gmask, GAMMA)
-            dz_d = _dice_dlogit(z, gmask)
-            d_mq[:, j] += (LAMBDA_FOCAL * dz_f + LAMBDA_DICE * dz_d) / m_count
-        dd_mp = d_mq * (-1.0 / S_D)
-        dext_mp = d_mq * (-1.0 / head_cfg.s_a)
-        mnorms = np.linalg.norm(state["msp"], axis=1)
-        g_psp = np.einsum(
-            "pn,pnd->pd",
-            dd_mp,
-            gr.grad_distance_cross(
-                state["psp"], state["pt"], state["msp"], state["mt"], state["inner_mp"]
-            ),
-        )
-        g_psp += np.einsum(
-            "pn,pnd->pd",
-            dext_mp,
-            gr.grad_ext_cross_point(
-                state["psp"], state["pt"], state["msp"], state["mt"],
-                state["inner_mp"], mnorms,
-            ),
-        )
-        g_msp = np.einsum(
-            "pn,pnd->nd",
-            dd_mp,
-            gr.grad_distance_cross_anchor(
-                state["psp"], state["pt"], state["msp"], state["mt"], state["inner_mp"]
-            ),
-        )
-        g_msp += np.einsum(
-            "pn,pnd->nd",
-            dext_mp,
-            gr.grad_ext_cross_anchor(
-                state["psp"], state["pt"], state["msp"], state["mt"],
-                state["inner_mp"], mnorms,
-            ),
+            d_mq[:, j] += (LAMBDA_FOCAL * _focal_dlogit(z, gmask, GAMMA)
+                           + LAMBDA_DICE * _dice_dlogit(z, gmask)) / m_count
+        g_psp, g_msp = _pair_backward(
+            d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
+            state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),
+            True,
         )
         g_qm = gr.exp_lift_backward(queries.mask_tangents, g_msp)
-        g_vp = gr.exp_lift_backward(state["v_p"], g_psp)
 
-        _encoder_step(params, flat, state["a1"], state["u"], g_vp, train_cfg)
-        cls_lr = train_cfg.lr * CLASS_LR_SCALE
         queries.class_tangents = queries.class_tangents - cls_lr * g_qc
         queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
         queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
+        return terms, gr.exp_lift_backward(v_p, g_psp)
 
-    state = _forward_state(params, queries, flat, protos, head_cfg)
-    _, ce, mask_term, total, _, _ = _mask_loss_at(state, segments_flat, train_cfg.epochs)
-    rows.append((train_cfg.epochs, ce, mask_term, total))
-    trace = _trace_arrays(("epoch", "ce", "mask", "total"), rows)
+    flat = scene.features.reshape(-1, scene.features.shape[-1])
+    params, trace = _descend(loss, flat, train_cfg, bank.d)
     return TrainResult("mask", params, protos, bank, trace, train_cfg, None, queries, head_cfg)
 
 
@@ -443,10 +404,10 @@ def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:
     """MaskFormer-style assembly of a trained mask head: softmax class
     probabilities without the no-object column, weighted by sigmoid mask
     probabilities."""
-    flat = scene.features.reshape(-1, scene.features.shape[-1])
-    state = _forward_state(result.params, result.queries, flat, result.protos, result.head_cfg)
-    probs_full = softmax_rows(state["full_logits"])[:, :-1]
     h, w = scene.shape
+    v_p = encoder_forward(result.params, scene.features).reshape(h * w, -1)
+    state = _forward_state(v_p, result.queries, result.protos, result.head_cfg)
+    probs_full = softmax_rows(state["full_logits"])[:, :-1]
     mask_probs = (1.0 / (1.0 + np.exp(-state["mq"].T))).reshape(result.queries.n, h, w)
     legend = {i: n for i, n in enumerate(result.protos.labels)}
     return semantic_map(probs_full, mask_probs, legend)

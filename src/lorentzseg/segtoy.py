@@ -35,7 +35,6 @@ from . import grad as gr
 from .entailment import (
     PrototypeSet,
     cross_entropy_rows,
-    distance_logit_matrix,
     ext_angles_from_inner,
     ext_angles_to_anchors,
     softmax_rows,
@@ -420,7 +419,7 @@ class TrainResult:
     params: EncoderParams
     protos: PrototypeSet | None
     bank: DescriptorBank
-    trace: dict  # one array per column, final row = post-training eval; {} when loaded
+    trace: dict  # "epoch" + one array per loss term, last = post-training eval; {} if loaded
     config: TrainConfig
     exclude_class: int | None = None
     queries: QuerySet | None = None
@@ -429,12 +428,6 @@ class TrainResult:
     @property
     def final_loss(self) -> float:
         return float(self.trace["total"][-1])
-
-
-def _trace_arrays(columns, rows) -> dict:
-    """One array per column from per-epoch rows (the last row is the
-    post-training evaluation)."""
-    return {c: np.asarray([row[i] for row in rows]) for i, c in enumerate(columns)}
 
 
 def _start_encoder(flat: np.ndarray, cfg: TrainConfig, d_out: int) -> EncoderParams:
@@ -462,6 +455,29 @@ def _encoder_step(params, flat, a1, u, g_v, cfg: TrainConfig):
     params.w2 = params.w2 - cfg.lr * g_w2
     params.b2 = params.b2 - cfg.lr * g_b2
     params.alpha = float(params.alpha - cfg.lr * g_alpha)
+
+
+def _descend(loss, flat: np.ndarray, cfg: TrainConfig, d_out: int):
+    """The training loop of every head: full-batch gradient descent of a
+    seeded encoder on ``loss``; returns (params, trace).  ``loss(v,
+    want_grad)`` maps the tangent vectors v = alpha * mlp(flat) to a dict
+    of loss terms, "total" among them, and dL/dv (None unless
+    ``want_grad``); a head with parameters of its own steps them there.
+    Step ``cfg.epochs`` is the post-training evaluation; a non-finite total
+    at any step raises TrainingDivergedError at it."""
+    params = _start_encoder(flat, cfg, d_out)
+    rows = []
+    for epoch in range(cfg.epochs + 1):
+        a1, u = _encoder_parts(params, flat)
+        terms, g_v = loss(params.alpha * u, epoch < cfg.epochs)
+        if not math.isfinite(terms["total"]):
+            raise TrainingDivergedError(epoch)
+        rows.append(terms)
+        if epoch < cfg.epochs:
+            _encoder_step(params, flat, a1, u, g_v, cfg)
+    trace = {"epoch": np.arange(cfg.epochs + 1)}
+    trace.update((name, np.asarray([row[name] for row in rows])) for name in rows[0])
+    return params, trace
 
 
 @dataclass(frozen=True)
@@ -499,7 +515,8 @@ class PixelObjective:
         )
 
     def loss(self, v: np.ndarray, want_grad: bool):
-        """(ce, entail, total, dL/dv or None) at tangent vectors v (Npx, d)."""
+        """(terms, dL/dv or None) at tangent vectors v (Npx, d); the terms
+        are "ce", "entail" (pixel head only) and "total"."""
         if self.protos is None:
             return _euclid_loss_and_grad(v, self, want_grad)
         return _pixel_loss_and_grad(v, self, want_grad)
@@ -523,7 +540,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     asp, at, anorm = obj.protos.spatial, obj.protos.time, obj.protos.spatial_norms
     time, spatial = batched_exp_lift(v)
     inner = inner_to_anchors(spatial, time, asp, at)
-    logits = distance_logit_matrix(spatial, time, asp, at, cfg.tau, inner=inner)
+    logits = -distances_from_inner(inner) / cfg.tau
     n_used = int(use_mask.sum())
     if n_used == 0:
         raise UsageError("no pixels left to train on")
@@ -537,9 +554,9 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     ext_gt = ext_angles_from_inner(gt_inner, time, gt_at, gt_norm)
     hinge = np.maximum(0.0, ext_gt - obj.protos.apertures[labels_idx])
     entail = float(hinge[use_mask].mean())
-    total = ce + cfg.lambda_w * entail
+    terms = {"ce": ce, "entail": entail, "total": ce + cfg.lambda_w * entail}
     if not want_grad:
-        return ce, entail, total, None
+        return terms, None
 
     dl_dd = _ce_dlogits(logits, obj)
     # distance gradients: dd_i/dspatial = -(a_i - (at_i/t) s)/sqrt(inner^2-1)
@@ -554,8 +571,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
             gt_inner[active], gt_norm[active],
         )
         g_sp[active] += (cfg.lambda_w / n_used) * g_ext
-    g_v = gr.exp_lift_backward(v, g_sp)
-    return ce, entail, total, g_v
+    return terms, gr.exp_lift_backward(v, g_sp)
 
 
 def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
@@ -565,58 +581,32 @@ def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     logits = -dists / obj.cfg.tau
     use_mask = obj.use_mask
     ce = float(cross_entropy_rows(logits[use_mask], obj.labels_idx[use_mask]).mean())
+    terms = {"ce": ce, "total": ce}
     if not want_grad:
-        return ce, 0.0, ce, None
+        return terms, None
     safe = np.maximum(dists, 1e-12)
-    g_v = np.einsum("np,npd->nd", _ce_dlogits(logits, obj) / safe, diffs)
-    return ce, 0.0, ce, g_v
+    return terms, np.einsum("np,npd->nd", _ce_dlogits(logits, obj) / safe, diffs)
 
 
-def _run_training(scene, bank, cfg, exclude_class, head) -> TrainResult:
+def train(scene: SyntheticScene, bank: DescriptorBank, cfg: TrainConfig,
+          exclude_class: int | None = None, head: str = "pixel") -> TrainResult:
+    """Train the per-pixel ``head`` in ``_descend``, the loop every head
+    shares: "pixel" (cross-entropy over -distance/tau logits plus the cone
+    hinge) or "euclid" (the same pipeline with Euclidean prototype
+    distances: no lift, no cone, cross-entropy only).  Pixels of
+    ``exclude_class``, which the bank must be fit without, are left out."""
     if exclude_class is not None and exclude_class in bank.included:
         raise UsageError("bank must be fit with the held-out class excluded")
     obj = PixelObjective.build(scene, bank, cfg, exclude_class, head)
-    params = _start_encoder(obj.flat, cfg, bank.d)
-    rows = []
-    for epoch in range(cfg.epochs):
-        a1, u = _encoder_parts(params, obj.flat)
-        ce, entail, total, g_v = obj.loss(params.alpha * u, True)
-        if not math.isfinite(total):
-            raise TrainingDivergedError(epoch)
-        rows.append((epoch, ce, entail, total))
-        _encoder_step(params, obj.flat, a1, u, g_v, cfg)
-    _, u = _encoder_parts(params, obj.flat)
-    rows.append((cfg.epochs, *obj.loss(params.alpha * u, False)[:3]))
-    trace = _trace_arrays(("epoch", "ce", "entail", "total"), rows)
+    params, trace = _descend(obj.loss, obj.flat, cfg, bank.d)
     return TrainResult(head, params, obj.protos, bank, trace, cfg, exclude_class)
-
-
-def train(
-    scene: SyntheticScene,
-    bank: DescriptorBank,
-    cfg: TrainConfig,
-    exclude_class: int | None = None,
-) -> TrainResult:
-    """Full-batch gradient descent on the mean combined loss."""
-    return _run_training(scene, bank, cfg, exclude_class, "pixel")
-
-
-def train_euclidean(
-    scene: SyntheticScene,
-    bank: DescriptorBank,
-    cfg: TrainConfig,
-    exclude_class: int | None = None,
-) -> TrainResult:
-    """Identical pipeline with Euclidean prototype distances: no lift, no
-    cone, cross-entropy only."""
-    return _run_training(scene, bank, cfg, exclude_class, "euclid")
 
 
 def evaluate_loss(params: EncoderParams, objective: PixelObjective) -> float:
     """Total training objective at the given parameters (used by the
     loss-landscape scans; matches the trace's final entry bit for bit)."""
     _, u = _encoder_parts(params, objective.flat)
-    return objective.loss(params.alpha * u, False)[2]
+    return objective.loss(params.alpha * u, False)[0]["total"]
 
 
 # --------------------------------------------------------------------------

@@ -74,11 +74,10 @@ def radius_uncertainty_variants(grid: EmbeddingGrid):
 def angle_uncertainty(grid: EmbeddingGrid, anchors) -> ScalarMap:
     """Minimum exterior angle over the anchors, per pixel, in [0, pi]."""
     asp, at = _anchor_arrays(anchors)
-    norms = np.linalg.norm(asp, axis=1)
-    if np.any(norms == 0.0):
+    if np.any(np.linalg.norm(asp, axis=1) == 0.0):
         raise UsageError("an anchor at the origin has no exterior angle")
     sp, t = grid.flat()
-    ext = ext_angles_to_anchors(sp, t, asp, at, anchor_norms=norms)
+    ext = ext_angles_to_anchors(sp, t, asp, at)
     return ScalarMap(ext.min(axis=1).reshape(grid.shape), "angle_uncertainty")
 
 

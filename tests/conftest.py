@@ -61,7 +61,7 @@ def boundary_run(boundary_scene):
 def heldout_runs(noisy_scene):
     bank = st.DescriptorBank.fit(noisy_scene, EMBED_DIM, exclude=(HELDOUT_CLASS,))
     hyp = st.train(noisy_scene, bank, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
-    euc = st.train_euclidean(noisy_scene, bank, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
+    euc = st.train(noisy_scene, bank, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS, head="euclid")
     return bank, hyp, euc
 
 

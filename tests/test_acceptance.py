@@ -380,7 +380,7 @@ def test_criterion_8_retrieval_zero_shot():
 
     bank_h = st.DescriptorBank.fit(noisy, EMBED_DIM, exclude=(HELDOUT_CLASS,))
     res_h = st.train(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
-    res_e = st.train_euclidean(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
+    res_e = st.train(noisy, bank_h, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS, head="euclid")
     gt = noisy.labels == HELDOUT_CLASS
     q = noisy.class_descriptors[HELDOUT_CLASS]
     s_h = st.text_query(res_h.params, noisy, q, bank_h, mode="distance")

@@ -221,16 +221,18 @@ class TestTrainInferUncertainty:
 
 class TestLosscape:
     def test_center_cell_equals_final_loss(self, trained_dir, tmp_path):
-        out = tmp_path / "ls.csv"
-        assert run(["losscape", "--model", str(trained_dir / "pix" / "model"),
-                    "--grid", "5", "--extent", "0.5", "--out", str(out)]) == 0
-        metrics = read_json(trained_dir / "pix" / "metrics.json")
-        center = None
-        for line in out.read_text().splitlines():
-            if line.startswith("0.0,0.0,"):
-                center = float(line.split(",")[2])
-        assert center is not None
-        assert abs(center - metrics["final_loss"]) <= 1e-12
+        # at 23 cells over +-0.1, linspace's middle coordinate misses 0.0
+        for grid, extent in (("5", "0.5"), ("23", "0.1")):
+            out = tmp_path / f"ls{grid}.csv"
+            assert run(["losscape", "--model", str(trained_dir / "pix" / "model"),
+                        "--grid", grid, "--extent", extent, "--out", str(out)]) == 0
+            metrics = read_json(trained_dir / "pix" / "metrics.json")
+            center = None
+            for line in out.read_text().splitlines():
+                if line.startswith("0.0,0.0,"):
+                    center = float(line.split(",")[2])
+            assert center is not None
+            assert abs(center - metrics["final_loss"]) <= 1e-12
 
     def test_deterministic_grid(self, trained_dir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -259,9 +261,26 @@ class TestEuclidBaseline:
 
 
 class TestExitCodes:
-    def test_bad_flag_value_exits_2(self, tmp_path):
+    def test_bad_flag_value_exits_2(self, trained_dir, tmp_path, capsys):
         assert run(["deltahyp", "--input", "x.csv", "--metric", "manhattan",
                     "--out", str(tmp_path / "r.json")]) == 2
+        capsys.readouterr()
+        # checked before the output is opened: one stderr line naming the flag
+        model = str(trained_dir / "pix" / "model")
+        for argv in (["losscape", "--model", model, "--grid", "0"],
+                     ["losscape", "--model", model, "--grid", "2"],
+                     ["losscape", "--model", model, "--grid", "-3"],
+                     ["losscape", "--model", model, "--extent", "nan"],
+                     ["losscape", "--model", model, "--extent", "0"],
+                     ["losscape", "--model", model, "--extent", "-1"],
+                     ["gradfield", "--target", "1e300,0"],
+                     ["gradfield", "--grid-extent", "1e300"],
+                     ["gradfield", "--grid-extent", "nan"]):
+            out = tmp_path / "field.csv"
+            assert run([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} ")
+            assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert run(["train", "--head", "pixel", "--parents", "0",
@@ -283,6 +302,7 @@ class TestExitCodes:
         ("mask", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
         ("pixel", "--cone-k", "5", "anchor 'p0.c0' has spatial norm 1.21678 <= 2K/sqrt(c) = 10; "
                                    "its cone aperture is undefined"),
+        ("pixel", "--exclude-class", "99", "exclude_class 99 is not a class of the scene"),
     ])
     def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, head, flag, value, message):
         assert run(["train", "--head", head, "--height", "16", "--width", "16", "--epochs", "2",
@@ -400,8 +420,8 @@ class TestMaskModelConeConstant:
     def test_loaded_class_logits_match_training_forward(self, mask_k_dir):
         scene, res = load_model(str(mask_k_dir / "model"))
         assert res.head == "mask" and res.config.K == 0.2 and res.trace == {}
-        flat = scene.features.reshape(-1, scene.features.shape[-1])
-        state = mh._forward_state(res.params, res.queries, flat, res.protos, res.head_cfg)
+        v = st.encoder_forward(res.params, scene.features).reshape(-1, res.bank.d)
+        state = mh._forward_state(v, res.queries, res.protos, res.head_cfg)
         logits = mh.class_query_logits(res.protos, res.queries)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
@@ -509,16 +529,21 @@ def fuzz_model_dir(tmp_path_factory):
 class TestDivergence:
     def test_diverged_run_exits_1_with_step(self, tmp_path, capsys):
         # the mask head diverges through a non-finite matching cost; numpy's
-        # overflow warnings on the way must not reach stderr either
-        for head, lr in (("euclid", "1e9"), ("mask", "1e300")):
-            out = tmp_path / head
-            assert run(["train", "--head", head, *SMALL_TRAIN, "--lr", lr, "--epochs", "20",
+        # overflow warnings on the way must not reach stderr either.  With
+        # one epoch, the post-training evaluation is the step that diverges.
+        for head, lr, epochs in (("euclid", "1e9", "20"), ("mask", "1e300", "20"),
+                                 ("pixel", "1e300", "1"), ("euclid", "1e300", "1"),
+                                 ("mask", "1e300", "1")):
+            out = tmp_path / f"{head}-{epochs}"
+            assert run(["train", "--head", head, *SMALL_TRAIN, "--lr", lr, "--epochs", epochs,
                         "--out-dir", str(out)]) == 1
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1
             assert err[0].startswith("training diverged:") and "at step" in err[0]
             manifest = read_json(out / "manifest.json")
             assert manifest["diverged_at_step"] == int(err[0].rsplit(" ", 1)[1])
+            if epochs == "1":
+                assert manifest["diverged_at_step"] == 1
             assert manifest["command"] == f"train --head {head}"
             assert manifest["config"]["train"]["lr"] == float(lr)
             assert {"seed", "tool_version", "wall_clock_s", "clamp_events"} <= manifest.keys()

@@ -351,9 +351,8 @@ class TestArrayKernels:
         protos = make_protos(anchors)
         y = lz.exp_lift_origin(rng.normal(size=4))
         tau = 0.2
-        batched = ent.distance_logit_matrix(
-            y.spatial[None, :], np.array([y.time]), asp, at, tau
-        )[0]
+        inner = lz.inner_to_anchors(y.spatial[None, :], np.array([y.time]), asp, at)
+        batched = -lz.distances_from_inner(inner)[0] / tau
         np.testing.assert_allclose(batched, ent.distance_logits(protos, y, tau), atol=1e-12)
 
     def test_cross_entropy_rows_matches_scalar(self):

@@ -362,10 +362,12 @@ class TestTrainMaskheadGradient:
                     for c, m in st.scene_segments(scene)]
 
         def loss_at(params, queries):
-            state = mh._forward_state(params, queries, flat, before.protos, head)
-            return mh._mask_loss_at(state, segments, 0)[3]
+            v = params.alpha * st._encoder_parts(params, flat)[1]
+            state = mh._forward_state(v, queries, before.protos, head)
+            return mh._mask_loss_at(state, segments)[3]
 
-        state = mh._forward_state(before.params, before.queries, flat, before.protos, head)
+        v = before.params.alpha * st._encoder_parts(before.params, flat)[1]
+        state = mh._forward_state(v, before.queries, before.protos, head)
         assert state["hinge_active"].any()  # the class-logit cone hinge is exercised
 
         def perturbed(block, x):

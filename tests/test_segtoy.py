@@ -320,10 +320,10 @@ class TestPixelObjectiveGradient:
         params = st._start_encoder(obj.flat, cfg, bank.d)
         _, u = st._encoder_parts(params, obj.flat)
         v = params.alpha * u
-        _, entail, _, g = obj.loss(v, True)
+        terms, g = obj.loss(v, True)
         if head == "pixel":
-            assert entail > 0.0  # the cone hinge is part of what is checked
-        fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[2], v)
+            assert terms["entail"] > 0.0  # the cone hinge is part of what is checked
+        fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[0]["total"], v)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
 
@@ -367,14 +367,8 @@ class TestInference:
     def test_tau_invariance_of_map(self, clean_run, clean_scene):
         grid = st.embed_scene(clean_run.params, clean_scene)
         sp, t = grid.flat()
-        from lorentzseg.entailment import distance_logit_matrix
-
-        maps = [
-            distance_logit_matrix(
-                sp, t, clean_run.protos.spatial, clean_run.protos.time, tau
-            ).argmax(axis=1)
-            for tau in (0.05, 0.1, 2.0)
-        ]
+        inner = lz.inner_to_anchors(sp, t, clean_run.protos.spatial, clean_run.protos.time)
+        maps = [(-lz.distances_from_inner(inner) / tau).argmax(axis=1) for tau in (0.05, 0.1, 2.0)]
         np.testing.assert_array_equal(maps[0], maps[1])
         np.testing.assert_array_equal(maps[0], maps[2])
 
@@ -468,10 +462,10 @@ class TestHeldOut:
 
 class TestEuclideanBaseline:
     def test_trains_to_perfect_miou(self, clean_scene, clean_bank):
-        res = st.train_euclidean(clean_scene, clean_bank, st.TrainConfig(epochs=200, lr=0.5))
+        res = st.train(clean_scene, clean_bank, st.TrainConfig(epochs=200, lr=0.5), head="euclid")
         pred = st.infer_euclidean(res.params, clean_bank, clean_scene)
         assert st.miou(pred, clean_scene.labels, clean_scene.n_classes) == 1.0
 
     def test_no_entailment_in_trace(self, clean_scene, clean_bank):
-        res = st.train_euclidean(clean_scene, clean_bank, st.TrainConfig(epochs=3, lr=0.1))
-        assert np.all(res.trace["entail"] == 0.0)
+        res = st.train(clean_scene, clean_bank, st.TrainConfig(epochs=3, lr=0.1), head="euclid")
+        assert "entail" not in res.trace
