@@ -22,8 +22,10 @@ from lorentzseg.reference import (
     EMBED_DIM,
     HELDOUT_CLASS,
     REFERENCE_MASK_HEAD,
+    REFERENCE_MASK_HEAD_ABLATED,
     REFERENCE_MASK_TRAIN,
     REFERENCE_SCENE,
+    REFERENCE_SCENE_ABLATION,
     REFERENCE_SCENE_BOUNDARY,
     REFERENCE_SCENE_NOISY,
     REFERENCE_TRAIN,
@@ -98,18 +100,10 @@ def main():
     out["MASK_MIOU"] = st.miou(mh.predict_semantic(res_m, scene), scene.labels, scene.n_classes)
 
     # mask-head angle ablation on a 32x32 boundary scene
-    small = st.SceneConfig(
-        parents=3, children_per_parent=3, height=32, width=32,
-        noise_sigma=0.15, edge_blend=0.8, descriptor_dim=16, seed=42,
-    )
-    sc_s = st.generate_scene(small)
+    sc_s = st.generate_scene(REFERENCE_SCENE_ABLATION)
     bk_s = st.DescriptorBank.fit(sc_s, EMBED_DIM)
     full = mh.train_maskhead(sc_s, bk_s, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN)
-    ablate = mh.train_maskhead(
-        sc_s, bk_s,
-        mh.MaskHeadConfig(n_queries=REFERENCE_MASK_HEAD.n_queries, s_a=1e9),
-        REFERENCE_MASK_TRAIN,
-    )
+    ablate = mh.train_maskhead(sc_s, bk_s, REFERENCE_MASK_HEAD_ABLATED, REFERENCE_MASK_TRAIN)
     for tag, r in (("FULL", full), ("NOANGLE", ablate)):
         g = st.embed_scene(r.params, sc_s)
         au_m = mh.mask_angle_uncertainty(g, r.queries)

@@ -37,6 +37,8 @@ from lorentzseg.fileio import write_embedding_csv  # noqa: E402
 TINY = ["--height", "16", "--width", "16"]
 HELD_OUT = ["--height", "32", "--width", "32", "--exclude-class", "4"]
 CLOUD = "{tmp}/cloud.csv"
+# a cloud with one row of 1e200, whose distances overflow
+OVERFLOW = "{tmp}/overflow.csv"
 DELTA = ["--input", CLOUD, "--batch-size", "128", "--batches", "2"]
 
 # (name, expected exit code, argv); {tmp} is the temporary directory and
@@ -71,6 +73,8 @@ COMMANDS = (
                                "--out-dir", "{dir}"]),
     ("uncertainty-mask", 0, ["uncertainty", "--model", "{tmp}/train-mask/model",
                              "--out-dir", "{dir}"]),
+    ("uncertainty-bad-percentile", 2, ["uncertainty", "--model", "{tmp}/train-pixel/model",
+                                       "--percentile", "0", "--out-dir", "{dir}"]),
     ("losscape-pixel", 0, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "5",
                            "--out", "{dir}/ls.csv"]),
     ("losscape-euclid", 0, ["losscape", "--model", "{tmp}/train-euclid/model", "--grid", "5",
@@ -79,9 +83,12 @@ COMMANDS = (
                              "--out", "{dir}/ls.csv"]),
     ("gradcheck", 0, ["gradcheck", "--samples", "300", "--out", "{dir}/gc.json"]),
     ("gradfield", 0, ["gradfield", "--resolution", "11", "--out", "{dir}/gf.csv"]),
+    ("gradfield-wide", 0, ["gradfield", "--grid-extent", "502.38", "--resolution", "3",
+                           "--out", "{dir}/gf.csv"]),
     ("deltahyp-euclidean", 0, ["deltahyp", *DELTA, "--out", "{dir}/dh.json"]),
     ("deltahyp-lorentz", 0, ["deltahyp", *DELTA, "--metric", "lorentz",
                              "--out", "{dir}/dh.json"]),
+    ("deltahyp-overflow", 2, ["deltahyp", "--input", OVERFLOW, "--out", "{dir}/dh.json"]),
 )
 
 
@@ -112,6 +119,10 @@ def main() -> int:
         rng = random.Random(0)
         write_embedding_csv(CLOUD.format(tmp=tmp),
                             [[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(300)])
+        big = random.Random(1)
+        write_embedding_csv(OVERFLOW.format(tmp=tmp),
+                            [[1e200 if i == 3 else big.gauss(0.0, 1.0) for _ in range(4)]
+                             for i in range(20)])
         for name, expected, argv in COMMANDS:
             run_dir = Path(tmp) / name
             run_dir.mkdir()

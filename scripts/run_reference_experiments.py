@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from lorentzseg import segtoy as st
-from lorentzseg.cli import main
+from lorentzseg.cli import load_model, main
 from lorentzseg.fileio import write_embedding_csv
 from lorentzseg.reference import REFERENCE_SCENE_BOUNDARY
 
@@ -57,10 +57,8 @@ def main_script():
     sh(["gradfield", "--resolution", "41", "--out", str(out / "gradfield.csv")])
 
     # delta-hyperbolicity of the trained pixel-encoder embeddings
-    scene = st.generate_scene(st.SceneConfig())
-    bank = st.DescriptorBank.fit(scene, 8)
-    res = st.train(scene, bank, st.TrainConfig())
-    emb = st.encoder_forward(res.params, scene.features).reshape(-1, 8)
+    scene, res = load_model(out / "pixel" / "model")
+    emb = st.encoder_forward(res.params, scene.features).reshape(-1, res.bank.d)
     write_embedding_csv(out / "pixel_embeddings.csv", emb)
     sh(["deltahyp", "--input", str(out / "pixel_embeddings.csv"),
         "--metric", "lorentz", "--batch-size", "512", "--batches", "8",

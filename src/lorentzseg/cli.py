@@ -40,6 +40,7 @@ from .errors import DomainError, ParseError, TrainingDivergedError, UsageError
 from .fileio import (
     export_scalar_map,
     load_param_blocks,
+    read_embedding_csv,
     save_param_blocks,
     write_json,
     write_pgm,
@@ -196,10 +197,13 @@ def _diverged(exc: TrainingDivergedError, out_dir: Path, fields: dict):
 
 
 def cmd_deltahyp(args):
-    report = hyp.batched_delta_rel(
-        args.input, batch_size=args.batch_size, batch_count=args.batches,
-        seed=args.seed, metric=args.metric,
-    )
+    points = read_embedding_csv(args.input)
+    # overflowed distances end in DistanceMatrix's DomainError, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = hyp.batched_delta_rel_from_points(
+            points, batch_size=args.batch_size, batch_count=args.batches,
+            seed=args.seed, metric=args.metric,
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
@@ -240,7 +244,10 @@ def _gradfield_row(v, target):
         ga = gr.grad_exterior_angle(x, y)
     except (DomainError, UsageError):
         return zeros + [0]
-    jac = gr.exp_map_jacobian(np.asarray(v))[1:]  # spatial block
+    r = float(np.linalg.norm(v))
+    # ltd, ltext: in x's origin-tangent coordinates u, with expm_O(u) = x
+    u = v * (math.asinh(r) / r) if r > 0.0 else v
+    jac = gr.exp_map_jacobian(u)[1:]  # spatial block
     gd_t = jac.T @ gd
     ga_t = jac.T @ ga
     cos_sp = float(np.dot(gd, ga) / max(np.linalg.norm(gd) * np.linalg.norm(ga), 1e-300))
@@ -271,7 +278,7 @@ GRADFIELD_COLUMNS = (
 
 def cmd_gradfield(args):
     if args.resolution < 2:
-        raise UsageError("resolution must be >= 2")
+        raise UsageError(f"--resolution must be >= 2, got {args.resolution}")
     target = np.array([float(t) for t in args.target.split(",")])
     if target.size != 2:
         raise UsageError("--target expects 'a,b'")
@@ -280,10 +287,11 @@ def cmd_gradfield(args):
             lift_point(target)
     except (OverflowError, UsageError):
         raise UsageError(f"--target {args.target} is not finite or overflows the lift") from None
-    # the exp-map Jacobian takes sinh and cosh of the grid's corner radius
-    if not math.hypot(args.grid_extent, args.grid_extent) < math.asinh(sys.float_info.max):
-        raise UsageError(f"--grid-extent {args.grid_extent} is not finite or overflows "
-                         "the exponential map")
+    # all columns stay finite: the Jacobian's radius is at most asinh(710.5) < 7.3
+    corner = math.asinh(sys.float_info.max)
+    if not math.hypot(args.grid_extent, args.grid_extent) < corner:
+        raise UsageError(f"--grid-extent {args.grid_extent} is not finite or puts the grid's "
+                         f"corner past radius {corner:.1f}")
     coords = np.linspace(-args.grid_extent, args.grid_extent, args.resolution)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -373,6 +381,10 @@ def cmd_infer(args):
 
 def cmd_uncertainty(args):
     scene, res = load_model(args.model)
+    if not 0 <= args.class_id < scene.n_classes:
+        raise UsageError(f"--class-id {args.class_id} is not a class of the scene")
+    if not 0.0 < args.percentile <= 100.0:
+        raise UsageError(f"--percentile must lie in (0, 100], got {args.percentile}")
     grid = st.embed_scene(res.params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

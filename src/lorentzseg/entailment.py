@@ -47,7 +47,8 @@ _DEGENERATE_TOL = 1e-12
 class PrototypeSet:
     """C class anchors on one hyperboloid, with their class labels and the
     cone constant K; ``apertures`` holds each anchor's half-aperture
-    asin(2K/(sqrt(c)||x'||)), computed once here."""
+    asin(2K/(sqrt(c)||x'||)), computed once here; an anchor with
+    ||x'|| <= 2K/sqrt(c), the origin included, raises UsageError."""
 
     anchors: tuple
     labels: tuple
@@ -78,9 +79,8 @@ class PrototypeSet:
                 f"anchor {self.labels[i]!r} has spatial norm {norms[i]:.6g} <= "
                 f"2K/sqrt(c) = {floor:.6g}; its cone aperture is undefined"
             )
-        object.__setattr__(
-            self, "apertures", anchor_apertures(norms * self.curvature.sqrt_c, self.K)
-        )
+        arg = 2.0 * self.K / (norms * self.curvature.sqrt_c)
+        object.__setattr__(self, "apertures", np.arcsin(np.minimum(arg, 1.0)))
 
     @property
     def n_classes(self) -> int:
@@ -180,14 +180,6 @@ def combined_pixel_loss(
 # --------------------------------------------------------------------------
 # array layer
 # --------------------------------------------------------------------------
-
-
-def anchor_apertures(anchor_spatial_norms: np.ndarray, K: float) -> np.ndarray:
-    """Half-apertures asin(2K/||x'||) of unit-curvature anchors."""
-    arg = 2.0 * K / anchor_spatial_norms
-    if np.any(arg > 1.0 + 1e-12):
-        raise DomainError("aperture undefined for an anchor with tiny spatial norm")
-    return np.arcsin(np.minimum(arg, 1.0))
 
 
 def ext_angles_to_anchors(

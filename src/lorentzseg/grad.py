@@ -38,14 +38,13 @@ are floored rather than raised.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, OracleError, UsageError
-from .lorentz import MAX_TANGENT_NORM, LorentzPoint, sinh_ratio
+from .lorentz import MAX_TANGENT_NORM, SMALL_R, LorentzPoint, sinh_ratio
 
 FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
 _SAMPLE_DIM = 3  # spatial dimension of the sampled verification pairs
@@ -70,34 +69,9 @@ def grad_lorentz_distance(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
     return -(y.spatial - (y.time / x.time) * x.spatial) / math.sqrt(lu * lu - 1.0)
 
 
-def grad_exterior_angle(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
-    """Gradient of the exterior angle at pivot y, ext(y, x), w.r.t. the
-    moving point x's spatial coordinates at c = 1."""
-    _require_unit_curvature(x, y)
-    L = -x.time * y.time + float(np.dot(x.spatial, y.spatial))
-    if L * L <= 1.0 + 1e-12:
-        raise DomainError("degenerate pair: (L)^2 <= 1")
-    ny = y.spatial_norm
-    if ny == 0.0:
-        raise UsageError("anchor at the origin has no exterior angle")
-    denom = ny * math.sqrt(L * L - 1.0)
-    A = (x.time + y.time * L) / denom
-    if abs(A) >= 1.0 - 1e-9:
-        raise DomainError(f"near-degenerate angle: |acos argument| = {abs(A)}")
-    inner_term = (
-        -x.spatial / x.time
-        + ((y.time + x.time * L) / (L * L - 1.0))
-        * (y.spatial - y.time * x.spatial / x.time)
-    )
-    return inner_term / (math.sqrt(1.0 - A * A) * denom)
-
-
-def grad_exterior_angle_anchor(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
-    """Gradient of ext(y, x) w.r.t. the ANCHOR y's spatial coordinates.
-
-    Companion of grad_exterior_angle for heads whose anchors are
-    themselves learned (mask queries); obtained by the same quotient-rule
-    route and verified against finite differences."""
+def _ext_terms(x: LorentzPoint, y: LorentzPoint):
+    """(L, ||y'||, sqrt(L^2 - 1), A) of ext(y, x) = acos(A) at c = 1; a pair
+    on which either gradient of ext is undefined raises."""
     _require_unit_curvature(x, y)
     L = -x.time * y.time + float(np.dot(x.spatial, y.spatial))
     if L * L <= 1.0 + 1e-12:
@@ -106,10 +80,31 @@ def grad_exterior_angle_anchor(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
     if ny == 0.0:
         raise UsageError("anchor at the origin has no exterior angle")
     D = math.sqrt(L * L - 1.0)
-    N = x.time + y.time * L
-    A = N / (ny * D)
+    A = (x.time + y.time * L) / (ny * D)
     if abs(A) >= 1.0 - 1e-9:
         raise DomainError(f"near-degenerate angle: |acos argument| = {abs(A)}")
+    return L, ny, D, A
+
+
+def grad_exterior_angle(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
+    """Gradient of the exterior angle at pivot y, ext(y, x), w.r.t. the
+    moving point x's spatial coordinates at c = 1."""
+    L, ny, D, A = _ext_terms(x, y)
+    inner_term = (
+        -x.spatial / x.time
+        + ((y.time + x.time * L) / (L * L - 1.0))
+        * (y.spatial - y.time * x.spatial / x.time)
+    )
+    return inner_term / (math.sqrt(1.0 - A * A) * (ny * D))
+
+
+def grad_exterior_angle_anchor(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
+    """Gradient of ext(y, x) w.r.t. the ANCHOR y's spatial coordinates.
+
+    Companion of grad_exterior_angle for heads whose anchors are
+    themselves learned (mask queries); obtained by the same quotient-rule
+    route and verified against finite differences."""
+    L, ny, D, A = _ext_terms(x, y)
     dL = x.spatial - x.time * y.spatial / y.time
     dN = L * y.spatial / y.time + y.time * dL
     d_nyD = (y.spatial / ny) * D + ny * (L / D) * dL
@@ -142,7 +137,7 @@ def exp_map_jacobian(v: np.ndarray) -> np.ndarray:
         jac[1:, :] = np.eye(n)
         return jac
     sr = sinh_ratio(r)
-    if r < 1e-4:
+    if r < SMALL_R:
         cross = 1.0 / 3.0 + r * r / 30.0  # (cosh r - sinh r / r)/r^2
     else:
         cross = (math.cosh(r) - sr) / (r * r)
@@ -242,9 +237,6 @@ class GradientReport:
     def to_dict(self) -> dict:
         # vars, not dataclasses.asdict, which would deep-copy every sample
         return {"format": _REPORT_FORMAT, **vars(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
 def _sample_pair(rng):
@@ -435,8 +427,8 @@ def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
     scale = np.where(clamped, MAX_TANGENT_NORM / np.maximum(r_raw, 1e-300), 1.0)
     v_used = v * scale[..., None]
     r = np.minimum(r_raw, MAX_TANGENT_NORM)
-    small = r < 1e-4
-    r_big = np.maximum(r, 1e-4)  # generic branch evaluated safely, then discarded where small
+    small = r < SMALL_R
+    r_big = np.maximum(r, SMALL_R)  # generic branch evaluated safely, then discarded where small
     sr = np.where(small, 1.0 + r * r / 6.0, np.sinh(r_big) / r_big)
     cross = np.where(
         small,

@@ -10,12 +10,12 @@ chunked to bound memory; sub-cubic algorithms exist but are unnecessary
 at batch sizes around a thousand.  A brute-force triple loop lives
 alongside as the oracle.  The lorentz metric lifts point rows onto the
 unit-curvature hyperboloid; delta_rel is scale-invariant, so a rescaled
-point cloud stands in for another curvature.
+point cloud stands in for another curvature.  Every function takes and
+returns arrays; reading an embedding file is the caller's job.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .fileio import read_embedding_csv, worker_count
+from .fileio import worker_count
 from .lorentz import pairwise_euclidean_distances, pairwise_lorentz_distances
 
 _REPORT_FORMAT = "lorentzseg/hyperbolicity-report/v1"
@@ -35,7 +35,8 @@ _MAXMIN_CHUNK = 16  # rows per step of the max-min product, bounding its memory
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with an exactly zero diagonal."""
+    """Finite, symmetric, nonnegative matrix with an exactly zero diagonal;
+    overflowed distances raise DomainError (the other checks miss nan)."""
 
     values: np.ndarray
 
@@ -43,6 +44,8 @@ class DistanceMatrix:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise UsageError(f"distance matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("distance matrix has non-finite entries; the distances overflowed")
         if np.any(np.diag(arr) != 0.0):
             raise UsageError("distance matrix diagonal must be exactly zero")
         if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
@@ -72,14 +75,12 @@ def pairwise_distances(points: np.ndarray, metric: str) -> DistanceMatrix:
     raise UsageError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def gromov_products(D: DistanceMatrix | np.ndarray, base: int) -> np.ndarray:
+def gromov_products(D: DistanceMatrix, base: int) -> np.ndarray:
     """A_yz = (D[base,y] + D[base,z] - D[y,z]) / 2."""
-    vals = D.values if isinstance(D, DistanceMatrix) else np.asarray(D, dtype=np.float64)
-    n = vals.shape[0]
-    if not 0 <= base < n:
-        raise UsageError(f"base index {base} out of range for {n} points")
-    row = vals[base]
-    return 0.5 * (row[:, None] + row[None, :] - vals)
+    if not 0 <= base < D.n:
+        raise UsageError(f"base index {base} out of range for {D.n} points")
+    row = D.values[base]
+    return 0.5 * (row[:, None] + row[None, :] - D.values)
 
 
 def maxmin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -97,19 +98,12 @@ def maxmin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_from_matrix(D: DistanceMatrix | np.ndarray, base: int = 0) -> float:
+def delta_from_matrix(D: DistanceMatrix, base: int = 0) -> float:
     A = gromov_products(D, base)
     return float((maxmin_product(A, A) - A).max())
 
 
-def delta_hyperbolicity(points: np.ndarray, metric: str, base: int = 0) -> float:
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] < 4:
-        raise UsageError("delta needs at least 4 points")
-    return delta_from_matrix(pairwise_distances(points, metric), base)
-
-
-def delta_bruteforce(D: DistanceMatrix | np.ndarray, base: int = 0) -> float:
+def delta_bruteforce(D: DistanceMatrix, base: int = 0) -> float:
     """Exhaustive triple-loop evaluation; the oracle for the chunked path."""
     A = gromov_products(D, base)
     rows = [list(map(float, row)) for row in A]
@@ -129,9 +123,8 @@ def delta_bruteforce(D: DistanceMatrix | np.ndarray, base: int = 0) -> float:
     return best
 
 
-def diameter(D: DistanceMatrix | np.ndarray) -> float:
-    vals = D.values if isinstance(D, DistanceMatrix) else np.asarray(D)
-    return float(vals.max())
+def diameter(D: DistanceMatrix) -> float:
+    return float(D.values.max())
 
 
 def delta_rel(points: np.ndarray, metric: str, base: int = 0) -> float:
@@ -163,9 +156,6 @@ class HyperbolicityReport:
         # vars, not dataclasses.asdict, which would deep-copy every batch
         return {"format": _REPORT_FORMAT, **vars(self)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
 
 def batched_delta_rel_from_points(
     points: np.ndarray,
@@ -177,8 +167,8 @@ def batched_delta_rel_from_points(
     """Estimate delta_rel over seeded batches sampled without replacement.
 
     The base point of every batch is its first sampled index.  Batches
-    run on a thread pool capped by LSK_THREADS; results aggregate in
-    batch order, so the report is deterministic per seed.
+    run on a thread pool capped by LSK_THREADS, in the caller's np.errstate;
+    results aggregate in batch order, so the report is deterministic per seed.
     """
     points = np.asarray(points, dtype=np.float64)
     if batch_size < 4:
@@ -201,7 +191,9 @@ def batched_delta_rel_from_points(
         d = delta_from_matrix(D, 0)
         return {"batch": idx, "delta": d, "diameter": diam, "delta_rel": 2.0 * d / diam}
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), batch_count)) as pool:
+    err = np.geterr()
+    with ThreadPoolExecutor(max_workers=min(worker_count(), batch_count),
+                            initializer=lambda: np.seterr(**err)) as pool:
         per_batch = list(pool.map(one, range(batch_count)))
     return HyperbolicityReport(
         delta=float(np.mean([b["delta"] for b in per_batch])),
@@ -216,14 +208,3 @@ def batched_delta_rel_from_points(
         per_batch=per_batch,
     )
 
-
-def batched_delta_rel(
-    embedding_file,
-    batch_size: int = 1024,
-    batch_count: int = 32,
-    seed: int = 0,
-    metric: str = "euclidean",
-) -> HyperbolicityReport:
-    """File-facing wrapper over batched_delta_rel_from_points."""
-    points = read_embedding_csv(embedding_file)
-    return batched_delta_rel_from_points(points, batch_size, batch_count, seed, metric)

@@ -38,7 +38,7 @@ from .errors import DomainError, UsageError
 MAX_TANGENT_NORM = 12.0
 
 # below this, sinh(r)/r and friends switch to series (rel. error < 1e-16)
-_SMALL_R = 1e-4
+SMALL_R = 1e-4
 
 _MANIFOLD_TOL = 1e-8
 _TANGENT_TOL = 1e-9
@@ -209,7 +209,7 @@ def lift_point(spatial, curvature: Curvature = Curvature()) -> LorentzPoint:
 
 def sinh_ratio(r: float) -> float:
     """sinh(r)/r with a series fallback near zero."""
-    if r < _SMALL_R:
+    if r < SMALL_R:
         return 1.0 + r * r / 6.0
     return math.sinh(r) / r
 
@@ -370,7 +370,7 @@ def batched_exp_lift(v: np.ndarray):
         scale[over] = MAX_TANGENT_NORM / r[over]
         v = v * scale[..., None]
         r = np.minimum(r, MAX_TANGENT_NORM)
-    ratio = np.where(r < _SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
+    ratio = np.where(r < SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
     spatial = ratio[..., None] * v
     return time_from_spatial(spatial), spatial
 

@@ -14,7 +14,13 @@ descriptors, seed 42):
                              statistic (independent per-pixel noise alone
                              carries no boundary signal, so the blended
                              scene is where those claims are measurable).
+
+The mask head's angle ablation (REFERENCE_MASK_HEAD_ABLATED, s_a = 1e9)
+runs on REFERENCE_SCENE_ABLATION, the boundary scene at 32x32; its full
+run is the one MASK_BOUNDARY_RECALL_FULL_MIN floors.
 """
+
+from dataclasses import replace
 
 from .maskhead import MaskHeadConfig
 from .segtoy import SceneConfig, TrainConfig
@@ -36,6 +42,8 @@ REFERENCE_SCENE_BOUNDARY = SceneConfig(
     noise_sigma=0.15, edge_blend=0.8, descriptor_dim=16, seed=42,
 )
 
+REFERENCE_SCENE_ABLATION = replace(REFERENCE_SCENE_BOUNDARY, height=32, width=32)
+
 REFERENCE_TRAIN = TrainConfig(
     epochs=300, lr=0.5, lambda_w=0.5, tau=0.1, K=0.1, seed=42,
     weight_decay=1e-4, hidden=32, embed_dim=EMBED_DIM,
@@ -47,6 +55,7 @@ REFERENCE_MASK_TRAIN = TrainConfig(
 )
 
 REFERENCE_MASK_HEAD = MaskHeadConfig(n_queries=12)
+REFERENCE_MASK_HEAD_ABLATED = MaskHeadConfig(n_queries=12, s_a=1e9)
 
 # the held-out child class for the zero-shot mechanism runs
 HELDOUT_CLASS = 4

@@ -51,7 +51,6 @@ from .lorentz import (
 if TYPE_CHECKING:  # annotations only; maskhead imports this module
     from .maskhead import MaskHeadConfig, QuerySet
 
-_EPS_FLOOR = 1e-12
 _JACOBI_SWEEPS = 64  # cap on the cyclic Jacobi sweeps of the PCA
 
 
@@ -313,9 +312,6 @@ class DescriptorBank:
 def build_prototypes(bank: DescriptorBank, K: float) -> PrototypeSet:
     """Lift the scaled descriptor rows to the hyperboloid as the anchors of
     cones with constant K; a row whose aperture is undefined raises."""
-    norms = np.linalg.norm(bank.reduced, axis=1)
-    if np.any(norms == 0.0):
-        raise UsageError("zero-norm descriptor row cannot anchor a cone")
     anchors = tuple(exp_lift_origin(row) for row in bank.reduced)
     return PrototypeSet(anchors=anchors, labels=bank.names, K=K)
 
@@ -560,7 +556,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
 
     dl_dd = _ce_dlogits(logits, obj)
     # distance gradients: dd_i/dspatial = -(a_i - (at_i/t) s)/sqrt(inner^2-1)
-    den_d = np.sqrt(np.maximum(inner * inner - 1.0, _EPS_FLOOR))
+    den_d = np.sqrt(np.maximum(inner * inner - 1.0, gr._FLOOR))
     coef = dl_dd / den_d
     g_sp = -(coef @ asp) + ((coef * at).sum(axis=1) / time)[:, None] * spatial
 
@@ -668,12 +664,6 @@ def miou(pred, gt, n_classes: int) -> float:
         union = np.count_nonzero(gt_c | pred_c)
         ious.append(inter / union)
     return float(np.mean(ious))
-
-
-def pixel_accuracy(pred, gt) -> float:
-    pv = pred.values if isinstance(pred, LabelMap) else np.asarray(pred)
-    gv = gt if isinstance(gt, np.ndarray) else gt.values
-    return float(np.count_nonzero(pv == gv) / pv.size)
 
 
 def text_query(

@@ -140,15 +140,7 @@ def boundary_recall(pred_boundary: ScalarMap, labels: np.ndarray) -> float:
 
 
 def ranking_signature(values: np.ndarray) -> np.ndarray:
-    """Dense ranks (ties share a rank), for ordering-equivalence checks."""
-    flat = np.asarray(values).reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    ranks = np.empty(flat.size, dtype=np.int64)
-    rank = 0
-    prev = None
-    for pos, idx in enumerate(order):
-        if prev is not None and flat[idx] != prev:
-            rank = pos
-        ranks[idx] = rank
-        prev = flat[idx]
-    return ranks
+    """Dense ranks of the flattened values, for ordering-equivalence
+    checks: ties share a rank and the ranks run 0, 1, 2, ... without gaps
+    ([3, 3, 5] -> [0, 0, 1])."""
+    return np.unique(np.asarray(values).reshape(-1), return_inverse=True)[1]

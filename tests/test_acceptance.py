@@ -249,7 +249,7 @@ def test_criterion_4_delta_suite():
 
     r1 = hyp.batched_delta_rel_from_points(pts, 16, 8, seed=11)
     r2 = hyp.batched_delta_rel_from_points(pts, 16, 8, seed=11)
-    assert r1.to_json() == r2.to_json()
+    assert r1.to_dict() == r2.to_dict()
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

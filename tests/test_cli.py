@@ -13,7 +13,10 @@ from hypothesis import strategies as hs
 from test_fileio import JSON_VALUES
 
 import lorentzseg
+from lorentzseg import entailment as ent
+from lorentzseg import grad as gr
 from lorentzseg import hyperbolicity as hyp
+from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.cli import load_model, main
@@ -87,6 +90,20 @@ class TestDeltahyp:
         bad = tmp_path / "bad.csv"
         bad.write_text("dim=2\n1.0,2.0\n3.0\n")
         assert run(["deltahyp", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 3
+
+    @pytest.mark.parametrize("metric", ["euclidean", "lorentz"])
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys, metric):
+        # one row of 1e200 overflows every distance to it
+        pts = np.random.default_rng(131).normal(size=(20, 4))
+        pts[3] = 1e200
+        path = tmp_path / "e.csv"
+        write_embedding_csv(path, pts)
+        out = tmp_path / "r.json"
+        assert run(["deltahyp", "--input", str(path), "--metric", metric,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "overflow" in err[0]
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
     def test_undecodable_file_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -162,6 +179,26 @@ class TestGradfield:
             cos = float(gd @ ga / (np.linalg.norm(gd) * np.linalg.norm(ga)))
             if abs(cos) > 1e-8:
                 assert (1 if cos > 0 else -1) == int(row[col["sign"]])
+
+
+    def test_tangent_columns_match_finite_differences(self, field):
+        # ltd and ltext are the gradients of d(expm_O(u), y) and
+        # ext(y, expm_O(u)) in u, the origin-tangent coordinates of the
+        # row's point x = lift_point(v): u = asinh(||v||) v/||v||
+        header, data = field
+        col = {name: i for i, name in enumerate(header)}
+        y = lz.lift_point(np.array([0.6, 0.3]))
+        for row in (data[0], data[17], data[40]):
+            v = np.array([row[col["v1"]], row[col["v2"]]])
+            r = np.linalg.norm(v)
+            u = v * np.arcsinh(r) / r
+            fd_d = gr.finite_difference_gradient(
+                lambda w: lz.geodesic_distance(lz.exp_lift_origin(w), y), u)
+            fd_ext = gr.finite_difference_gradient(
+                lambda w: ent.exterior_angle(y, lz.exp_lift_origin(w)), u)
+            np.testing.assert_allclose([row[col["ltd_dx"]], row[col["ltd_dy"]]], fd_d, atol=1e-7)
+            np.testing.assert_allclose([row[col["ltext_dx"]], row[col["ltext_dy"]]], fd_ext,
+                                       atol=1e-7)
 
 
 class TestTrainInferUncertainty:
@@ -274,6 +311,8 @@ class TestExitCodes:
                      ["losscape", "--model", model, "--extent", "0"],
                      ["losscape", "--model", model, "--extent", "-1"],
                      ["gradfield", "--target", "1e300,0"],
+                     ["gradfield", "--target", "1,2,3"],
+                     ["gradfield", "--resolution", "1"],
                      ["gradfield", "--grid-extent", "1e300"],
                      ["gradfield", "--grid-extent", "nan"]):
             out = tmp_path / "field.csv"
@@ -281,6 +320,25 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} ")
             assert not out.exists()
+        # checked after the model loads, before any output: one stderr line,
+        # naming the flag where one is at fault, and no file
+        mask_dir = tmp_path / "mask"
+        assert run(["train", "--head", "mask", "--height", "16", "--width", "16",
+                    "--epochs", "2", "--out-dir", str(mask_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "ls.csv"
+        assert run(["losscape", "--model", str(mask_dir / "model"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: loss landscape supports the pixel and euclid heads"]
+        assert not out.exists()
+        for flag, value in (("--class-id", "99"), ("--class-id", "-1"),
+                            ("--percentile", "0"), ("--percentile", "nan")):
+            out_dir = tmp_path / f"unc{flag}{value}"
+            assert run(["uncertainty", "--model", model, flag, value,
+                        "--out-dir", str(out_dir)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"usage error: {flag} ")
+            assert not out_dir.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert run(["train", "--head", "pixel", "--parents", "0",

@@ -1,6 +1,5 @@
 """Tests for analytic gradients against the central-difference oracle."""
 
-import json
 import math
 
 import numpy as np
@@ -321,7 +320,7 @@ class TestGradientInteractionReport:
     def test_deterministic(self):
         a = grad.gradient_interaction_report(25, seed=5)
         b = grad.gradient_interaction_report(25, seed=5)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_thresholds_hold(self):
         rep = grad.gradient_interaction_report(200, seed=6)
@@ -336,7 +335,7 @@ class TestGradientInteractionReport:
 
     def test_json_schema(self):
         rep = grad.gradient_interaction_report(3, seed=8)
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
         assert doc["format"].startswith("lorentzseg/gradient-report/")
         assert set(doc["samples"][0]) >= {
             "x_spatial", "y_spatial", "grad_distance", "grad_ext_angle",

@@ -14,7 +14,13 @@ from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg import uncertainty as unc
 from lorentzseg.errors import UsageError
-from lorentzseg.reference import EMBED_DIM, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN
+from lorentzseg.reference import (
+    EMBED_DIM,
+    REFERENCE_MASK_HEAD,
+    REFERENCE_MASK_HEAD_ABLATED,
+    REFERENCE_MASK_TRAIN,
+    REFERENCE_SCENE_ABLATION,
+)
 
 import reference_values as ref
 
@@ -412,18 +418,10 @@ class TestTrainMaskhead:
         assert mask_run.trace["total"][-1] < mask_run.trace["total"][0]
 
     def test_angle_ablation_degrades_boundary_separation(self):
-        small = st.SceneConfig(
-            parents=3, children_per_parent=3, height=32, width=32,
-            noise_sigma=0.15, edge_blend=0.8, descriptor_dim=16, seed=42,
-        )
-        scene = st.generate_scene(small)
+        scene = st.generate_scene(REFERENCE_SCENE_ABLATION)
         bank = st.DescriptorBank.fit(scene, EMBED_DIM)
         full = mh.train_maskhead(scene, bank, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN)
-        ablated = mh.train_maskhead(
-            scene, bank,
-            mh.MaskHeadConfig(n_queries=REFERENCE_MASK_HEAD.n_queries, s_a=1e9),
-            REFERENCE_MASK_TRAIN,
-        )
+        ablated = mh.train_maskhead(scene, bank, REFERENCE_MASK_HEAD_ABLATED, REFERENCE_MASK_TRAIN)
         recalls = {}
         for tag, r in (("full", full), ("ablated", ablated)):
             grid = st.embed_scene(r.params, scene)

@@ -267,7 +267,7 @@ class TestTrain:
         cfg = st.TrainConfig(epochs=200, lr=0.5)
         res = st.train(clean_scene, clean_bank, cfg)
         pred = st.infer_distance(res.params, res.protos, clean_scene)
-        assert st.pixel_accuracy(pred, clean_scene.labels) == 1.0
+        assert np.array_equal(pred.values, clean_scene.labels)
 
     def test_loss_decreases(self, clean_run):
         assert clean_run.trace["total"][-1] < clean_run.trace["total"][0]

@@ -32,6 +32,11 @@ class TestRadiusUncertainty:
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(r1, r3)
 
+    def test_ranking_signature_is_dense(self):
+        # ties share a rank and the ranks leave no gaps
+        np.testing.assert_array_equal(unc.ranking_signature(np.array([[3.0, 3.0], [5.0, 1.0]])),
+                                      [1, 1, 2, 0])
+
     def test_lower_radius_means_higher_uncertainty(self):
         grid = grid_from_tangents(np.array([[[0.1, 0.0], [2.0, 0.0]]]))
         m = unc.radius_uncertainty(grid)
