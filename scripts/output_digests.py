@@ -89,6 +89,14 @@ COMMANDS = (
     ("deltahyp-lorentz", 0, ["deltahyp", *DELTA, "--metric", "lorentz",
                              "--out", "{dir}/dh.json"]),
     ("deltahyp-overflow", 2, ["deltahyp", "--input", OVERFLOW, "--out", "{dir}/dh.json"]),
+    ("losscape-huge-extent", 2, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "3",
+                                 "--extent", "1e300", "--out", "{dir}/ls.csv"]),
+    ("gradfield-far", 0, ["gradfield", "--grid-extent", "1e6", "--resolution", "3",
+                          "--out", "{dir}/gf.csv"]),
+    ("parse-error", 2, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "x",
+                        "--out", "{dir}/ls.csv"]),
+    ("train-many-classes", 2, ["train", "--parents", "16", "--children", "17", "--epochs", "1",
+                               "--out-dir", "{dir}"]),
 )
 
 

@@ -13,8 +13,10 @@ byte for byte (the manifest itself carries the wall clock).
 
 Exit codes: 0 success, 1 failed numerical check or diverged training
 run (a non-finite loss at any step, the post-training evaluation
-included; the manifest records that step and no outputs), 2 usage error
-(checked before any output file is opened), 3 IO/parse error.
+included; the manifest records that step and no outputs), 2 usage error,
+3 IO/parse error.  A bad flag, argparse's own errors included, is a
+``UsageError`` raised before any file is made, which ``main`` prints as
+one line; the domain of a grid flag is what the grid's rows can hold.
 """
 
 from __future__ import annotations
@@ -92,12 +94,13 @@ def _train_from_args(args, head: str) -> st.TrainConfig:
     )
 
 
-def _write_trace_csv(path, trace: dict):
+def _write_csv(path, kind: str, columns, rows):
+    """A ``# lorentzseg/<kind>/v1`` CSV: a Python int is written as one,
+    every other value as repr(float(value))."""
     with open(path, "w") as fh:
-        fh.write("# lorentzseg/trace/v1\n")
-        fh.write(",".join(trace) + "\n")
-        for i in range(len(trace["epoch"])):
-            fh.write(",".join(repr(float(column[i])) for column in trace.values()) + "\n")
+        fh.write(f"# lorentzseg/{kind}/v1\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if type(v) is int else repr(float(v)) for v in row) + "\n")
 
 
 def _write_label_map(prefix, label_map: st.LabelMap):
@@ -173,8 +176,11 @@ def load_model(prefix):
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
-    """A scene and the descriptor bank fit on it without the held-out class,
-    which must be one of the scene's classes."""
+    """A scene of at most 256 classes (its label maps are 8-bit) and the
+    descriptor bank fit on it without the held-out class, which must be one
+    of the scene's classes."""
+    if scene_cfg.n_classes > 256:
+        raise UsageError(f"{scene_cfg.n_classes} classes exceed the 256 of an 8-bit label map")
     if exclude_class is not None and (type(exclude_class) is not int
                                       or not 0 <= exclude_class < scene_cfg.n_classes):
         raise UsageError(f"exclude_class {exclude_class!r} is not a class of the scene")
@@ -193,6 +199,7 @@ def _diverged(exc: TrainingDivergedError, out_dir: Path, fields: dict):
     """Exit 1 with one stderr line; the manifest records the failing step
     and, as nothing was written yet, no outputs."""
     print(f"training diverged: {exc}", file=sys.stderr)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return 1, out_dir / "manifest.json", {**fields, "diverged_at_step": exc.step}
 
 
@@ -215,9 +222,7 @@ def cmd_deltahyp(args):
 
 
 def cmd_gradcheck(args):
-    report = gr.gradient_interaction_report(
-        args.samples, seed=args.seed, inject_error=args.inject_error
-    )
+    report = gr.gradient_interaction_report(args.samples, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
@@ -273,7 +278,7 @@ GRADFIELD_COLUMNS = (
     "ld_dx,ld_dy,ld_mag,lext_dx,lext_dy,lext_mag,"
     "ltd_dx,ltd_dy,ltd_mag,ltext_dx,ltext_dy,ltext_mag,"
     "cos_spatial,euclid_cos,euclid_d_mag,sign"
-)
+).split(",")
 
 
 def cmd_gradfield(args):
@@ -287,23 +292,22 @@ def cmd_gradfield(args):
             lift_point(target)
     except (OverflowError, UsageError):
         raise UsageError(f"--target {args.target} is not finite or overflows the lift") from None
-    # all columns stay finite: the Jacobian's radius is at most asinh(710.5) < 7.3
-    corner = math.asinh(sys.float_info.max)
-    if not math.hypot(args.grid_extent, args.grid_extent) < corner:
-        raise UsageError(f"--grid-extent {args.grid_extent} is not finite or puts the grid's "
-                         f"corner past radius {corner:.1f}")
-    coords = np.linspace(-args.grid_extent, args.grid_extent, args.resolution)
+    # every row is computed before one is written: the extent's domain is what they hold
+    try:
+        with np.errstate(all="ignore"):
+            coords = np.linspace(-args.grid_extent, args.grid_extent, args.resolution)
+            rows = [[v1, v2, *_gradfield_row(np.array([v1, v2]), target)]
+                    for v1 in coords for v2 in coords]
+        held = np.isfinite(rows).all()
+    except (OverflowError, UsageError):
+        held = False
+    if not held:
+        raise UsageError(f"--grid-extent {args.grid_extent} puts grid points past what "
+                         f"the gradient columns can hold")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write("# lorentzseg/gradfield/v1\n")
-        fh.write(GRADFIELD_COLUMNS + "\n")
-        for v1 in coords:
-            for v2 in coords:
-                row = _gradfield_row(np.array([v1, v2]), target)
-                fh.write(",".join(repr(float(c)) for c in [v1, v2] + row[:-1]))
-                fh.write(f",{int(row[-1])}\n")
-    print(f"wrote {args.resolution * args.resolution} rows to {out}")
+    _write_csv(out, "gradfield", GRADFIELD_COLUMNS, rows)
+    print(f"wrote {len(rows)} rows to {out}")
     cfg = {"grid_extent": args.grid_extent, "resolution": args.resolution,
            "target": args.target}
     return 0, Path(f"{out}.manifest.json"), _fields("gradfield", cfg, None, [], [out])
@@ -337,7 +341,6 @@ def cmd_train(args):
         raise UsageError(f"the mask head cannot hold out class {args.exclude_class}")
     scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
            "head": args.head, "exclude_class": args.exclude_class}
     fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
@@ -352,8 +355,10 @@ def cmd_train(args):
                 res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
     except TrainingDivergedError as exc:
         return _diverged(exc, out_dir, fields)
+    # made once the run ended: a setting the training refuses leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     _save_model(out_dir / "model", scene, res)
-    _write_trace_csv(out_dir / "trace.csv", res.trace)
+    _write_csv(out_dir / "trace.csv", "trace", res.trace, zip(*res.trace.values()))
     _, metrics = _predict(res, scene, "distance")
     metrics = {("train_" + k if k.startswith("miou_") else k): v for k, v in metrics.items()}
     metrics["final_loss"] = res.final_loss
@@ -380,11 +385,11 @@ def cmd_infer(args):
 
 
 def cmd_uncertainty(args):
+    if not 0.0 < args.percentile <= 100.0:
+        raise UsageError(f"--percentile must lie in (0, 100], got {args.percentile}")
     scene, res = load_model(args.model)
     if not 0 <= args.class_id < scene.n_classes:
         raise UsageError(f"--class-id {args.class_id} is not a class of the scene")
-    if not 0.0 < args.percentile <= 100.0:
-        raise UsageError(f"--percentile must lie in (0, 100], got {args.percentile}")
     grid = st.embed_scene(res.params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,28 +440,27 @@ def cmd_losscape(args):
             d[name] = raw * (bnorm / rnorm) if rnorm > 0 and bnorm > 0 else raw * 0.0
         dirs.append(d)
 
-    coords = np.linspace(-args.extent, args.extent, args.grid)
-    coords[args.grid // 2] = 0.0  # the trained model itself, wherever linspace rounds
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    center_loss = None
-    with open(out, "w") as fh:
-        fh.write("# lorentzseg/losscape/v1\n")
-        fh.write("alpha,beta,loss\n")
+    # every cell is computed before one is written: the extent's domain is what they hold
+    with np.errstate(all="ignore"):
+        coords = np.linspace(-args.extent, args.extent, args.grid)
+        coords[args.grid // 2] = 0.0  # the trained model itself, wherever linspace rounds
+        rows = []
         for a in coords:
             for b in coords:
                 if a == 0.0 and b == 0.0:
                     probe = res.params
                 else:
-                    blocks = {
+                    probe = st.EncoderParams.from_blocks({
                         name: np.asarray(block) + a * dirs[0][name] + b * dirs[1][name]
                         for name, block in base.items()
-                    }
-                    probe = st.EncoderParams.from_blocks(blocks)
-                loss = st.evaluate_loss(probe, objective)
-                if a == 0.0 and b == 0.0:
-                    center_loss = loss
-                fh.write(f"{repr(float(a))},{repr(float(b))},{repr(float(loss))}\n")
+                    })
+                rows.append((a, b, st.evaluate_loss(probe, objective)))
+    if not np.isfinite(rows).all():
+        raise UsageError(f"--extent {args.extent} perturbs the model past what its loss can hold")
+    center_loss = rows[len(rows) // 2][2]
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, "losscape", ("alpha", "beta", "loss"), rows)
     print(f"center_loss={center_loss!r}")
     cfg = {"model": args.model, "directions_seed": args.directions_seed,
            "grid": args.grid, "extent": args.extent}
@@ -464,8 +468,16 @@ def cmd_losscape(args):
         "losscape", cfg, args.directions_seed, [args.model + ".json", args.model + ".bin"], [out])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors, so that ``main``
+    prints them as one line; its subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lorentzseg")
+    parser = _Parser(prog="lorentzseg")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -482,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("gradfield", help="2-D gradient field CSV around a target embedding")
@@ -531,16 +542,12 @@ def _print_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
     started = time.time()
     reset_clamp_events()
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
+            args = build_parser().parse_args(argv)
             code, path, fields = args.func(args)
             write_json(path, {
                 **fields,
@@ -550,6 +557,8 @@ def main(argv=None) -> int:
                 "clamp_events": clamp_events(),
             })
             return code
+        except SystemExit:  # --help and --version
+            return 0
         except (UsageError, ValueError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

@@ -262,15 +262,9 @@ def _sample_pair(rng):
         return x, y
 
 
-def gradient_interaction_report(
-    sample_count: int, seed: int, inject_error: bool = False
-) -> GradientReport:
+def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
     """Sample point pairs and verify every closed form against the FD
-    oracle, the gradient-sign law, and Euclidean orthogonality.
-
-    ``inject_error`` is a self-test hook that negates one analytic
-    gradient so failure paths can be exercised end to end.
-    """
+    oracle, the gradient-sign law, and Euclidean orthogonality."""
     if sample_count <= 0:
         raise UsageError("sample_count must be positive")
     rng = np.random.default_rng(seed)
@@ -279,12 +273,10 @@ def gradient_interaction_report(
     gated = 0
     violations = 0
     samples = []
-    for idx in range(sample_count):
+    for _ in range(sample_count):
         x, y = _sample_pair(rng)
         gd = grad_lorentz_distance(x, y)
         ga = grad_exterior_angle(x, y)
-        if inject_error and idx == 0:
-            gd = -gd
         fd_d = finite_difference_gradient(
             lambda s: math.acosh(max(1.0, math.sqrt(1.0 + s @ s) * y.time - s @ y.spatial)),
             x.spatial,

@@ -100,10 +100,8 @@ def class_confidence(grid: EmbeddingGrid, class_pixels: np.ndarray) -> ScalarMap
     return ScalarMap(conf.reshape(grid.shape), "confidence")
 
 
-def boundary_map(u: ScalarMap, percentile: float = 90.0) -> ScalarMap:
+def boundary_map(u: ScalarMap, percentile: float) -> ScalarMap:
     """1 where the map exceeds its empirical percentile, else 0."""
-    if not 0.0 < percentile <= 100.0:
-        raise UsageError("percentile must lie in (0, 100]")
     if u.vmax - u.vmin <= 0.0:
         warnings.warn("constant uncertainty map: boundary threshold degenerate", stacklevel=2)
         return ScalarMap(np.zeros_like(u.values), "boundary")

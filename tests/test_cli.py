@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from test_fileio import JSON_VALUES
 
@@ -19,7 +22,7 @@ from lorentzseg import hyperbolicity as hyp
 from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
-from lorentzseg.cli import load_model, main
+from lorentzseg.cli import build_parser, load_model, main
 from lorentzseg.errors import TrainingDivergedError
 from lorentzseg.fileio import read_json, read_pgm, write_embedding_csv, write_json
 
@@ -120,10 +123,11 @@ class TestGradcheck:
         assert rep["max_rel_error"] <= 1e-5
         assert rep["sign_agreement_rate"] == 1.0
 
-    def test_injected_error_exits_1(self, tmp_path):
+    def test_injected_error_exits_1(self, tmp_path, monkeypatch):
+        distance_gradient = gr.grad_lorentz_distance
+        monkeypatch.setattr(gr, "grad_lorentz_distance", lambda x, y: -distance_gradient(x, y))
         out = tmp_path / "g.json"
-        assert run(["gradcheck", "--samples", "5", "--seed", "3",
-                    "--inject-error", "--out", str(out)]) == 1
+        assert run(["gradcheck", "--samples", "5", "--seed", "3", "--out", str(out)]) == 1
 
     def test_single_sample(self, tmp_path):
         out = tmp_path / "g.json"
@@ -199,6 +203,13 @@ class TestGradfield:
             np.testing.assert_allclose([row[col["ltd_dx"]], row[col["ltd_dy"]]], fd_d, atol=1e-7)
             np.testing.assert_allclose([row[col["ltext_dx"]], row[col["ltext_dy"]]], fd_ext,
                                        atol=1e-7)
+
+    def test_far_grid_writes_finite_rows(self, tmp_path):
+        out = tmp_path / "far.csv"
+        assert run(["gradfield", "--grid-extent", "1e6", "--resolution", "3",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert rows.shape == (9, 18) and np.isfinite(rows).all()
 
 
 class TestTrainInferUncertainty:
@@ -310,15 +321,20 @@ class TestExitCodes:
                      ["losscape", "--model", model, "--extent", "nan"],
                      ["losscape", "--model", model, "--extent", "0"],
                      ["losscape", "--model", model, "--extent", "-1"],
+                     ["losscape", "--model", model, "--extent", "1e300"],
+                     ["losscape", "--model", model, "--grid", "x"],
                      ["gradfield", "--target", "1e300,0"],
                      ["gradfield", "--target", "1,2,3"],
                      ["gradfield", "--resolution", "1"],
                      ["gradfield", "--grid-extent", "1e300"],
-                     ["gradfield", "--grid-extent", "nan"]):
+                     ["gradfield", "--grid-extent", "nan"],
+                     ["gradfield", "--grid-extent", "inf"]):
             out = tmp_path / "field.csv"
             assert run([*argv, "--out", str(out)]) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} ")
+            # argparse's own errors name the flag as "argument --grid:"
+            flag = f"argument {argv[-2]}:" if argv[-1] == "x" else f"{argv[-2]} "
+            assert len(err) == 1 and err[0].startswith(f"usage error: {flag}")
             assert not out.exists()
         # checked after the model loads, before any output: one stderr line,
         # naming the flag where one is at fault, and no file
@@ -366,6 +382,23 @@ class TestExitCodes:
         assert run(["train", "--head", head, "--height", "16", "--width", "16", "--epochs", "2",
                     flag, value, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+    def test_scene_past_256_classes_refused(self, trained_dir, tmp_path, capsys):
+        # the label maps are 8-bit PGMs: train refuses such a scene before
+        # any file, and a model descriptor of one does not load
+        out = tmp_path / "o"
+        assert run(["train", "--parents", "16", "--children", "17", "--epochs", "1",
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: 272 classes exceed the 256 of an 8-bit label map"]
+        assert not out.exists()
+
+        def edit(doc):
+            doc["extras"]["scene"].update(parents=16, children_per_parent=17)
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", edit)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:") and "272 classes" in err[0]
 
     def test_warning_prints_as_one_line(self, tmp_path, capsys):
         assert run(["train", *SMALL_TRAIN, "--epochs", "2", "--exclude-class", "4",
@@ -675,6 +708,76 @@ class TestManifestContract:
         assert run(argv) == 0
         assert {p: p.read_bytes() for p in outputs} == first
         assert _without_clock(read_json(manifest_path)) == _without_clock(manifest)
+
+
+# every flag of a command is drawn with each of these values
+FLAG_VALUES = ("0", "-1", "1", "3", "1e-300", "1e300", "nan", "inf", "-inf", "x")
+_COMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+# (run of CONTRACT_RUNS, one flag of its command, one value of the pool)
+CONTRACT_CASES = [(name, action.option_strings[0], value)
+                  for name, argv in sorted(CONTRACT_RUNS.items())
+                  for action in _COMMANDS[argv[0]]._actions if action.dest != "help"
+                  for value in FLAG_VALUES]
+
+
+def _assert_finite(path):
+    """Every number of a JSON report or a CSV output (its ``#`` line and
+    column names skipped) is finite."""
+    text = path.read_text()
+    if text.startswith("{"):
+        # json writes a non-finite float as NaN, Infinity or -Infinity
+        json.loads(text, parse_constant=lambda token: pytest.fail(f"{path} holds {token}"))
+        return
+    lines = text.splitlines()
+    if lines[0].startswith("# lorentzseg/"):
+        lines = lines[2:]
+    assert np.isfinite(np.array([line.split(",") for line in lines], dtype=float)).all(), path
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    write_embedding_csv(d / "e.csv", np.random.default_rng(131).normal(size=(50, 3)))
+    return d
+
+
+class TestCliContract:
+    """One flag of a command set to a value of a fixed pool: the run keeps
+    the exit-code contract of the CLI."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=hs.sampled_from(CONTRACT_CASES))
+    @example(case=("train-pixel", "--lr", "1e300"))  # runs that diverge
+    @example(case=("train-mask", "--lr", "1e300"))
+    def test_any_flag_value_keeps_exit_contract(self, trained_dir, mask_k_dir, contract_dir, case):
+        name, flag, value = case
+        paths = {"pix": trained_dir / "pix" / "model", "mask": mask_k_dir / "model",
+                 "csv": contract_dir / "e.csv"}
+        argv = [arg.format(**paths) for arg in CONTRACT_RUNS[name]]
+        short = ["--epochs", "2"] if argv[0] == "train" else []
+        # the drawn flag comes last, so it wins over the run's own value
+        argv = [*argv, "run", *short, flag, value]
+        stderr, here = io.StringIO(), os.getcwd()
+        with tempfile.TemporaryDirectory(dir=contract_dir) as tmp:
+            # a drawn output path is relative: it lands in the run's directory
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                    code = run(argv)
+            finally:
+                os.chdir(here)
+            lines = stderr.getvalue().splitlines()
+            made = sorted(Path(tmp).rglob("*"))
+            files = [p for p in made if p.is_file()]
+            assert code in (0, 1, 2, 3) and "Traceback" not in stderr.getvalue(), lines
+            if code in (2, 3):
+                assert len(lines) == 1 and made == [], (lines, made)
+            elif code == 1 and argv[0] == "train":
+                assert [p.name for p in files] == ["manifest.json"]
+            elif code == 0:
+                for path in files:
+                    if path.suffix not in (".pgm", ".bin"):
+                        _assert_finite(path)
 
 
 class TestThreadCountDeterminism:

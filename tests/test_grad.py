@@ -342,8 +342,10 @@ class TestGradientInteractionReport:
             "fd_distance", "fd_ext_angle", "cosine", "predicted_sign",
         }
 
-    def test_injected_error_detected(self):
-        rep = grad.gradient_interaction_report(5, seed=9, inject_error=True)
+    def test_injected_error_detected(self, monkeypatch):
+        distance_gradient = grad.grad_lorentz_distance
+        monkeypatch.setattr(grad, "grad_lorentz_distance", lambda x, y: -distance_gradient(x, y))
+        rep = grad.gradient_interaction_report(5, seed=9)
         assert rep.max_rel_error > 1e-5
 
     def test_rejects_nonpositive_count(self):
