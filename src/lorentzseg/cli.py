@@ -226,7 +226,8 @@ def cmd_gradcheck(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
-    ok = report.max_rel_error <= 1e-5 and report.sign_agreement_rate == 1.0
+    ok = (report.max_rel_error <= 1e-5 and report.sign_agreement_rate == 1.0
+          and report.euclid_orthogonality_violations == 0)
     print(
         f"max_rel_error={report.max_rel_error:.3e} "
         f"sign_agreement={report.sign_agreement_rate:.4f} "

@@ -24,8 +24,10 @@ moving point and ``y`` is the fixed anchor:
 
 The training stack assembles backprop by chain rule from these closed
 forms and the exponential-map Jacobian; no autodiff framework is
-involved.  ``finite_difference_gradient`` is the independent oracle used
-to cross-check every formula.
+involved.  Central finite differences are the independent oracle used to
+cross-check every formula.  The oracle has a scalar form,
+``finite_difference_gradient``, and a row-wise array form that
+``gradient_interaction_report`` runs once over all its samples.
 
 The array layer has one broadcasting body per formula: dd/dpoint,
 dext/dpoint and dext/danchor.  Times, inner products and anchor norms
@@ -217,11 +219,6 @@ def finite_difference_gradient(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(analytic)))
-    return float(np.linalg.norm(analytic - fd)) / scale
-
-
 @dataclass
 class GradientReport:
     """Outcome of the sampled gradient verification protocol."""
@@ -262,80 +259,93 @@ def _sample_pair(rng):
         return x, y
 
 
+def _row_central_difference(f, s: np.ndarray) -> np.ndarray:
+    """The array form of finite_difference_gradient: central differences,
+    h = FD_STEP, at every row of s (N, d) of a row-wise f whose values are
+    (..., N); returns (..., N, d)."""
+    columns = []
+    for i, step in enumerate(np.eye(s.shape[1]) * FD_STEP):
+        hi, lo = f(s + step), f(s - step)
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+            raise OracleError(f"non-finite evaluation near coordinate {i}")
+        columns.append((hi - lo) / (2.0 * FD_STEP))
+    return np.stack(columns, axis=-1)
+
+
 def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
     """Sample point pairs and verify every closed form against the FD
-    oracle, the gradient-sign law, and Euclidean orthogonality."""
+    oracle, the gradient-sign law, and Euclidean orthogonality.
+
+    The closed forms run per sample; the FD oracles run once, as array
+    expressions over all samples."""
     if sample_count <= 0:
         raise UsageError("sample_count must be positive")
     rng = np.random.default_rng(seed)
-    max_rel = 0.0
+    xs, ys = np.empty((2, sample_count, _SAMPLE_DIM))
+    yt = np.empty(sample_count)
+    grads = np.empty((4, sample_count, _SAMPLE_DIM))
+    gd, ga, ge_d, ge_a = grads
+    cosines, euclid_cosines, signs = [], [], []
     agree = 0
     gated = 0
     violations = 0
-    samples = []
-    for _ in range(sample_count):
+    for k in range(sample_count):
         x, y = _sample_pair(rng)
-        gd = grad_lorentz_distance(x, y)
-        ga = grad_exterior_angle(x, y)
-        fd_d = finite_difference_gradient(
-            lambda s: math.acosh(max(1.0, math.sqrt(1.0 + s @ s) * y.time - s @ y.spatial)),
-            x.spatial,
-        )
-        fd_a = finite_difference_gradient(
-            lambda s: _ext_from_spatial(s, y), x.spatial
-        )
-        err = max(_rel_error(gd, fd_d), _rel_error(ga, fd_a))
-
-        cos = float(np.dot(gd, ga) / (np.linalg.norm(gd) * np.linalg.norm(ga)))
+        xs[k], ys[k], yt[k] = x.spatial, y.spatial, y.time
+        gd[k] = grad_lorentz_distance(x, y)
+        ga[k] = grad_exterior_angle(x, y)
+        cos = float(np.dot(gd[k], ga[k]) / (np.linalg.norm(gd[k]) * np.linalg.norm(ga[k])))
         pred = grad_sign_predictor(x, y)
         if abs(cos) > 1e-8:
             gated += 1
             if (cos > 0) - (cos < 0) == pred:
                 agree += 1
 
-        ge_d = grad_euclidean_distance(x.spatial, y.spatial)
-        ge_a = grad_euclidean_exterior_angle(x.spatial, y.spatial)
-        err = max(
-            err,
-            _rel_error(ge_d, finite_difference_gradient(
-                lambda s: float(np.linalg.norm(s - y.spatial)), x.spatial)),
-            _rel_error(ge_a, finite_difference_gradient(
-                lambda s: euclidean_exterior_angle(s, y.spatial), x.spatial)),
-        )
-        cos_e = float(np.dot(ge_d, ge_a) / (np.linalg.norm(ge_d) * np.linalg.norm(ge_a)))
+        ge_d[k] = grad_euclidean_distance(x.spatial, y.spatial)
+        ge_a[k] = grad_euclidean_exterior_angle(x.spatial, y.spatial)
+        cos_e = float(np.dot(ge_d[k], ge_a[k])
+                      / (np.linalg.norm(ge_d[k]) * np.linalg.norm(ge_a[k])))
         if abs(cos_e) >= 1e-8:
             violations += 1
+        cosines.append(cos)
+        euclid_cosines.append(cos_e)
+        signs.append(pred)
 
-        max_rel = max(max_rel, err)
-        samples.append({
-            "x_spatial": [float(v) for v in x.spatial],
-            "y_spatial": [float(v) for v in y.spatial],
-            "grad_distance": [float(v) for v in gd],
-            "grad_ext_angle": [float(v) for v in ga],
-            "fd_distance": [float(v) for v in fd_d],
-            "fd_ext_angle": [float(v) for v in fd_a],
-            "cosine": cos,
-            "euclid_cosine": cos_e,
-            "predicted_sign": pred,
-            "rel_error": err,
-        })
-    rate = agree / gated if gated else 1.0
+    y_norm = np.linalg.norm(ys, axis=1)
+
+    def oracles(s):
+        """d(x, y), ext(y, x), ||x' - y'|| and the Euclidean angle at y'."""
+        x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", s, s))
+        L = -x0 * yt + np.einsum("ij,ij->i", s, ys)
+        den = y_norm * np.sqrt(np.maximum(L * L - 1.0, 1e-300))
+        v = s - ys
+        nv = np.linalg.norm(v, axis=1)
+        return np.stack([
+            np.arccosh(np.maximum(1.0, -L)),
+            np.arccos(np.clip((x0 + yt * L) / den, -1.0, 1.0)),
+            nv,
+            np.arccos(np.clip(np.einsum("ij,ij->i", ys, v) / (y_norm * nv), -1.0, 1.0)),
+        ])
+
+    fd = _row_central_difference(oracles, xs)
+    err = (np.linalg.norm(grads - fd, axis=-1)
+           / np.maximum(1.0, np.linalg.norm(grads, axis=-1))).max(axis=0)
+    keys = ("x_spatial", "y_spatial", "grad_distance", "grad_ext_angle", "fd_distance",
+            "fd_ext_angle", "cosine", "euclid_cosine", "predicted_sign", "rel_error")
+    columns = (xs.tolist(), ys.tolist(), gd.tolist(), ga.tolist(), fd[0].tolist(),
+               fd[1].tolist(), cosines, euclid_cosines, signs, err.tolist())
+    max_rel = float(err.max())
+    # freed before the records are built, where they would raise the peak RSS
+    del xs, ys, yt, y_norm, grads, gd, ga, ge_d, ge_a, fd, err
     return GradientReport(
         sample_count=sample_count,
         seed=seed,
         fd_step=FD_STEP,
         max_rel_error=max_rel,
-        sign_agreement_rate=rate,
+        sign_agreement_rate=agree / gated if gated else 1.0,
         euclid_orthogonality_violations=violations,
-        samples=samples,
+        samples=[dict(zip(keys, row)) for row in zip(*columns)],
     )
-
-
-def _ext_from_spatial(s: np.ndarray, y: LorentzPoint) -> float:
-    x0 = math.sqrt(1.0 + float(s @ s))
-    L = -x0 * y.time + float(s @ y.spatial)
-    den = y.spatial_norm * math.sqrt(max(L * L - 1.0, 1e-300))
-    return math.acos(min(1.0, max(-1.0, (x0 + y.time * L) / den)))
 
 
 # --------------------------------------------------------------------------

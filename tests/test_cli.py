@@ -134,6 +134,17 @@ class TestGradcheck:
         assert run(["gradcheck", "--samples", "1", "--seed", "4", "--out", str(out)]) == 0
         assert len(read_json(out)["samples"]) == 1
 
+    def test_euclid_orthogonality_violation_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a 1e-7 radial leak keeps max_rel_error far below 1e-5, so only
+        # the orthogonality count can fail the check
+        angle_gradient = gr.grad_euclidean_exterior_angle
+        monkeypatch.setattr(gr, "grad_euclidean_exterior_angle",
+                            lambda x, y: angle_gradient(x, y) + 1e-7 * (x - y))
+        out = tmp_path / "g.json"
+        assert run(["gradcheck", "--samples", "20", "--seed", "3", "--out", str(out)]) == 1
+        assert "euclid_violations=20 -> FAIL" in capsys.readouterr().out
+        assert read_json(out)["max_rel_error"] <= 1e-5
+
 
 @pytest.fixture(scope="module")
 def field(tmp_path_factory):

@@ -352,6 +352,42 @@ class TestGradientInteractionReport:
         with pytest.raises(UsageError):
             grad.gradient_interaction_report(0, seed=1)
 
+    def test_matches_scalar_oracle(self):
+        # the report's FD columns come from the row-wise oracle; each must
+        # agree with the scalar oracle, and every other column must be the
+        # scalar closed forms' values exactly
+        for rec in grad.gradient_interaction_report(50, seed=10).samples:
+            xs, ys = np.array(rec["x_spatial"]), np.array(rec["y_spatial"])
+            nx, ny = np.linalg.norm(xs), np.linalg.norm(ys)
+            x = lz.LorentzPoint(math.sqrt(1.0 + nx * nx), xs)
+            y = lz.LorentzPoint(math.sqrt(1.0 + ny * ny), ys)
+            gd, ga = grad.grad_lorentz_distance(x, y), grad.grad_exterior_angle(x, y)
+            ge_d = grad.grad_euclidean_distance(xs, ys)
+            ge_a = grad.grad_euclidean_exterior_angle(xs, ys)
+            assert rec["grad_distance"] == gd.tolist()
+            assert rec["grad_ext_angle"] == ga.tolist()
+            assert rec["cosine"] == float(gd @ ga / (np.linalg.norm(gd) * np.linalg.norm(ga)))
+            assert rec["euclid_cosine"] == float(
+                ge_d @ ge_a / (np.linalg.norm(ge_d) * np.linalg.norm(ge_a)))
+            assert rec["predicted_sign"] == grad.grad_sign_predictor(x, y)
+            fd_d, fd_a, fd_ed, fd_ea = (grad.finite_difference_gradient(f, xs) for f in (
+                lambda s: dist_of_spatial(s, y),
+                lambda s: ext_of_spatial(s, y),
+                lambda s: float(np.linalg.norm(s - ys)),
+                lambda s: grad.euclidean_exterior_angle(s, ys),
+            ))
+            np.testing.assert_allclose(rec["fd_distance"], fd_d, atol=1e-7)
+            np.testing.assert_allclose(rec["fd_ext_angle"], fd_a, atol=1e-7)
+            scalar_errors = [
+                np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
+                for g, fd in ((gd, fd_d), (ga, fd_a), (ge_d, fd_ed), (ge_a, fd_ea))
+            ]
+            assert rec["rel_error"] == pytest.approx(max(scalar_errors), abs=1e-7)
+
+    def test_row_oracle_non_finite_raises(self):
+        with pytest.raises(OracleError):
+            grad._row_central_difference(lambda s: np.where(s[:, 0] > 0, np.nan, 0.0), np.zeros((3, 2)))
+
 
 def _clear_pairs(seed, n=30):
     """Spatial/time arrays of n clear (point, anchor) pairs plus the pairs."""
