@@ -88,6 +88,10 @@ COMMANDS = (
     ("deltahyp-euclidean", 0, ["deltahyp", *DELTA, "--out", "{dir}/dh.json"]),
     ("deltahyp-lorentz", 0, ["deltahyp", *DELTA, "--metric", "lorentz",
                              "--out", "{dir}/dh.json"]),
+    # 200 points per batch: three full 64-row blocks of the max-min kernel and a partial one
+    ("deltahyp-lorentz-partial", 0, ["deltahyp", "--input", CLOUD, "--batch-size", "200",
+                                     "--batches", "2", "--metric", "lorentz",
+                                     "--out", "{dir}/dh.json"]),
     ("deltahyp-overflow", 2, ["deltahyp", "--input", OVERFLOW, "--out", "{dir}/dh.json"]),
     ("losscape-huge-extent", 2, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "3",
                                  "--extent", "1e300", "--out", "{dir}/ls.csv"]),

@@ -32,6 +32,8 @@ def worker_count() -> int:
         if n < 1:
             raise UsageError("LSK_THREADS must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

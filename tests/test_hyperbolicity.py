@@ -1,5 +1,8 @@
 """Tests for Gromov delta-hyperbolicity estimation."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,20 @@ class TestDistanceMatrixType:
         with pytest.raises(UsageError):
             hyp.DistanceMatrix(bad)
 
+    def test_near_symmetry_stored_bitwise_symmetric(self):
+        # asymmetry within the 1e-12 tolerance is accepted; the stored
+        # values mirror the upper triangle, which the half-triangle walk
+        # of delta_from_matrix relies on
+        rng = np.random.default_rng(95)
+        values = hyp.pairwise_distances(rng.normal(size=(72, 3)), "lorentz").values.copy()
+        for i, j in [(3, 40), (70, 5), (66, 67), (10, 71)]:
+            values[i, j] += 1e-13
+        D = hyp.DistanceMatrix(values)
+        assert not np.array_equal(values, values.T)
+        np.testing.assert_array_equal(D.values, D.values.T)
+        np.testing.assert_array_equal(np.triu(D.values), np.triu(values))
+        assert hyp.delta_from_matrix(D) == hyp.delta_bruteforce(D)
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(UsageError):
             hyp.DistanceMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]))
@@ -121,10 +138,17 @@ class TestMaxminProduct:
         np.testing.assert_array_equal(hyp.maxmin_product(A, A), naive_maxmin(A, A))
 
     def test_chunked_equals_unchunked(self):
-        # 23 rows span a full chunk and a partial one
+        # 70 rows span a full 64-row block and a partial one
         rng = np.random.default_rng(83)
-        A = rng.uniform(size=(23, 23))
+        A = rng.uniform(size=(70, 70))
         np.testing.assert_array_equal(hyp.maxmin_product(A, A), naive_maxmin(A, A))
+
+    def test_rectangular_blocks(self):
+        # delta_from_matrix multiplies a block of rows by a band of columns
+        rng = np.random.default_rng(96)
+        A = rng.uniform(size=(70, 50))
+        B = rng.uniform(size=(50, 90))
+        np.testing.assert_array_equal(hyp.maxmin_product(A, B), naive_maxmin(A, B))
 
     def test_nonconformable(self):
         with pytest.raises(UsageError):
@@ -145,6 +169,28 @@ class TestDelta:
             fast = hyp.delta_from_matrix(D)
             slow = hyp.delta_bruteforce(D)
             assert fast == slow  # exact equality, not tolerance
+
+    def test_matches_bruteforce_across_row_blocks(self):
+        # 130 points walk three row blocks of the upper triangle, the last
+        # one partial
+        rng = np.random.default_rng(97)
+        D = hyp.pairwise_distances(rng.normal(size=(130, 4)), "lorentz")
+        for base in (0, 129):
+            assert hyp.delta_from_matrix(D, base) == hyp.delta_bruteforce(D, base)
+
+    def test_memory_stays_quadratic(self):
+        # numpy reports its buffers to tracemalloc; the blocked kernel
+        # holds A and a few row blocks, never an (rows, n, n) temporary
+        n = 300
+        rng = np.random.default_rng(98)
+        D = hyp.pairwise_distances(rng.normal(size=(n, 3)), "lorentz")
+        tracemalloc.start()
+        try:
+            hyp.delta_from_matrix(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
 
     def test_homogeneous_in_scale(self):
         rng = np.random.default_rng(85)
@@ -266,6 +312,19 @@ class TestBatched:
         monkeypatch.setenv("LSK_THREADS", "0")
         with pytest.raises(UsageError):
             worker_count()
+
+    def test_worker_default_is_cpus_this_process_may_use(self, monkeypatch):
+        from lorentzseg.fileio import worker_count
+
+        monkeypatch.delenv("LSK_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert worker_count() == 3
+        monkeypatch.setenv("LSK_THREADS", "2")
+        assert worker_count() == 2
+        monkeypatch.delenv("LSK_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 64
 
 
 class TestEmbeddingCsv:
