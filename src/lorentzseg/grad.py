@@ -35,7 +35,10 @@ share one broadcast shape S and spatial coordinates are S + (d,), so the
 same body serves one anchor per row (S = (N,)) and all pairs (S = (P, A),
 points as (P, 1, d), anchors as (1, A, d)).  dd/danchor is dd/dpoint with
 the roles swapped, since the distance is symmetric.  Degenerate entries
-are floored rather than raised.
+are floored rather than raised.  The all-pairs kernels ``grad_*_cross*``
+return dense (P, A, d) tensors; no trainer calls them.  They are the
+oracle of ``maskhead._pair_backward``, which contracts the same closed
+forms against (P, A) weights as matmuls, without building those tensors.
 """
 
 from __future__ import annotations
@@ -349,7 +352,8 @@ def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
 
 
 # --------------------------------------------------------------------------
-# array layer used by the trainers
+# array layer: the per-row forms the trainers use, and the dense all-pairs
+# kernels that check the mask head's contraction
 # --------------------------------------------------------------------------
 
 

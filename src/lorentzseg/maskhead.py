@@ -17,8 +17,10 @@ logit zero.  Training runs in the loop every head shares
 (``segtoy._descend``).  Each step matches queries to ground-truth segments
 by Hungarian assignment, applies cross-entropy on classes plus focal and
 dice losses on matched masks, supervises unmatched queries toward
-no-object, and backpropagates through every term by chain rule; the six
-all-pairs gradient contractions live in ``_pair_backward``.
+no-object, and backpropagates through every term by chain rule.  The six
+all-pairs gradient contractions live in ``_pair_backward``, each a (P, A)
+coefficient array times a matmul with one side's spatial block plus a
+row sum times the other's.
 
 The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
 exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
@@ -318,14 +320,32 @@ def _mask_loss_at(state, segments):
 def _pair_backward(w_d, w_ext, psp, pt, asp, at, inner, anorms, want_anchor):
     """Backward of sum(w_d * d + w_ext * ext) over every (point, anchor)
     pair, with (points, anchors) weights, to the points' spatial parts and,
-    with ``want_anchor``, to the anchors' (else None)."""
-    g_p = np.einsum("pa,pad->pd", w_d, gr.grad_distance_cross(psp, pt, asp, at, inner))
-    g_p += np.einsum("pa,pad->pd", w_ext, gr.grad_ext_cross_point(psp, pt, asp, at, inner, anorms))
+    with ``want_anchor``, to the anchors' (else None).
+
+    Each pair's gradient in ``grad``'s closed forms is c_self * (own
+    spatial) + c_other * (other spatial) with (P, A) coefficients, so each
+    sum over pairs is a matmul of weighted coefficients with the other
+    side's spatial block plus a row sum times the own block; no (P, A, d)
+    tensor is built.  The dense ``grad.grad_*_cross*`` kernels are its
+    oracle."""
+    L = inner
+    pt_col = pt[:, None]
+    L2m1 = np.maximum(L * L - 1.0, gr._FLOOR)
+    den = np.sqrt(L2m1)
+    A = (pt_col + at * L) / (anorms * den)
+    sin_term = np.sqrt(np.maximum(1.0 - A * A, gr._FLOOR))
+    coef = 1.0 / (sin_term * anorms * den)
+    U = w_d / den
+    V = w_ext * coef
+    V2 = V * (at + pt_col * L) / L2m1
+    g_p = -U @ asp + ((U @ at) / pt)[:, None] * psp
+    g_p += V2 @ asp - ((V.sum(axis=1) + V2 @ at) / pt)[:, None] * psp
     if not want_anchor:
         return g_p, None
-    g_a = np.einsum("pa,pad->ad", w_d, gr.grad_distance_cross_anchor(psp, pt, asp, at, inner))
-    g_a += np.einsum("pa,pad->ad", w_ext,
-                     gr.grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms))
+    g_a = -U.T @ psp + ((U.T @ pt) / at)[:, None] * asp
+    alpha = -coef * (at - A * anorms * L / den)
+    beta = -coef * (L / at - pt_col - A * den / anorms + A * anorms * L * pt_col / (den * at))
+    g_a += (w_ext * alpha).T @ psp + (w_ext * beta).sum(axis=0)[:, None] * asp
     return g_p, g_a
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,56 @@ class TestMaskAngleUncertainty:
         np.testing.assert_allclose(m.values, 0.0, atol=1e-6)
 
 
+class TestPairBackward:
+    """The matmul contraction of ``_pair_backward`` against the einsum of
+    the dense all-pairs kernels it replaces."""
+
+    P = 50
+
+    def pairs(self, n_anchors):
+        rng = np.random.default_rng(5)
+        pt, psp = lz.batched_exp_lift(rng.normal(size=(self.P, EMBED_DIM)) * 1.2)
+        at, asp = lz.batched_exp_lift(rng.normal(size=(n_anchors, EMBED_DIM)) * 1.2)
+        psp[3], pt[3] = asp[0], at[0]  # a point on anchor 0
+        inner = lz.inner_to_anchors(psp, pt, asp, at)
+        assert inner[3, 0] ** 2 - 1.0 < gr._FLOOR  # its den is the floor's
+        w_d, w_ext = rng.normal(size=(2, self.P, n_anchors))
+        return w_d, w_ext, psp, pt, asp, at, inner, np.linalg.norm(asp, axis=1)
+
+    @staticmethod
+    def dense(w_d, w_ext, psp, pt, asp, at, inner, anorms):
+        g_p = (np.einsum("pa,pad->pd", w_d, gr.grad_distance_cross(psp, pt, asp, at, inner))
+               + np.einsum("pa,pad->pd", w_ext,
+                           gr.grad_ext_cross_point(psp, pt, asp, at, inner, anorms)))
+        g_a = (np.einsum("pa,pad->ad", w_d, gr.grad_distance_cross_anchor(psp, pt, asp, at, inner))
+               + np.einsum("pa,pad->ad", w_ext,
+                           gr.grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms)))
+        return g_p, g_a
+
+    @staticmethod
+    def assert_close(got, want, rtol):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+    @pytest.mark.parametrize("n_anchors", [12, 1])
+    @pytest.mark.parametrize("want_anchor", [True, False])
+    def test_matches_dense_kernels(self, n_anchors, want_anchor):
+        args = self.pairs(n_anchors)
+        g_p, g_a = mh._pair_backward(*args, want_anchor)
+        d_p, d_a = self.dense(*args)
+        clear_p = np.arange(self.P) != 3
+        self.assert_close(g_p[clear_p], d_p[clear_p], 1e-12)
+        # the floored pair's terms carry 1/sqrt(_FLOOR) = 1e6 and cancel in
+        # the sum, so its point row and anchor column keep less of the
+        # precision; 300 draws differed by at most 5.3e-11 there
+        self.assert_close(g_p[3], d_p[3], 1e-9)
+        if not want_anchor:
+            assert g_a is None
+            return
+        if n_anchors > 1:
+            self.assert_close(g_a[1:], d_a[1:], 1e-12)
+        self.assert_close(g_a[0], d_a[0], 1e-9)
+
+
 class TestTrainMaskheadGradient:
     """End to end: the gradient one training step applies, recovered as
     (before - after)/lr with no weight decay, against central differences
@@ -416,6 +467,20 @@ class TestTrainMaskhead:
 
     def test_loss_decreases(self, mask_run):
         assert mask_run.trace["total"][-1] < mask_run.trace["total"][0]
+
+    def test_epoch_builds_no_pixel_query_dim_tensor(self, clean_scene, clean_bank):
+        # one dense (pixels, queries, d) float64 tensor is P*N*d*8 bytes; the
+        # backward contracts without any, so an epoch peaks well below four
+        cfg = dataclasses.replace(REFERENCE_MASK_TRAIN, epochs=1)
+        h, w = clean_scene.shape
+        dense = h * w * REFERENCE_MASK_HEAD.n_queries * clean_bank.d * 8
+        tracemalloc.start()
+        try:
+            mh.train_maskhead(clean_scene, clean_bank, REFERENCE_MASK_HEAD, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dense, (peak, dense)
 
     def test_angle_ablation_degrades_boundary_separation(self):
         scene = st.generate_scene(REFERENCE_SCENE_ABLATION)
