@@ -12,7 +12,6 @@ mask-classification head (``maskhead``), and a file-oriented CLI
 __version__ = "0.1.0"
 
 from .lorentz import (  # noqa: F401
-    Curvature,
     EmbeddingGrid,
     LorentzPoint,
     TangentVector,

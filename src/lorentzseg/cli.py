@@ -120,18 +120,13 @@ def _save_model(prefix, scene: st.SyntheticScene, res: st.TrainResult):
     save_param_blocks(prefix, blocks, extras)
 
 
-# mask-head settings that became the upper-case maskhead constants: models
-# saved before record them, and load only if they hold the constant's value
-_RETIRED_HEAD_KEYS = ("w_d", "b_d", "s_d", "b_a", "gamma", "lambda_cls", "lambda_focal",
-                      "lambda_dice", "no_object_weight", "class_lr_scale")
-
-
 def load_model(prefix):
     """Load a trained head: returns (scene, res), the scene regenerated from
     the descriptor and a TrainResult with an empty trace, its bank and its
-    prototypes rebuilt.  A descriptor that lacks a block or a key, holds a
-    value of the wrong kind or out of range, names an unknown head, or has
-    blocks whose shapes do not fit the rebuilt bank raises ParseError."""
+    prototypes rebuilt.  A descriptor that lacks a block or a key, has a
+    setting its config does not, holds a value of the wrong kind or out of
+    range, names an unknown head, or has blocks whose shapes do not fit the
+    rebuilt bank raises ParseError."""
     try:
         blocks, extras = load_param_blocks(prefix)
         head = extras["head"]
@@ -139,26 +134,14 @@ def load_model(prefix):
             raise ParseError(f"{prefix}.json: unknown head {head!r}")
         params = st.EncoderParams.from_blocks(blocks)
         scene_cfg = st.SceneConfig(**extras["scene"])
-        train = dict(extras["train"])
-        # models saved before momentum was removed record it as 0.0
-        if train.pop("momentum", 0.0) != 0.0:
-            raise ParseError(f"{prefix}.json: momentum training is no longer supported")
-        train_cfg = st.TrainConfig(**train)
+        train_cfg = st.TrainConfig(**extras["train"])
         exclude = extras.get("exclude_class")
         scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
         shapes = {"w1": (train_cfg.hidden, scene_cfg.descriptor_dim), "b1": (train_cfg.hidden,),
                   "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,)}
         queries = head_cfg = None
         if head == "mask":
-            head_block = dict(extras["head_cfg"])
-            # mask models saved before the head's cone constant was folded
-            # into the training K carry their own, unused, "K"
-            head_block.pop("K", None)
-            for key in _RETIRED_HEAD_KEYS:
-                fixed = getattr(mh, key.upper())
-                if head_block.pop(key, fixed) != fixed:
-                    raise ParseError(f"{prefix}.json: head_cfg {key} differs from the fixed {fixed}")
-            head_cfg = mh.MaskHeadConfig(**head_block)
+            head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
             queries = mh.QuerySet(
                 class_tangents=blocks["class_tangents"],
                 mask_tangents=blocks["mask_tangents"],
@@ -289,8 +272,7 @@ def cmd_gradfield(args):
     if target.size != 2:
         raise UsageError("--target expects 'a,b'")
     try:
-        with np.errstate(over="ignore"):
-            lift_point(target)
+        lift_point(target)
     except (OverflowError, UsageError):
         raise UsageError(f"--target {args.target} is not finite or overflows the lift") from None
     # every row is computed before one is written: the extent's domain is what they hold

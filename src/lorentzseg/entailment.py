@@ -3,24 +3,25 @@
 Every class anchor x on the hyperboloid carries a geodesically convex
 cone opening away from the origin with half-aperture
 
-    aper(x) = asin( 2K / (sqrt(c) ||x'||) ),
+    aper(x) = asin( 2K / ||x'|| ),
 
 which shrinks as the anchor moves outward.  Membership of a point y in
 the cone of x is measured by the exterior angle at the pivot x of the
 geodesic triangle origin-x-y,
 
-    ext(x, y) = acos( (y0 + x0 * cL) / (||x'|| sqrt(cL^2 - 1)) ),
-    cL = c <x, y>_L,
+    ext(x, y) = acos( (y0 + x0 * L) / (||x'|| sqrt(L^2 - 1)) ),
+    L = <x, y>_L,
 
 which is 0 when y lies directly beyond x on its outward ray and grows as
 y swings off-axis.  The hinge max(0, ext - aper) penalizes points outside
 the cone; classification logits are negative geodesic distances scaled by
 a temperature.
 
-The scalar functions read c from the anchor's own ``Curvature`` and take
-K as a float; the array layer works at unit curvature, like the rest of
-the array kernels.  A ``PrototypeSet`` carries K and turns it into its
-anchors' apertures once, at construction.
+Both formulas are written at unit curvature, like the rest of the
+package; rescaling points from curvature -c onto this hyperboloid leaves
+apertures and exterior angles unchanged.  The scalar functions take K as
+a float.  A ``PrototypeSet`` carries K and turns it into its anchors'
+apertures once, at construction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .lorentz import (
-    Curvature,
     LorentzPoint,
     geodesic_distance,
     inner_to_anchors,
@@ -47,8 +47,8 @@ _DEGENERATE_TOL = 1e-12
 class PrototypeSet:
     """C class anchors on one hyperboloid, with their class labels and the
     cone constant K; ``apertures`` holds each anchor's half-aperture
-    asin(2K/(sqrt(c)||x'||)), computed once here; an anchor with
-    ||x'|| <= 2K/sqrt(c), the origin included, raises UsageError."""
+    asin(2K/||x'||), computed once here; an anchor with ||x'|| <= 2K, the
+    origin included, raises UsageError."""
 
     anchors: tuple
     labels: tuple
@@ -62,33 +62,26 @@ class PrototypeSet:
             raise UsageError("anchors and labels differ in length")
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "labels", tuple(self.labels))
-        c = self.anchors[0].curvature.c
         for a in self.anchors:
-            if a.curvature.c != c:
-                raise UsageError("anchors mix curvatures")
             if not manifold_check(a, 1e-8):
                 raise DomainError("anchor fails the manifold check")
         object.__setattr__(self, "_spatial", np.stack([a.spatial for a in self.anchors]))
         object.__setattr__(self, "_time", np.array([a.time for a in self.anchors]))
-        floor = 2.0 * self.K / self.curvature.sqrt_c
+        floor = 2.0 * self.K
         norms = self.spatial_norms
         bad = np.nonzero(norms <= floor)[0]
         if bad.size:
             i = int(bad[0])
             raise UsageError(
                 f"anchor {self.labels[i]!r} has spatial norm {norms[i]:.6g} <= "
-                f"2K/sqrt(c) = {floor:.6g}; its cone aperture is undefined"
+                f"2K = {floor:.6g}; its cone aperture is undefined"
             )
-        arg = 2.0 * self.K / (norms * self.curvature.sqrt_c)
+        arg = 2.0 * self.K / norms
         object.__setattr__(self, "apertures", np.arcsin(np.minimum(arg, 1.0)))
 
     @property
     def n_classes(self) -> int:
         return len(self.anchors)
-
-    @property
-    def curvature(self) -> Curvature:
-        return self.anchors[0].curvature
 
     @property
     def spatial(self) -> np.ndarray:
@@ -109,11 +102,11 @@ def _check_cone_constant(K: float):
 
 
 def half_aperture(x: LorentzPoint, K: float) -> float:
-    """Half-aperture asin(2K/(sqrt(c)||x'||)) at the anchor's own
-    curvature c, in (0, pi/2], strictly decreasing in its spatial norm."""
+    """Half-aperture asin(2K/||x'||), in (0, pi/2], strictly decreasing in
+    the anchor's spatial norm."""
     _check_cone_constant(K)
     norm = x.spatial_norm
-    arg = 2.0 * K / (x.curvature.sqrt_c * norm) if norm > 0 else math.inf
+    arg = 2.0 * K / norm if norm > 0 else math.inf
     if arg > 1.0 + 1e-12:
         raise DomainError(
             f"aperture undefined at anchor with ||x'|| = {norm:.6g}: "
@@ -124,19 +117,16 @@ def half_aperture(x: LorentzPoint, K: float) -> float:
 
 def exterior_angle(x: LorentzPoint, y: LorentzPoint) -> float:
     """Exterior angle in [0, pi] at pivot x of the triangle origin-x-y."""
-    if x.curvature.c != y.curvature.c:
-        raise UsageError("mixed curvatures")
-    c = x.curvature.c
     if x.spatial_norm == 0.0:
         raise UsageError("exterior angle undefined at the origin anchor")
-    cl = c * lorentz_inner(x.ambient, y.ambient)
-    if cl * cl <= 1.0 + _DEGENERATE_TOL:
+    L = lorentz_inner(x.ambient, y.ambient)
+    if L * L <= 1.0 + _DEGENERATE_TOL:
         raise DomainError(
-            f"degenerate configuration: (c<x,y>_L)^2 = {cl * cl:.12g} <= 1 "
+            f"degenerate configuration: <x,y>_L^2 = {L * L:.12g} <= 1 "
             "(coincident or numerically off-manifold points)"
         )
-    num = y.time + x.time * cl
-    den = x.spatial_norm * math.sqrt(cl * cl - 1.0)
+    num = y.time + x.time * L
+    den = x.spatial_norm * math.sqrt(L * L - 1.0)
     return math.acos(min(1.0, max(-1.0, num / den)))
 
 

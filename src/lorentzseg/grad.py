@@ -1,10 +1,11 @@
 """Analytic gradients, the exponential-map Jacobian, and a
 finite-difference oracle.
 
-Derivations fix curvature c = 1 and differentiate with respect to the
-spatial coordinates of the MOVING point, treating its time component as
-dependent through x0 = sqrt(1 + ||x'||^2) (so these are total derivatives
-along the manifold).  In every two-point function below, ``x`` is the
+Derivations are at unit curvature, like the rest of the package, and
+differentiate with respect to the spatial coordinates of the MOVING
+point, treating its time component as dependent through
+x0 = sqrt(1 + ||x'||^2) (so these are total derivatives along the
+manifold).  In every two-point function below, ``x`` is the
 moving point and ``y`` is the fixed anchor:
 
   * distance d(x, y) = acosh(Lu), Lu = x0*y0 - x'.y':
@@ -35,10 +36,14 @@ share one broadcast shape S and spatial coordinates are S + (d,), so the
 same body serves one anchor per row (S = (N,)) and all pairs (S = (P, A),
 points as (P, 1, d), anchors as (1, A, d)).  dd/danchor is dd/dpoint with
 the roles swapped, since the distance is symmetric.  Degenerate entries
-are floored rather than raised.  The all-pairs kernels ``grad_*_cross*``
-return dense (P, A, d) tensors; no trainer calls them.  They are the
-oracle of ``maskhead._pair_backward``, which contracts the same closed
-forms against (P, A) weights as matmuls, without building those tensors.
+are floored rather than raised.  The only array form a trainer calls is
+the per-row dext/dpoint, ``batched_grad_ext_wrt_point``, for the pixel
+head's hinge; that head contracts its distance gradient against the
+anchors inline, in ``segtoy._pixel_loss_and_grad``.  The all-pairs
+kernels ``grad_*_cross*`` return dense (P, A, d) tensors; no trainer
+calls them.  They are the oracle of ``maskhead._pair_backward``, which
+contracts the same closed forms against (P, A) weights as matmuls,
+without building those tensors.
 """
 
 from __future__ import annotations
@@ -59,15 +64,8 @@ _REPORT_FORMAT = "lorentzseg/gradient-report/v1"
 _FLOOR = 1e-12  # floor of the sqrt arguments in the array layer's kernels
 
 
-def _require_unit_curvature(*points: LorentzPoint):
-    for p in points:
-        if p.curvature.c != 1.0:
-            raise UsageError("analytic gradients are derived at curvature c = 1")
-
-
 def grad_lorentz_distance(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
-    """Gradient of d(x, y) w.r.t. x's spatial coordinates at c = 1."""
-    _require_unit_curvature(x, y)
+    """Gradient of d(x, y) w.r.t. x's spatial coordinates."""
     lu = x.time * y.time - float(np.dot(x.spatial, y.spatial))
     if abs(lu) <= 1.0 + 1e-12:
         raise DomainError(f"coincident points: |x0 y0 - x'.y'| = {abs(lu)} <= 1")
@@ -75,9 +73,8 @@ def grad_lorentz_distance(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
 
 
 def _ext_terms(x: LorentzPoint, y: LorentzPoint):
-    """(L, ||y'||, sqrt(L^2 - 1), A) of ext(y, x) = acos(A) at c = 1; a pair
+    """(L, ||y'||, sqrt(L^2 - 1), A) of ext(y, x) = acos(A); a pair
     on which either gradient of ext is undefined raises."""
-    _require_unit_curvature(x, y)
     L = -x.time * y.time + float(np.dot(x.spatial, y.spatial))
     if L * L <= 1.0 + 1e-12:
         raise DomainError("degenerate pair: (L)^2 <= 1")
@@ -93,7 +90,7 @@ def _ext_terms(x: LorentzPoint, y: LorentzPoint):
 
 def grad_exterior_angle(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
     """Gradient of the exterior angle at pivot y, ext(y, x), w.r.t. the
-    moving point x's spatial coordinates at c = 1."""
+    moving point x's spatial coordinates."""
     L, ny, D, A = _ext_terms(x, y)
     inner_term = (
         -x.spatial / x.time
@@ -120,14 +117,13 @@ def grad_exterior_angle_anchor(x: LorentzPoint, y: LorentzPoint) -> np.ndarray:
 def grad_sign_predictor(x: LorentzPoint, y: LorentzPoint) -> int:
     """sign((-x0 <x,y>_L) - y0): the predicted sign of the cosine between
     the distance gradient and the exterior-angle gradient at x."""
-    _require_unit_curvature(x, y)
     L = -x.time * y.time + float(np.dot(x.spatial, y.spatial))
     s = (-x.time * L) - y.time
     return (s > 0) - (s < 0)
 
 
 def exp_map_jacobian(v: np.ndarray) -> np.ndarray:
-    """Jacobian of the origin exponential lift at c = 1, shape (n+1, n).
+    """Jacobian of the origin exponential lift, shape (n+1, n).
 
     Row 0 is dx0/dv_l = (v_l/r) sinh r; the spatial block is
     delta_jl sinh(r)/r + (v_j v_l / r^2)(cosh r - sinh(r)/r), whose

@@ -3,24 +3,25 @@
 Points live on the upper sheet of the two-sheeted hyperboloid in
 (n+1)-dimensional Minkowski space,
 
-    H^n = { x = (x0, x') : <x, x>_L = -1/c, x0 > 0 },   c > 0,
+    H^n = { x = (x0, x') : <x, x>_L = -1, x0 > 0 },
 
-where the Lorentzian inner product is <x, y>_L = -x0*y0 + sum_i xi*yi and
-the manifold has constant sectional curvature -c.  Membership is
-equivalent to x0 = sqrt(1/c + ||x'||^2).
+where the Lorentzian inner product is <x, y>_L = -x0*y0 + sum_i xi*yi.
+Membership is equivalent to x0 = sqrt(1 + ||x'||^2).  The package works
+at unit curvature, -1, throughout, and no function takes a curvature:
+curvature -c is this hyperboloid scaled by 1/sqrt(c), so distances scale
+by 1/sqrt(c) and every scale-free quantity (exterior angles, cone
+apertures, delta_rel) is unchanged.
 
 Two layers are provided.  The scalar layer works on immutable
 ``LorentzPoint`` / ``TangentVector`` values and enforces contracts
-loudly; every point carries its own ``Curvature``, so this layer is the
-oracle at any c.  The array layer (functions taking plain ndarrays, plus
-``EmbeddingGrid``) serves grid-sized workloads at unit curvature, c = 1,
-the curvature every analytic gradient and every training run uses.  Its
-kernels accept caller-supplied precomputed time components and spatial
-norms so hot loops avoid redundant square roots, and they absorb
-round-off by clamping instead of raising.
+loudly.  The array layer (functions taking plain ndarrays, plus
+``EmbeddingGrid``) serves grid-sized workloads.  Its kernels accept
+caller-supplied precomputed time components and spatial norms so hot
+loops avoid redundant square roots, and they absorb round-off by
+clamping instead of raising.
 
-Tangent magnitudes are clamped so that sqrt(c)*||v|| <= MAX_TANGENT_NORM
-before cosh/sinh; every clamp is counted (see ``clamp_events``) and never
+Tangent magnitudes are clamped so that ||v|| <= MAX_TANGENT_NORM before
+cosh/sinh; every clamp is counted (see ``clamp_events``) and never
 produces a silent NaN.
 """
 
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError
 
-# sqrt(c)*||v|| above this is rescaled before cosh/sinh so doubles stay finite
+# ||v|| above this is rescaled before cosh/sinh so doubles stay finite
 MAX_TANGENT_NORM = 12.0
 
 # below this, sinh(r)/r and friends switch to series (rel. error < 1e-16)
@@ -76,22 +77,6 @@ def reset_clamp_events():
     _CLAMPS.reset()
 
 
-@dataclass(frozen=True)
-class Curvature:
-    """The manifold has curvature -c with c > 0."""
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise UsageError(f"curvature parameter must be a positive finite real, got {self.c!r}")
-        object.__setattr__(self, "c", float(self.c))
-
-    @property
-    def sqrt_c(self) -> float:
-        return math.sqrt(self.c)
-
-
 def _as_spatial(v) -> np.ndarray:
     arr = np.array(v, dtype=np.float64, copy=True).reshape(-1)
     if arr.size < 1:
@@ -107,26 +92,24 @@ class LorentzPoint:
     """A point on the hyperboloid: time component plus spatial vector.
 
     Invariants checked at construction: the time component matches
-    sqrt(1/c + ||spatial||^2) and the Lorentz self-product is -1/c.  The
-    tolerance scales with x0^2 because evaluating <x,x>_L + 1/c cancels
+    sqrt(1 + ||spatial||^2) and the Lorentz self-product is -1.  The
+    tolerance scales with x0^2 because evaluating <x,x>_L + 1 cancels
     terms of magnitude x0^2.
     """
 
     time: float
     spatial: np.ndarray
-    curvature: Curvature = field(default_factory=Curvature)
 
     def __post_init__(self):
         object.__setattr__(self, "spatial", _as_spatial(self.spatial))
         object.__setattr__(self, "time", float(self.time))
-        c = self.curvature.c
         if not math.isfinite(self.time) or self.time <= 0:
             raise DomainError(f"time component must be positive and finite, got {self.time}")
         sq = float(np.dot(self.spatial, self.spatial))
-        residual = abs(-self.time * self.time + sq + 1.0 / c)
-        if residual > _MANIFOLD_TOL * max(1.0, c * self.time * self.time):
+        residual = abs(-self.time * self.time + sq + 1.0)
+        if residual > _MANIFOLD_TOL * max(1.0, self.time * self.time):
             raise DomainError(
-                f"point is off the manifold: |<x,x>_L + 1/c| = {residual:.3e} "
+                f"point is off the manifold: |<x,x>_L + 1| = {residual:.3e} "
                 f"(time={self.time}, ||spatial||^2={sq})"
             )
 
@@ -191,20 +174,22 @@ def lorentz_inner(x, y) -> float:
     return float(-xa[0] * ya[0] + np.dot(xa[1:], ya[1:]))
 
 
-def origin(dim: int, curvature: Curvature = Curvature()) -> LorentzPoint:
-    """The hyperboloid vertex (1/sqrt(c), 0, ..., 0)."""
+def origin(dim: int) -> LorentzPoint:
+    """The hyperboloid vertex (1, 0, ..., 0)."""
     if dim < 1:
         raise UsageError("dimension must be >= 1")
-    return LorentzPoint(1.0 / curvature.sqrt_c, np.zeros(dim), curvature)
+    return LorentzPoint(1.0, np.zeros(dim))
 
 
-def lift_point(spatial, curvature: Curvature = Curvature()) -> LorentzPoint:
-    """Attach the time component x0 = sqrt(1/c + ||spatial||^2)."""
+def lift_point(spatial) -> LorentzPoint:
+    """Attach the time component x0 = sqrt(1 + ||spatial||^2); an
+    overflowing ||spatial||^2 raises OverflowError, with no numpy warning."""
     s = _as_spatial(spatial)
-    sq = float(np.dot(s, s))
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(s, s))
     if not math.isfinite(sq):
         raise OverflowError("||spatial||^2 overflowed; rescale inputs")
-    return LorentzPoint(math.sqrt(1.0 / curvature.c + sq), s, curvature)
+    return LorentzPoint(math.sqrt(1.0 + sq), s)
 
 
 def sinh_ratio(r: float) -> float:
@@ -215,7 +200,7 @@ def sinh_ratio(r: float) -> float:
 
 
 def _clamp_tangent(v: np.ndarray, rho: float):
-    """Rescale v so sqrt(c)*||v|| <= MAX_TANGENT_NORM, counting the event."""
+    """Rescale v so ||v|| <= MAX_TANGENT_NORM, counting the event."""
     if rho > MAX_TANGENT_NORM:
         _CLAMPS.bump()
         v = v * (MAX_TANGENT_NORM / rho)
@@ -223,72 +208,68 @@ def _clamp_tangent(v: np.ndarray, rho: float):
     return v, rho
 
 
-def exp_lift_origin(v_e, curvature: Curvature = Curvature()) -> LorentzPoint:
+def exp_lift_origin(v_e) -> LorentzPoint:
     """Exponential map at the origin of a purely spatial tangent vector.
 
     For u = [0, v_e] the tangent projection at the origin is trivial and
 
-        expm_O(u) = [ cosh(sqrt(c)||v_e||)/sqrt(c),
-                      sinh(sqrt(c)||v_e||)/(sqrt(c)||v_e||) * v_e ].
+        expm_O(u) = [ cosh(||v_e||), sinh(||v_e||)/||v_e|| * v_e ].
 
     The geodesic distance of the result from the origin equals ||v_e||.
     """
     v = _as_spatial(v_e)
-    rho = curvature.sqrt_c * float(np.linalg.norm(v))
+    rho = float(np.linalg.norm(v))
     v, rho = _clamp_tangent(v, rho)
     if rho == 0.0:
-        return origin(v.size, curvature)
+        return origin(v.size)
     spatial = sinh_ratio(rho) * v
     # time enforced from the spatial part so membership holds by construction
     sq = float(np.dot(spatial, spatial))
-    return LorentzPoint(math.sqrt(1.0 / curvature.c + sq), spatial, curvature)
+    return LorentzPoint(math.sqrt(1.0 + sq), spatial)
 
 
 def tangent_project(z: LorentzPoint, u) -> TangentVector:
     """Orthogonal projection of an ambient vector onto the tangent space at z:
-    proj_z(u) = u + c * z * <z, u>_L."""
+    proj_z(u) = u + z * <z, u>_L."""
     ua = np.asarray(u, dtype=np.float64).reshape(-1)
     if ua.size != z.dim + 1:
         raise UsageError(f"ambient vector must be {z.dim + 1}-dim, got {ua.size}")
     za = z.ambient
-    comps = ua + z.curvature.c * za * lorentz_inner(za, ua)
+    comps = ua + za * lorentz_inner(za, ua)
     # re-orthogonalize once; the correction is pure round-off
-    comps = comps + z.curvature.c * za * lorentz_inner(za, comps)
+    comps = comps + za * lorentz_inner(za, comps)
     return TangentVector(z, comps)
 
 
 def exp_map(z: LorentzPoint, v: TangentVector) -> LorentzPoint:
-    """Geodesic shooting: expm_z(v) = cosh(sqrt(c)|v|)z + sinh(sqrt(c)|v|)/(sqrt(c)|v|) v."""
+    """Geodesic shooting: expm_z(v) = cosh(|v|)z + sinh(|v|)/|v| v."""
     if v.base is not z and not v.base.same_coords(z):
         raise UsageError("tangent vector is not based at z")
-    c = z.curvature.c
     comps = np.array(v.components, copy=True)
-    rho = z.curvature.sqrt_c * v.norm
+    rho = v.norm
     comps, rho = _clamp_tangent(comps, rho)
     if rho == 0.0:
-        return LorentzPoint(z.time, z.spatial, z.curvature)
+        return LorentzPoint(z.time, z.spatial)
     amb = math.cosh(rho) * z.ambient + sinh_ratio(rho) * comps
     spatial = amb[1:]
     sq = float(np.dot(spatial, spatial))
-    return LorentzPoint(math.sqrt(1.0 / c + sq), spatial, z.curvature)
+    return LorentzPoint(math.sqrt(1.0 + sq), spatial)
 
 
 def log_map(z: LorentzPoint, x: LorentzPoint) -> TangentVector:
     """Inverse of the exponential map.
 
-    logm_z(x) = acosh(-c<z,x>_L) / sqrt((c<z,x>_L)^2 - 1) * proj_z(x);
+    logm_z(x) = acosh(-<z,x>_L) / sqrt(<z,x>_L^2 - 1) * proj_z(x);
     returns the zero vector when x coincides with z.  The Lorentzian norm
     of the result equals the geodesic distance d(z, x).
     """
-    _check_same_curvature(z, x)
     if z.same_coords(x):
         return TangentVector(z, np.zeros(z.dim + 1))
-    c = z.curvature.c
-    alpha = -c * lorentz_inner(z.ambient, x.ambient)
+    alpha = -lorentz_inner(z.ambient, x.ambient)
     if alpha < 1.0 - 1e-8:
-        raise DomainError(f"-c<z,x>_L = {alpha} < 1: inputs are numerically off-manifold")
+        raise DomainError(f"-<z,x>_L = {alpha} < 1: inputs are numerically off-manifold")
     alpha = max(alpha, 1.0)
-    proj = x.ambient + c * z.ambient * lorentz_inner(z.ambient, x.ambient)
+    proj = x.ambient + z.ambient * lorentz_inner(z.ambient, x.ambient)
     h = alpha - 1.0
     if h < 1e-6:
         coef = 1.0 - h / 3.0
@@ -298,45 +279,31 @@ def log_map(z: LorentzPoint, x: LorentzPoint) -> TangentVector:
 
 
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint) -> float:
-    """d(x, y) = acosh(-c <x,y>_L) / sqrt(c); zero iff the points coincide.
+    """d(x, y) = acosh(-<x,y>_L); zero iff the points coincide.
 
     Arguments are canonicalized (sorted by time component) before
     evaluation so the result is bit-identical under swapping.
     """
-    _check_same_curvature(x, y)
     if x.same_coords(y):
         return 0.0
     if y.time < x.time:
         x, y = y, x
-    c = x.curvature.c
-    arg = -c * lorentz_inner(x.ambient, y.ambient)
+    arg = -lorentz_inner(x.ambient, y.ambient)
     arg = max(arg, 1.0)
-    return math.acosh(arg) / x.curvature.sqrt_c
+    return math.acosh(arg)
 
 
 def manifold_check(x, tol: float) -> bool:
-    """True iff |<x,x>_L + 1/c| <= tol and the time component is positive.
+    """True iff |<x,x>_L + 1| <= tol and the time component is positive.
 
-    Accepts a LorentzPoint, checked at its own curvature c, or a raw
-    ambient vector, checked at unit curvature, so off-manifold and
+    Accepts a LorentzPoint or a raw ambient vector, so off-manifold and
     wrong-sheet coordinates can be probed directly.
     """
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    if isinstance(x, LorentzPoint):
-        amb, c = x.ambient, x.curvature.c
-    else:
-        amb = np.asarray(x, dtype=np.float64).reshape(-1)
-        c = 1.0
+    amb = x.ambient if isinstance(x, LorentzPoint) else np.asarray(x, dtype=np.float64).reshape(-1)
     ip = lorentz_inner(amb, amb)
-    return abs(ip + 1.0 / c) <= tol and amb[0] > 0
-
-
-def _check_same_curvature(x: LorentzPoint, y: LorentzPoint):
-    if x.curvature.c != y.curvature.c:
-        raise UsageError(
-            f"mixed curvatures: {x.curvature.c} vs {y.curvature.c}"
-        )
+    return abs(ip + 1.0) <= tol and amb[0] > 0
 
 
 # --------------------------------------------------------------------------
@@ -419,8 +386,7 @@ def pairwise_euclidean_distances(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingGrid:
-    """H x W field of unit-curvature hyperboloid points with cached time
-    components."""
+    """H x W field of hyperboloid points with cached time components."""
 
     spatial: np.ndarray  # (H, W, d)
     time: np.ndarray  # (H, W)

@@ -385,7 +385,7 @@ class TestExitCodes:
         ("pixel", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
         ("euclid", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
         ("mask", "--noise", "1e308", "noise_sigma 1e+308 overflows the scene features"),
-        ("pixel", "--cone-k", "5", "anchor 'p0.c0' has spatial norm 1.21678 <= 2K/sqrt(c) = 10; "
+        ("pixel", "--cone-k", "5", "anchor 'p0.c0' has spatial norm 1.21678 <= 2K = 10; "
                                    "its cone aperture is undefined"),
         ("pixel", "--exclude-class", "99", "exclude_class 99 is not a class of the scene"),
     ])
@@ -462,29 +462,26 @@ def _drop_extra(name):
     return edit
 
 
+def _set_extra(path, value):
+    def edit(doc):
+        owner = doc["extras"]
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return edit
+
+
 class TestModelLoading:
+    # the last edit adds a momentum of 0.0, a field TrainConfig does not have
     @pytest.mark.parametrize("edit", [_drop_block("w1"), _drop_block("alpha"), _drop_offset,
-                                      _drop_extra("scene"), _drop_extra("head")])
+                                      _drop_extra("scene"), _drop_extra("head"),
+                                      _set_extra(("train", "momentum"), 0.0)])
     def test_malformed_descriptor_exits_3(self, trained_dir, tmp_path, edit, capsys):
         model = _edited_model(trained_dir / "pix", tmp_path / "m", edit)
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
         assert run(["losscape", "--model", model, "--grid", "1",
                     "--out", str(tmp_path / "ls.csv")]) == 3
         assert "malformed model descriptor" in capsys.readouterr().err
-
-    def test_model_with_zero_momentum_still_loads(self, trained_dir, tmp_path):
-        # models saved while TrainConfig still had a momentum field record it as 0.0
-        def add_momentum(doc):
-            doc["extras"]["train"]["momentum"] = 0.0
-        model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
-        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 0
-        assert read_json(tmp_path / "inf" / "metrics.json")["miou_distance"] == 1.0
-        assert run(["uncertainty", "--model", model, "--out-dir", str(tmp_path / "unc")]) == 0
-        out = tmp_path / "ls.csv"
-        assert run(["losscape", "--model", model, "--grid", "3", "--out", str(out)]) == 0
-        center = [line for line in out.read_text().splitlines() if line.startswith("0.0,0.0,")]
-        final = read_json(trained_dir / "pix" / "metrics.json")["final_loss"]
-        assert float(center[0].split(",")[2]) == final
 
     def test_unknown_head_exits_3(self, trained_dir, tmp_path, capsys):
         def rename_head(doc):
@@ -509,6 +506,13 @@ class TestModelLoading:
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
 
 
+# the settings that became maskhead constants, at the constants' values
+RETIRED_HEAD_CFG = {
+    "w_d": 1.0, "b_d": 1.0, "s_d": 0.1, "b_a": 0.17, "gamma": 2.0, "lambda_cls": 1.0,
+    "lambda_focal": 20.0, "lambda_dice": 1.0, "no_object_weight": 0.1, "class_lr_scale": 100.0,
+}
+
+
 @pytest.fixture(scope="module")
 def mask_k_dir(tmp_path_factory):
     """A briefly trained mask head whose cone constant is not the default."""
@@ -527,56 +531,18 @@ class TestMaskModelConeConstant:
         logits = mh.class_query_logits(res.protos, res.queries)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
-    def test_model_with_head_cone_constant_still_loads(self, mask_k_dir, tmp_path):
-        # mask models saved while MaskHeadConfig still had its own K record it
-        def add_head_k(doc):
-            doc["extras"]["head_cfg"]["K"] = 0.1
-        model = _edited_model(mask_k_dir, tmp_path / "m", add_head_k)
-        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "old")]) == 0
-        assert run(["infer", "--model", str(mask_k_dir / "model"),
-                    "--out-dir", str(tmp_path / "new")]) == 0
-        for name in ("pred.pgm", "metrics.json"):
-            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
-
-    def test_model_with_retired_head_settings_still_loads(self, mask_k_dir, tmp_path):
-        # mask models saved while the head constants were MaskHeadConfig
-        # fields record all twelve, at these values
-        def add_retired(doc):
-            doc["extras"]["head_cfg"].update(RETIRED_HEAD_CFG)
-        model = _edited_model(mask_k_dir, tmp_path / "m", add_retired)
-        for command in ("infer", "uncertainty"):
-            for tag, prefix in (("old", model), ("new", str(mask_k_dir / "model"))):
-                assert run([command, "--model", prefix, "--out-dir", str(tmp_path / command / tag)]) == 0
-            new = sorted(p for p in (tmp_path / command / "new").iterdir() if p.name != "manifest.json")
-            assert new
-            for path in new:
-                assert (tmp_path / command / "old" / path.name).read_bytes() == path.read_bytes()
-
+    # MaskHeadConfig has n_queries and s_a only: a K, or a setting that is a
+    # maskhead constant, is malformed even at the constant's value
     @pytest.mark.parametrize("key, value", [("w_d", 0.7), ("class_lr_scale", 10.0),
-                                            ("gamma", None), ("n_queries", 3)])
+                                            ("gamma", None), ("n_queries", 3), ("K", 0.1),
+                                            *RETIRED_HEAD_CFG.items()])
     def test_head_setting_that_disagrees_exits_3(self, mask_k_dir, tmp_path, key, value, capsys):
         def edit(doc):
-            doc["extras"]["head_cfg"].update(RETIRED_HEAD_CFG)
             doc["extras"]["head_cfg"][key] = value
         model = _edited_model(mask_k_dir, tmp_path / "m", edit)
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("io error:")
-
-
-RETIRED_HEAD_CFG = {
-    "w_d": 1.0, "b_d": 1.0, "s_d": 0.1, "b_a": 0.17, "gamma": 2.0, "lambda_cls": 1.0,
-    "lambda_focal": 20.0, "lambda_dice": 1.0, "no_object_weight": 0.1, "class_lr_scale": 100.0,
-}
-
-
-def _set_extra(path, value):
-    def edit(doc):
-        owner = doc["extras"]
-        for key in path[:-1]:
-            owner = owner[key]
-        owner[path[-1]] = value
-    return edit
 
 
 class TestModelDescriptorValues:

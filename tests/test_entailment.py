@@ -12,7 +12,7 @@ from lorentzseg import lorentz as lz
 from lorentzseg.errors import DomainError, UsageError
 
 # 50-digit reference evaluation of the closed-form exterior angle for the
-# seeded pair below (both lifted at c = 1)
+# seeded pair below
 EXT_XS = [0.0009841226859860594, 0.23899643000677592, -0.21931028428977406]
 EXT_YS = [-0.7124734710058194, -0.36373662813737806, -0.79331724399717]
 EXT_VALUE = 1.75924670927751742091
@@ -30,6 +30,7 @@ class TestHalfAperture:
         x = lz.exp_lift_origin([1.0, 0.0])
         aper = ent.half_aperture(x, 0.1)
         assert x.spatial_norm == pytest.approx(math.sinh(1.0), rel=1e-12)
+        assert aper == pytest.approx(math.asin(2.0 * 0.1 / x.spatial_norm), rel=1e-14)
         assert 0.165 <= aper <= 0.175
 
     def test_boundary_norm_gives_right_angle(self):
@@ -51,27 +52,6 @@ class TestHalfAperture:
         with pytest.raises(DomainError) as err:
             ent.half_aperture(lz.lift_point([0.05, 0.0]), 0.1)
         assert "0.05" in str(err.value)
-
-    def test_reads_the_anchor_curvature(self):
-        # the aperture of an anchor at c = 4 is asin(2K/(sqrt(c)||x'||)),
-        # half-ish of the unit-curvature value at the same spatial norm
-        c4 = lz.Curvature(4.0)
-        x = lz.exp_lift_origin([1.0, 0.0], c4)
-        expected = math.asin(2.0 * 0.1 / (2.0 * x.spatial_norm))
-        assert ent.half_aperture(x, 0.1) == pytest.approx(expected, rel=1e-14)
-        assert ent.half_aperture(x, 0.1) == pytest.approx(0.0552, abs=1e-4)
-        y = lz.exp_lift_origin([2.0, 0.5], c4)
-        loss = ent.entailment_loss(x, y, 0.1)
-        assert loss > 0.0
-        assert loss == pytest.approx(ent.exterior_angle(x, y) - expected, rel=1e-14)
-
-    def test_validation_floor_reads_the_anchor_curvature(self):
-        # ||x'|| = 0.15 lies above 2K/sqrt(4) = 0.1 but below 2K = 0.2
-        at_c4 = lz.lift_point([0.15, 0.0], lz.Curvature(4.0))
-        protos = ent.PrototypeSet((at_c4,), ("a",), 0.1)
-        assert protos.n_classes == 1
-        with pytest.raises(UsageError):
-            make_protos([[0.15, 0.0]], K=0.1)
 
 
 class TestExteriorAngle:
@@ -143,7 +123,11 @@ class TestEntailmentLoss:
         y_far_in = lz.exp_lift_origin([3.2, 0.0])
         y_near_bad = lz.exp_lift_origin([0.9, 0.55])
         assert lz.geodesic_distance(x, y_near_bad) < lz.geodesic_distance(x, y_far_in)
-        assert ent.entailment_loss(x, y_near_bad, 0.1) > ent.entailment_loss(x, y_far_in, 0.1)
+        loss = ent.entailment_loss(x, y_near_bad, 0.1)
+        assert loss > ent.entailment_loss(x, y_far_in, 0.1)
+        # outside the cone the hinge is the angle past the aperture
+        assert loss == pytest.approx(
+            ent.exterior_angle(x, y_near_bad) - ent.half_aperture(x, 0.1), rel=1e-14)
 
     def test_loss_range(self):
         K = 0.1
@@ -282,16 +266,9 @@ class TestPrototypeSet:
         with pytest.raises(UsageError):
             make_protos([[1.0, 0.0], [0.1, 0.0]], K=0.1)
 
-    def test_mixed_curvature_rejected(self):
-        a = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(1.0))
-        b = lz.exp_lift_origin([1.0, 0.0], lz.Curvature(2.0))
-        with pytest.raises(UsageError):
-            ent.PrototypeSet((a, b), ("a", "b"), 0.1)
-
-    @pytest.mark.parametrize("c", [1.0, 4.0])
-    def test_apertures_match_scalar_half_aperture(self, c):
+    def test_apertures_match_scalar_half_aperture(self):
         rng = np.random.default_rng(51)
-        anchors = tuple(lz.exp_lift_origin(v, lz.Curvature(c)) for v in rng.normal(size=(5, 3)) + 1.0)
+        anchors = tuple(lz.exp_lift_origin(v) for v in rng.normal(size=(5, 3)) + 1.0)
         protos = ent.PrototypeSet(anchors, tuple("abcde"), 0.1)
         for anchor, aper in zip(anchors, protos.apertures):
             assert aper == pytest.approx(ent.half_aperture(anchor, 0.1), rel=1e-14)

@@ -72,13 +72,6 @@ class TestGradLorentzDistance:
         with pytest.raises(DomainError):
             grad.grad_lorentz_distance(x, lift(x.spatial))
 
-    def test_requires_unit_curvature(self):
-        c2 = lz.Curvature(2.0)
-        x = lz.exp_lift_origin([1.0, 0.0], c2)
-        y = lz.exp_lift_origin([0.5, 0.5], c2)
-        with pytest.raises(UsageError):
-            grad.grad_lorentz_distance(x, y)
-
 
 class TestGradExteriorAngle:
     def test_matches_fd_100_points(self):

@@ -22,8 +22,8 @@ LIFT_TIME = 1.127625965206380785226
 LIFT_SPATIAL = [0.3126571832962484169735, 0.4168762443949978892979]
 
 
-def random_points(rng, n, dim=4, scale=1.2, curvature=lz.Curvature()):
-    return [lz.exp_lift_origin(rng.normal(size=dim) * scale, curvature) for _ in range(n)]
+def random_points(rng, n, dim=4, scale=1.2):
+    return [lz.exp_lift_origin(rng.normal(size=dim) * scale) for _ in range(n)]
 
 
 class TestLorentzInner:
@@ -56,10 +56,6 @@ class TestLiftPoint:
     def test_norm_sq_three(self):
         p = lz.lift_point([1.0, 1.0, 1.0])
         assert p.time == pytest.approx(2.0, abs=1e-15)
-
-    def test_norm_sq_three_c4(self):
-        p = lz.lift_point([1.0, 1.0, 1.0], lz.Curvature(4.0))
-        assert p.time == pytest.approx(math.sqrt(3.25), abs=1e-15)
 
     def test_overflow(self):
         with pytest.raises(OverflowError):
@@ -209,12 +205,6 @@ class TestGeodesicDistance:
             y = lz.exp_lift_origin(rng.normal(size=4) * 1.5)
             assert lz.geodesic_distance(x, y) == lz.geodesic_distance(y, x)
 
-    def test_mixed_curvature_rejected(self):
-        x = lz.exp_lift_origin([0.1, 0.0], lz.Curvature(1.0))
-        y = lz.exp_lift_origin([0.1, 0.0], lz.Curvature(2.0))
-        with pytest.raises(UsageError):
-            lz.geodesic_distance(x, y)
-
 
 class TestManifoldCheck:
     def test_origin_tight(self):
@@ -245,12 +235,6 @@ class TestConstructors:
         with pytest.raises(Exception):
             p.spatial[0] = 1.0
 
-    def test_curvature_positive(self):
-        with pytest.raises(UsageError):
-            lz.Curvature(0.0)
-        with pytest.raises(UsageError):
-            lz.Curvature(-2.0)
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=5))
@@ -261,11 +245,10 @@ def test_hypothesis_lift_membership(coords):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(1e-3, 3.0), st.floats(0.25, 4.0))
-def test_hypothesis_radius_scales_with_curvature(radius, c):
-    cur = lz.Curvature(c)
-    p = lz.exp_lift_origin([radius, 0.0], cur)
-    d = lz.geodesic_distance(lz.origin(2, cur), p)
+@given(st.floats(1e-3, 3.0))
+def test_hypothesis_lift_radius_equals_distance(radius):
+    p = lz.exp_lift_origin([radius, 0.0])
+    d = lz.geodesic_distance(lz.origin(2), p)
     assert d == pytest.approx(radius, rel=1e-9)
 
 

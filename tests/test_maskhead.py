@@ -392,6 +392,21 @@ class TestPairBackward:
             self.assert_close(g_a[1:], d_a[1:], 1e-12)
         self.assert_close(g_a[0], d_a[0], 1e-9)
 
+    def test_point_on_anchor_ray_is_finite(self):
+        # a point beyond its anchor on the anchor's origin ray has ext 0, so
+        # the acos argument A is 1 and 1 - A^2 rounds to 0 here: only the
+        # floor of sqrt(1 - A^2) keeps the ext coefficient finite
+        u = np.array([0.6, 0.8])
+        at, asp = lz.batched_exp_lift(0.3 * u[None])
+        pt, psp = lz.batched_exp_lift(1.8 * u[None])
+        inner = lz.inner_to_anchors(psp, pt, asp, at)
+        anorms = np.linalg.norm(asp, axis=1)
+        A = (pt[:, None] + at * inner) / (anorms * np.sqrt(np.maximum(inner * inner - 1.0, gr._FLOOR)))
+        assert 1.0 - A[0, 0] * A[0, 0] == 0.0
+        g_p, g_a = mh._pair_backward(np.ones((1, 1)), np.ones((1, 1)), psp, pt, asp, at, inner,
+                                     anorms, True)
+        assert np.all(np.isfinite(g_p)) and np.all(np.isfinite(g_a))
+
 
 class TestTrainMaskheadGradient:
     """End to end: the gradient one training step applies, recovered as
