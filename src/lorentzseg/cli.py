@@ -48,7 +48,7 @@ from .fileio import (
     write_pgm,
 )
 from .lorentz import clamp_events, lift_point, reset_clamp_events
-from .reference import REFERENCE_MASK_HEAD, REFERENCE_SCENE, REFERENCE_TRAIN
+from .reference import REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN, REFERENCE_SCENE, REFERENCE_TRAIN
 
 HEADS = ("pixel", "euclid", "mask")
 
@@ -66,7 +66,8 @@ def _scene_flags(p: argparse.ArgumentParser):
 
 def _train_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, default=REFERENCE_TRAIN.epochs)
-    p.add_argument("--lr", type=float, default=None, help="default 0.5 (pixel, euclid) or 2e-3 (mask)")
+    p.add_argument("--lr", type=float, default=None, help=(
+        f"default {REFERENCE_TRAIN.lr} (pixel, euclid) or {REFERENCE_MASK_TRAIN.lr} (mask)"))
     p.add_argument("--lambda-w", type=float, default=REFERENCE_TRAIN.lambda_w)
     p.add_argument("--tau", type=float, default=REFERENCE_TRAIN.tau)
     p.add_argument("--cone-k", type=float, default=REFERENCE_TRAIN.K)
@@ -86,7 +87,8 @@ def _scene_from_args(args) -> st.SceneConfig:
 
 
 def _train_from_args(args, head: str) -> st.TrainConfig:
-    lr = args.lr if args.lr is not None else (0.5 if head != "mask" else 2e-3)
+    reference = REFERENCE_MASK_TRAIN if head == "mask" else REFERENCE_TRAIN
+    lr = args.lr if args.lr is not None else reference.lr
     return st.TrainConfig(
         epochs=args.epochs, lr=lr, lambda_w=args.lambda_w, tau=args.tau,
         K=args.cone_k, seed=args.seed, weight_decay=args.weight_decay,

@@ -219,3 +219,12 @@ def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     lse = np.log(np.exp(shifted).sum(axis=-1))
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
     return lse - picked
+
+
+def cross_entropy_rows_backward(logits, labels, weights) -> np.ndarray:
+    """Gradient of sum(weights * cross_entropy_rows(logits, labels)) /
+    sum(weights) w.r.t. the (rows, C) logits."""
+    d = softmax_rows(logits)
+    d[np.arange(d.shape[0]), labels] -= 1.0
+    d *= (weights / weights.sum())[:, None]
+    return d

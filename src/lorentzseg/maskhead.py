@@ -17,7 +17,8 @@ logit zero.  Training runs in the loop every head shares
 (``segtoy._descend``).  Each step matches queries to ground-truth segments
 by Hungarian assignment, applies cross-entropy on classes plus focal and
 dice losses on matched masks, supervises unmatched queries toward
-no-object, and backpropagates through every term by chain rule.  The six
+no-object, and backpropagates through every term by chain rule.  Segments
+travel as class columns plus one binary (M, pixels) mask matrix.  The six
 all-pairs gradient contractions live in ``_pair_backward``, each a (P, A)
 coefficient array times a matmul with one side's spatial block plus a
 row sum times the other's.
@@ -41,6 +42,7 @@ from . import grad as gr
 from .entailment import (
     PrototypeSet,
     cross_entropy_rows,
+    cross_entropy_rows_backward,
     ext_angles_to_anchors,
     softmax_rows,
 )
@@ -225,50 +227,46 @@ def _sigmoid_logs(z):
     return 1.0 / (1.0 + np.exp(-z)), -_softplus(-z), -_softplus(z)
 
 
-def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, segments):
+def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, cols, masks):
     """(cost, focal, dice), each (N, M): the assignment cost -LAMBDA_CLS *
     p(class) + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice of every (query,
     segment) pair and the focal and dice losses it is made of, taken on
-    sigmoid(mask_logits) (N, ...).  ``segments`` is a list of
-    (class_column, binary mask).
+    sigmoid(mask_logits) (N, ...).  The M segments travel as their class
+    columns ``cols`` and one binary (M, pixels) ``masks`` matrix.
 
-    The sigmoid terms are computed once for all queries; each segment then
-    only selects and sums them, one query row at a time."""
+    The sigmoid terms are computed once for all queries; the focal and
+    dice sums over pixels are then matrix products with the masks."""
     n = class_probs.shape[0]
     z = np.ascontiguousarray(mask_logits, dtype=np.float64).reshape(n, -1)
     p, log_p, log_1p = _sigmoid_logs(z)
     focal_on = -((1.0 - p) ** GAMMA) * log_p
     focal_off = -(p**GAMMA) * log_1p
-    p_sum = p.sum(axis=1)
-    focal = np.empty((n, len(segments)))
-    dice = np.empty((n, len(segments)))
-    for m, (_, gmask) in enumerate(segments):
-        g = np.asarray(gmask, dtype=np.float64).reshape(-1)
-        focal[:, m] = np.where(g > 0.5, focal_on, focal_off).sum(axis=1) / z.shape[1]
-        num = 2.0 * (p * g).sum(axis=1) + _DICE_EPS
-        dice[:, m] = 1.0 - num / ((p_sum + g.sum()) + _DICE_EPS)
-    cols = [col for col, _ in segments]
+    focal = (focal_on @ masks.T + focal_off @ (1.0 - masks).T) / z.shape[1]
+    num = 2.0 * (p @ masks.T) + _DICE_EPS
+    dice = 1.0 - num / ((p.sum(axis=1)[:, None] + masks.sum(axis=1)) + _DICE_EPS)
     cost = -LAMBDA_CLS * class_probs[:, cols] + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice
     return cost, focal, dice
 
 
-def _focal_dlogit(z, g, gamma):
-    """Gradient of the mean focal loss of sigmoid(z) against g w.r.t. z."""
+def _focal_dlogit(z, g):
+    """Gradient of the mean focal loss of sigmoid(z) against g w.r.t. z,
+    row by row along the last axis."""
     p, log_p, log_1p = _sigmoid_logs(z)
     q = 1.0 - p
     dz = np.where(
         g > 0.5,
-        gamma * p * (q**gamma) * log_p - q ** (gamma + 1.0),
-        -gamma * (p**gamma) * q * log_1p + p ** (gamma + 1.0),
+        GAMMA * p * (q**GAMMA) * log_p - q ** (GAMMA + 1.0),
+        -GAMMA * (p**GAMMA) * q * log_1p + p ** (GAMMA + 1.0),
     )
-    return dz / z.size
+    return dz / z.shape[-1]
 
 
 def _dice_dlogit(z, g):
-    """Gradient of the dice loss of sigmoid(z) against g w.r.t. z."""
+    """Gradient of the dice loss of sigmoid(z) against g w.r.t. z, row by
+    row along the last axis."""
     p = 1.0 / (1.0 + np.exp(-z))
-    num = 2.0 * float((p * g).sum()) + _DICE_EPS
-    den = float(p.sum() + g.sum()) + _DICE_EPS
+    num = 2.0 * (p * g).sum(axis=-1, keepdims=True) + _DICE_EPS
+    den = (p.sum(axis=-1, keepdims=True) + g.sum(axis=-1, keepdims=True)) + _DICE_EPS
     dp = -(2.0 * g * den - num) / (den * den)
     return dp * p * (1.0 - p)
 
@@ -291,29 +289,26 @@ def _forward_state(v_p, queries, protos, head_cfg):
     }
 
 
-def _mask_loss_at(state, segments):
-    """Hungarian-match the queries to ``segments`` at ``state``; returns
-    (assign, ce, mask_term, total, targets, weights): class CE plus the
-    matched focal/dice terms.  A non-finite matching cost, which only a
-    diverged run produces, has no assignment: it returns None."""
+def _mask_loss_at(state, cols, masks):
+    """Hungarian-match the queries to the segments (class columns ``cols``,
+    binary (M, pixels) ``masks``) at ``state``; returns (assign, ce,
+    mask_term, total, targets, weights): class CE plus the matched
+    focal/dice terms.  A non-finite matching cost, which only a diverged
+    run produces, has no assignment: it returns None."""
     full_logits = state["full_logits"]
-    cost, focal, dice = matching_cost(softmax_rows(full_logits), state["mq"].T, segments)
+    cost, focal, dice = matching_cost(softmax_rows(full_logits), state["mq"].T, cols, masks)
     if not np.all(np.isfinite(cost)):
         return None
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
-    for m, (col, _) in enumerate(segments):
-        targets[assign[m]] = col
+    targets[assign] = cols
     ce_rows = cross_entropy_rows(full_logits, targets)
     weights = np.where(targets == n_cls, NO_OBJECT_WEIGHT, 1.0)
     ce = float((ce_rows * weights).sum() / weights.sum())
-    focal_total = dice_total = 0.0
-    for m in range(len(segments)):
-        focal_total += focal[assign[m], m]
-        dice_total += dice[assign[m], m]
-    m_count = max(len(segments), 1)
-    mask_term = (LAMBDA_FOCAL * focal_total + LAMBDA_DICE * dice_total) / m_count
+    seg = np.arange(len(cols))
+    mask_term = (LAMBDA_FOCAL * focal[assign, seg].sum()
+                 + LAMBDA_DICE * dice[assign, seg].sum()) / max(len(cols), 1)
     return assign, ce, mask_term, ce + mask_term, targets, weights
 
 
@@ -363,7 +358,8 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
     if held_out:
         raise UsageError(f"the mask head cannot hold out class {held_out[0]}, a segment of the scene")
     protos = build_prototypes(bank, train_cfg.K)
-    segments_flat = [(class_to_idx[c], m.reshape(-1).astype(np.float64)) for c, m in segments]
+    cols = np.array([class_to_idx[c] for c, _ in segments], dtype=np.int64)
+    masks = np.array([m.reshape(-1) for _, m in segments], dtype=np.float64)
 
     rng = np.random.default_rng(train_cfg.seed)
     queries = QuerySet(
@@ -375,7 +371,7 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
 
     def loss(v_p, want_grad):
         state = _forward_state(v_p, queries, protos, head_cfg)
-        matched = _mask_loss_at(state, segments_flat)
+        matched = _mask_loss_at(state, cols, masks)
         if matched is None:
             return {"total": math.nan}, None
         assign, ce, mask_term, total, targets, weights = matched
@@ -384,9 +380,7 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
             return terms, None
 
         # ---- backward: class logits ----
-        d_logits = softmax_rows(state["full_logits"])
-        d_logits[np.arange(queries.n), targets] -= 1.0
-        d_logits *= (weights / weights.sum())[:, None]
+        d_logits = cross_entropy_rows_backward(state["full_logits"], targets, weights)
         g_bno = float(d_logits[:, n_classes].sum())
         dl = d_logits[:, :n_classes]
         g_qsp, _ = _pair_backward(
@@ -396,13 +390,10 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
         g_qc = gr.exp_lift_backward(queries.class_tangents, g_qsp)
 
         # ---- backward: mask logits, recomputed for the matched pairs only ----
+        z = state["mq"].T[assign]  # (M, n_px)
         d_mq = np.zeros_like(state["mq"])  # (n_px, N)
-        m_count = len(segments_flat)
-        for m, (_, gmask) in enumerate(segments_flat):
-            j = assign[m]
-            z = state["mq"].T[j]
-            d_mq[:, j] += (LAMBDA_FOCAL * _focal_dlogit(z, gmask, GAMMA)
-                           + LAMBDA_DICE * _dice_dlogit(z, gmask)) / m_count
+        d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(z, masks)
+                            + LAMBDA_DICE * _dice_dlogit(z, masks)) / len(cols)).T
         g_psp, g_msp = _pair_backward(
             d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
             state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),

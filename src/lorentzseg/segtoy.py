@@ -35,9 +35,9 @@ from . import grad as gr
 from .entailment import (
     PrototypeSet,
     cross_entropy_rows,
+    cross_entropy_rows_backward,
     ext_angles_from_inner,
     ext_angles_to_anchors,
-    softmax_rows,
 )
 from .errors import TrainingDivergedError, UsageError
 from .lorentz import (
@@ -520,12 +520,8 @@ class PixelObjective:
 
 def _ce_dlogits(logits, obj: PixelObjective) -> np.ndarray:
     """d(mean masked CE)/d(distance) for logits = -distance/tau."""
-    labels_idx = obj.labels_idx[:, None]
-    dl_dd = softmax_rows(logits)
-    np.put_along_axis(dl_dd, labels_idx, np.take_along_axis(dl_dd, labels_idx, axis=1) - 1.0, axis=1)
+    dl_dd = cross_entropy_rows_backward(logits, obj.labels_idx, obj.use_mask * 1.0)
     dl_dd *= -1.0 / obj.cfg.tau  # d(logits)/d(dist) = -1/tau
-    dl_dd[~obj.use_mask] = 0.0
-    dl_dd /= int(obj.use_mask.sum())
     return dl_dd
 
 

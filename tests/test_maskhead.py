@@ -39,7 +39,7 @@ def logit(p):
 def pair_losses(z, g):
     """Focal (gamma 2) and dice values of one (mask logits, mask) pair, as
     matching sees them."""
-    _, focal, dice = mh.matching_cost(np.zeros((1, 1)), z[None], [(0, g)])
+    _, focal, dice = mh.matching_cost(np.zeros((1, 1)), z[None], [0], g[None])
     return focal[0, 0], dice[0, 0]
 
 
@@ -225,7 +225,7 @@ class TestFocalDice:
         z = rng.normal(size=50) * 3.0
         g = (rng.uniform(size=50) > 0.5).astype(float)
         val, _ = pair_losses(z, g)
-        dz = mh._focal_dlogit(z, g, 2.0)
+        dz = mh._focal_dlogit(z, g)
         p = 1.0 / (1.0 + np.exp(-z))
         assert val == pytest.approx(mh.focal_loss(p, g, 2.0), rel=1e-10)
         # gradient vs FD
@@ -250,6 +250,15 @@ class TestFocalDice:
             fd = (pair_losses(zp, g)[1] - pair_losses(zm, g)[1]) / (2 * h)
             assert dz[k] == pytest.approx(fd, abs=1e-8)
 
+    def test_stacked_dlogits_are_the_row_by_row_calls(self):
+        rng = np.random.default_rng(119)
+        z = rng.normal(size=(3, 40)) * 3.0
+        g = (rng.uniform(size=(3, 40)) > 0.5).astype(float)
+        focal, dice = mh._focal_dlogit(z, g), mh._dice_dlogit(z, g)
+        for m in range(3):
+            assert np.all(focal[m] == mh._focal_dlogit(z[m], g[m]))
+            assert np.all(dice[m] == mh._dice_dlogit(z[m], g[m]))
+
 
 class TestMatchingCost:
     def test_perfect_query_wins_row(self):
@@ -261,22 +270,24 @@ class TestMatchingCost:
         gmask[:8] = 1.0
         mask_probs = np.full((n, 16), 0.5)
         mask_probs[1] = np.clip(gmask, 0.01, 0.99)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(0, gmask)])[0]
+        cost = mh.matching_cost(class_probs, logit(mask_probs), [0], gmask[None])[0]
         assert cost[:, 0].argmin() == 1
 
     def test_compositional_recomputation(self):
         rng = np.random.default_rng(120)
         class_probs = rng.uniform(size=(3, 4))
         mask_probs = rng.uniform(0.1, 0.9, size=(3, 12))
-        gmask = (rng.uniform(size=12) > 0.4).astype(float)
-        cost = mh.matching_cost(class_probs, logit(mask_probs), [(1, gmask)])[0]
-        for j in range(3):
+        cols = np.array([1, 3, 0])
+        masks = (rng.uniform(size=(3, 12)) > 0.4).astype(float)
+        cost = mh.matching_cost(class_probs, logit(mask_probs), cols, masks)[0]
+        assert cost.shape == (3, 3)
+        for j, m in itertools.product(range(3), range(3)):
             expected = (
-                -mh.LAMBDA_CLS * class_probs[j, 1]
-                + mh.LAMBDA_FOCAL * mh.focal_loss(mask_probs[j], gmask, mh.GAMMA)
-                + mh.LAMBDA_DICE * mh.dice_loss(mask_probs[j], gmask)
+                -mh.LAMBDA_CLS * class_probs[j, cols[m]]
+                + mh.LAMBDA_FOCAL * mh.focal_loss(mask_probs[j], masks[m], mh.GAMMA)
+                + mh.LAMBDA_DICE * mh.dice_loss(mask_probs[j], masks[m])
             )
-            assert cost[j, 0] == pytest.approx(expected, rel=1e-12)
+            assert cost[j, m] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSemanticMap:
@@ -430,13 +441,14 @@ class TestTrainMaskheadGradient:
 
         flat = scene.features.reshape(-1, scene.features.shape[-1])
         column = {c: j for j, c in enumerate(bank.included)}
-        segments = [(column[c], m.reshape(-1).astype(np.float64))
-                    for c, m in st.scene_segments(scene)]
+        segments = st.scene_segments(scene)
+        cols = np.array([column[c] for c, _ in segments])
+        masks = np.array([m.reshape(-1) for _, m in segments], dtype=np.float64)
 
         def loss_at(params, queries):
             v = params.alpha * st._encoder_parts(params, flat)[1]
             state = mh._forward_state(v, queries, before.protos, head)
-            return mh._mask_loss_at(state, segments)[3]
+            return mh._mask_loss_at(state, cols, masks)[3]
 
         v = before.params.alpha * st._encoder_parts(before.params, flat)[1]
         state = mh._forward_state(v, before.queries, before.protos, head)

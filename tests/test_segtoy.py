@@ -308,21 +308,30 @@ class TestPixelObjectiveGradient:
     """End to end: the dL/dv that both pixel trainers apply, against central
     differences of the loss they report."""
 
-    @pytest.mark.parametrize("head", ["pixel", "euclid"], ids=["lorentz", "euclidean"])
-    def test_matches_finite_differences(self, head):
+    @pytest.mark.parametrize(
+        "head, held_out",
+        [("pixel", None), ("euclid", None), ("pixel", 1), ("euclid", 1)],
+        ids=["lorentz", "euclidean", "lorentz-held-out", "euclidean-held-out"],
+    )
+    def test_matches_finite_differences(self, head, held_out):
         scene = st.generate_scene(st.SceneConfig(
             parents=2, children_per_parent=2, height=10, width=10,
             noise_sigma=0.3, edge_blend=0.5,
         ))
-        bank = st.DescriptorBank.fit(scene, d=3)
-        cfg = st.TrainConfig(embed_dim=3)
-        obj = st.PixelObjective.build(scene, bank, cfg, head=head)
+        # three included classes span a 2-d PCA, so the held-out bank keeps d = 2
+        exclude = () if held_out is None else (held_out,)
+        bank = st.DescriptorBank.fit(scene, d=3 - len(exclude), exclude=exclude)
+        cfg = st.TrainConfig(embed_dim=bank.d)
+        obj = st.PixelObjective.build(scene, bank, cfg, exclude_class=held_out, head=head)
         params = st._start_encoder(obj.flat, cfg, bank.d)
         _, u = st._encoder_parts(params, obj.flat)
         v = params.alpha * u
         terms, g = obj.loss(v, True)
         if head == "pixel":
             assert terms["entail"] > 0.0  # the cone hinge is part of what is checked
+        if held_out is not None:
+            held = scene.labels.reshape(-1) == held_out
+            assert held.any() and np.all(g[held] == 0.0)
         fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[0]["total"], v)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
