@@ -9,10 +9,10 @@ default).
 
 Descriptors play the role of encoded label text: a shared bias plus a
 parent direction plus a child offset, which keeps pairwise cosines
-positive the way sentence embeddings are.  PCA (exact Jacobi
-eigensolver) reduces them; rows are rescaled by the inverse mean norm
-(unit tangent norm on average) and lifted to the hyperboloid to become
-class prototypes.
+positive the way sentence embeddings are.  PCA through LAPACK's
+symmetric eigensolver reduces them; rows are rescaled by the inverse
+mean norm (unit tangent norm on average) and lifted to the hyperboloid
+to become class prototypes.
 
 The trainable encoder is a 2-layer perceptron with a tanh hidden layer
 and a learnable output scale, trained by plain full-batch gradient
@@ -50,8 +50,6 @@ from .lorentz import (
 
 if TYPE_CHECKING:  # annotations only; maskhead imports this module
     from .maskhead import MaskHeadConfig, QuerySet
-
-_JACOBI_SWEEPS = 64  # cap on the cyclic Jacobi sweeps of the PCA
 
 
 @dataclass(frozen=True)
@@ -189,39 +187,6 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
 # --------------------------------------------------------------------------
 
 
-def _jacobi_eigh(S: np.ndarray):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix; returns
-    (eigenvalues desc, eigenvectors as columns), bit-deterministic."""
-    A = np.array(S, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    V = np.eye(n)
-    for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum()))
-        if off <= 1e-14 * max(1.0, float(np.abs(np.diag(A)).max())):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p, rot_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * rot_p - s * rot_q
-                A[:, q] = s * rot_p + c * rot_q
-                rot_p, rot_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rot_p - s * rot_q
-                A[q, :] = s * rot_p + c * rot_q
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
-
-
 def pca_reduce(X: np.ndarray, d: int):
     """Mean-centered projection onto the top-d covariance eigenvectors.
 
@@ -239,7 +204,8 @@ def pca_reduce(X: np.ndarray, d: int):
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (n - 1)
-    vals, vecs = _jacobi_eigh(cov)
+    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
     tol = max(vals[0], 0.0) * 1e-10 + 1e-30
     effective = int(min(d, np.count_nonzero(vals > tol)))
     if effective < d:
