@@ -28,3 +28,4 @@ CROSSLABEL_EXT_GAP_MIN = 2.3         # measured 3.095557 - 0.616973 = 2.478584
 MASK_MIOU_EXACT = 1.0                   # measured 1.0
 MASK_BOUNDARY_RECALL_FULL_MIN = 0.27    # measured 0.304167
 # the angle-ablated head must localize boundaries worse than the full head
+# (measured 0.141667)

@@ -521,3 +521,7 @@ class TestTrainMaskhead:
             recalls[tag] = unc.boundary_recall(unc.boundary_map(au, 90.0), scene.labels)
         assert recalls["full"] >= ref.MASK_BOUNDARY_RECALL_FULL_MIN
         assert recalls["full"] > recalls["ablated"]
+        # the floor reads a descent, not an oscillation whose end point
+        # depends on float summation order: few steps may raise the loss
+        up_steps = int(np.count_nonzero(np.diff(full.trace["total"]) > 0))
+        assert up_steps <= 20, up_steps
