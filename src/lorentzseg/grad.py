@@ -30,20 +30,21 @@ cross-check every formula.  The oracle has a scalar form,
 ``finite_difference_gradient``, and a row-wise array form that
 ``gradient_interaction_report`` runs once over all its samples.
 
-The array layer has one broadcasting body per formula: dd/dpoint,
-dext/dpoint and dext/danchor.  Times, inner products and anchor norms
-share one broadcast shape S and spatial coordinates are S + (d,), so the
-same body serves one anchor per row (S = (N,)) and all pairs (S = (P, A),
-points as (P, 1, d), anchors as (1, A, d)).  dd/danchor is dd/dpoint with
-the roles swapped, since the distance is symmetric.  Degenerate entries
-are floored rather than raised.  The only array form a trainer calls is
-the per-row dext/dpoint, ``batched_grad_ext_wrt_point``, for the pixel
-head's hinge; that head contracts its distance gradient against the
-anchors inline, in ``segtoy._pixel_loss_and_grad``.  The all-pairs
-kernels ``grad_*_cross*`` return dense (P, A, d) tensors; no trainer
-calls them.  They are the oracle of ``maskhead._pair_backward``, which
-contracts the same closed forms against (P, A) weights as matmuls,
-without building those tensors.
+The array layer writes each formula once, as the partial derivatives of
+its pair function: the distance acosh(-L) depends on a pair only through
+L = <x, y>_L, and the exterior angle through L, the two times and the
+anchor's spatial norm n.  One chain rule turns the partials into spatial
+gradients on either side x of a pair, since L is symmetric:
+dL/dx' = y' - (y0/x0) x' and dx0/dx' = x'/x0, plus dn/da' = a'/n for the
+anchor a.  Partials share one broadcast shape S, one anchor per row
+(S = (N,)) or all pairs (S = (P, A)), and degenerate entries are floored
+rather than raised.  The chain rule has two forms.  The dense form returns
+one gradient per pair: ``batched_grad_ext_wrt_point`` for the pixel
+head's hinge, and the all-pairs ``grad_*_cross*`` kernels, which no
+trainer calls.  The summed form, ``pair_backward``, adds the weighted
+partials of both functions and sums the rule over all pairs as matmuls,
+without a (P, A, d) tensor; every all-pairs backward of the pixel and
+mask heads calls it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entailment import ext_angles_from_inner
 from .errors import DomainError, OracleError, UsageError
-from .lorentz import MAX_TANGENT_NORM, SMALL_R, LorentzPoint, sinh_ratio
+from .lorentz import (SMALL_R, LorentzPoint, clamped_lift_terms, distances_from_inner,
+                      sinh_ratio, time_from_spatial)
 
 FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
 _SAMPLE_DIM = 3  # spatial dimension of the sampled verification pairs
@@ -314,14 +317,13 @@ def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
 
     def oracles(s):
         """d(x, y), ext(y, x), ||x' - y'|| and the Euclidean angle at y'."""
-        x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", s, s))
+        x0 = time_from_spatial(s)
         L = -x0 * yt + np.einsum("ij,ij->i", s, ys)
-        den = y_norm * np.sqrt(np.maximum(L * L - 1.0, 1e-300))
         v = s - ys
         nv = np.linalg.norm(v, axis=1)
         return np.stack([
-            np.arccosh(np.maximum(1.0, -L)),
-            np.arccos(np.clip((x0 + yt * L) / den, -1.0, 1.0)),
+            distances_from_inner(L),
+            ext_angles_from_inner(L, x0, yt, y_norm),
             nv,
             np.arccos(np.clip(np.einsum("ij,ij->i", ys, v) / (y_norm * nv), -1.0, 1.0)),
         ])
@@ -348,71 +350,96 @@ def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
 
 
 # --------------------------------------------------------------------------
-# array layer: the per-row forms the trainers use, and the dense all-pairs
-# kernels that check the mask head's contraction
+# array layer: the partial derivatives of each pair function and one chain
+# rule, applied pair by pair (dense) or summed over all pairs
 # --------------------------------------------------------------------------
 
 
-def _distance_grad(psp, pt, asp, at, inner):
-    """dd/d(point spatial) on broadcast-compatible operands: times and
-    ``inner`` share one shape S, spatial arrays are S + (d,)."""
-    den = np.sqrt(np.maximum(inner * inner - 1.0, _FLOOR))
-    return -(asp - (at / pt)[..., None] * psp) / den[..., None]
+def _distance_partial(inner):
+    """dd/dL of d = acosh(-L), L = <point, anchor>_L."""
+    return -1.0 / np.sqrt(np.maximum(inner * inner - 1.0, _FLOOR))
 
 
-def _ext_grad_point(psp, pt, asp, at, inner, anorms):
-    """dext(anchor, point)/d(point spatial), broadcast as in _distance_grad."""
-    L = inner
-    L2m1 = np.maximum(L * L - 1.0, _FLOOR)
-    A = (pt + at * L) / (anorms * np.sqrt(L2m1))
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, _FLOOR))
-    coef = 1.0 / (sin_term * anorms * np.sqrt(L2m1))
-    bracket = (
-        -psp / pt[..., None]
-        + ((at + pt * L) / L2m1)[..., None] * (asp - (at / pt)[..., None] * psp)
-    )
-    return coef[..., None] * bracket
+def _ext_partials(inner, pt, at, anorms):
+    """(dext/dL, dext/dp0, dext/da0, dext/dn) of ext(anchor, point) = acos(A),
+    A = (p0 + a0 L)/(n sqrt(L^2 - 1)), with L = <point, anchor>_L, p0 and a0
+    the two times and n the anchor's spatial norm, on their broadcast shape."""
+    D = np.sqrt(np.maximum(inner * inner - 1.0, _FLOOR))
+    A = (pt + at * inner) / (anorms * D)
+    k = -1.0 / (np.sqrt(np.maximum(1.0 - A * A, _FLOOR)) * anorms * D)  # dext/dp0
+    return k * (at - A * anorms * inner / D), k, k * inner, -k * A * D
 
 
-def _ext_grad_anchor(psp, pt, asp, at, inner, anorms):
-    """dext(anchor, point)/d(anchor spatial), broadcast as in _distance_grad."""
-    L = inner
-    D = np.sqrt(np.maximum(L * L - 1.0, _FLOOR))
-    A = (pt + at * L) / (anorms * D)
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, _FLOOR))
-    dL = psp - (pt / at)[..., None] * asp
-    dN = (L / at)[..., None] * asp + at[..., None] * dL
-    d_nD = (asp / anorms[..., None]) * D[..., None] + (anorms * L / D)[..., None] * dL
-    dA = (dN - A[..., None] * d_nD) / (anorms * D)[..., None]
-    return -dA / sin_term[..., None]
+def _chain(gL_t, g_t, t):
+    """The chain rule to either side x of a pair, y the other (L is
+    symmetric): gL dL/dx' + g_t dx0/dx', with dL/dx' = y' - (y0/x0) x' and
+    dx0/dx' = x'/x0, is gL y' + c x'.  Returns c = (g_t - gL y0)/x0 from
+    gL_t = gL y0; the summed form passes both numerators summed over the
+    pairs."""
+    return (g_t - gL_t) / t
+
+
+def _dense(gL, c_own, other, own):
+    """The chain rule pair by pair: coefficients of shape S, spatial parts of
+    the other and the own side S + (d,)."""
+    return gL[..., None] * other + c_own[..., None] * own
 
 
 def batched_grad_ext_wrt_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms):
     """dext(anchor, point)/d(point spatial) with one anchor per row: every
     argument is already gathered to N rows -> (N, d)."""
-    return _ext_grad_point(pt_spatial, pt_time, an_spatial, an_time, inner, an_norms)
+    gL, gp0, _, _ = _ext_partials(inner, pt_time, an_time, an_norms)
+    return _dense(gL, _chain(gL * an_time, gp0, pt_time), an_spatial, pt_spatial)
 
 
 def grad_distance_cross(psp, pt, asp, at, inner):
     """All-pairs dd/d(point spatial): points (P, d) x anchors (A, d) ->
     (P, A, d), from precomputed inner products (P, A)."""
-    return _distance_grad(psp[:, None, :], pt[:, None], asp[None], at[None], inner)
+    gL = _distance_partial(inner)
+    return _dense(gL, _chain(gL * at, 0.0, pt[:, None]), asp[None], psp[:, None, :])
 
 
 def grad_distance_cross_anchor(psp, pt, asp, at, inner):
-    """All-pairs dd/d(anchor spatial) -> (P, A, d): the distance is
-    symmetric, so this is the point gradient with the roles swapped."""
-    return _distance_grad(asp[None], at[None], psp[:, None, :], pt[:, None], inner)
+    """All-pairs dd/d(anchor spatial) -> (P, A, d)."""
+    gL = _distance_partial(inner)
+    return _dense(gL, _chain(gL * pt[:, None], 0.0, at), psp[:, None, :], asp[None])
 
 
 def grad_ext_cross_point(psp, pt, asp, at, inner, anorms):
     """All-pairs dext(anchor, point)/d(point spatial) -> (P, A, d)."""
-    return _ext_grad_point(psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None])
+    return batched_grad_ext_wrt_point(psp[:, None, :], pt[:, None], asp[None], at, inner, anorms)
 
 
 def grad_ext_cross_anchor(psp, pt, asp, at, inner, anorms):
-    """All-pairs dext(anchor, point)/d(anchor spatial) -> (P, A, d)."""
-    return _ext_grad_anchor(psp[:, None, :], pt[:, None], asp[None], at[None], inner, anorms[None])
+    """All-pairs dext(anchor, point)/d(anchor spatial) -> (P, A, d); the
+    anchor norm's partial chains through dn/da' = a'/n."""
+    gL, _, ga0, gn = _ext_partials(inner, pt[:, None], at, anorms)
+    c_own = _chain(gL * pt[:, None], ga0, at) + gn / anorms
+    return _dense(gL, c_own, psp[:, None, :], asp[None])
+
+
+def pair_backward(w_d, w_ext, psp, pt, asp, at, inner, anorms, want_anchor):
+    """Backward of sum(w_d * d + w_ext * ext(anchor, point)) over every
+    (point, anchor) pair, with (P, A) weights (``w_ext`` None: the distance
+    term alone), to the points' spatial parts (P, d) and, with
+    ``want_anchor``, to the anchors' (A, d) (else None).
+
+    The weighted partials of both pair functions add up before the chain
+    rule, which is then summed over the pairs: per side, one matmul with
+    the other side's spatial block and one matvec with its times, so no
+    (P, A, d) tensor is built."""
+    gL = w_d * _distance_partial(inner)
+    gp0 = ga0 = gn = 0.0
+    if w_ext is not None:
+        eL, ep0, ea0, en = _ext_partials(inner, pt[:, None], at, anorms)
+        gL += w_ext * eL
+        gp0 = (w_ext * ep0).sum(axis=1)
+        ga0, gn = (w_ext * ea0).sum(axis=0), (w_ext * en).sum(axis=0)
+    g_p = gL @ asp + _chain(gL @ at, gp0, pt)[:, None] * psp
+    if not want_anchor:
+        return g_p, None
+    c_a = _chain(gL.T @ pt, ga0, at) + gn / anorms
+    return g_p, gL.T @ psp + c_a[:, None] * asp
 
 
 def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
@@ -424,19 +451,9 @@ def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
     chain through the rescaling map as well.
     """
     v = np.asarray(v, dtype=np.float64)
-    r_raw = np.sqrt(np.einsum("...i,...i->...", v, v))
-    clamped = r_raw > MAX_TANGENT_NORM
-    scale = np.where(clamped, MAX_TANGENT_NORM / np.maximum(r_raw, 1e-300), 1.0)
-    v_used = v * scale[..., None]
-    r = np.minimum(r_raw, MAX_TANGENT_NORM)
-    small = r < SMALL_R
+    r_raw, clamped, scale, v_used, r, sr = clamped_lift_terms(v)
     r_big = np.maximum(r, SMALL_R)  # generic branch evaluated safely, then discarded where small
-    sr = np.where(small, 1.0 + r * r / 6.0, np.sinh(r_big) / r_big)
-    cross = np.where(
-        small,
-        1.0 / 3.0 + r * r / 30.0,
-        (np.cosh(r_big) - np.sinh(r_big) / r_big) / (r_big * r_big),
-    )
+    cross = np.where(r < SMALL_R, 1.0 / 3.0 + r * r / 30.0, (np.cosh(r_big) - sr) / (r_big * r_big))
     vg = np.einsum("...i,...i->...", v_used, g_spatial)
     g_v = sr[..., None] * g_spatial + cross[..., None] * vg[..., None] * v_used
     if np.any(clamped):

@@ -320,6 +320,23 @@ def time_from_spatial(spatial: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + spatial_sq_norms(spatial))
 
 
+def clamped_lift_terms(v: np.ndarray):
+    """(norms, over, scale, v_used, r, sinh(r)/r) of tangent rows v (..., d),
+    shared by the array lift and its backward: rows ``over`` MAX_TANGENT_NORM
+    are rescaled by ``scale`` onto the cap, r is the clamped norm, and no
+    clamp event is counted."""
+    v = np.asarray(v, dtype=np.float64)
+    norms = np.sqrt(spatial_sq_norms(v))
+    over = norms > MAX_TANGENT_NORM
+    scale = np.ones_like(norms)
+    if np.any(over):
+        scale[over] = MAX_TANGENT_NORM / norms[over]
+        v = v * scale[..., None]
+    r = np.minimum(norms, MAX_TANGENT_NORM)
+    ratio = np.where(r < SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
+    return norms, over, scale, v, r, ratio
+
+
 def batched_exp_lift(v: np.ndarray):
     """Vectorized exponential lift at the origin.
 
@@ -327,17 +344,10 @@ def batched_exp_lift(v: np.ndarray):
     (..., d).  Rows whose norm exceeds MAX_TANGENT_NORM are rescaled onto
     the cap; each such row counts one clamp event.
     """
-    v = np.asarray(v, dtype=np.float64)
-    r = np.sqrt(spatial_sq_norms(v))
-    over = r > MAX_TANGENT_NORM
+    _, over, _, v, _, ratio = clamped_lift_terms(v)
     n_over = int(np.count_nonzero(over))
     if n_over:
         _CLAMPS.bump(n_over)
-        scale = np.ones_like(r)
-        scale[over] = MAX_TANGENT_NORM / r[over]
-        v = v * scale[..., None]
-        r = np.minimum(r, MAX_TANGENT_NORM)
-    ratio = np.where(r < SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
     spatial = ratio[..., None] * v
     return time_from_spatial(spatial), spatial
 

@@ -18,10 +18,9 @@ logit zero.  Training runs in the loop every head shares
 by Hungarian assignment, applies cross-entropy on classes plus focal and
 dice losses on matched masks, supervises unmatched queries toward
 no-object, and backpropagates through every term by chain rule.  Segments
-travel as class columns plus one binary (M, pixels) mask matrix.  The six
-all-pairs gradient contractions live in ``_pair_backward``, each a (P, A)
-coefficient array times a matmul with one side's spatial block plus a
-row sum times the other's.
+travel as class columns plus one binary (M, pixels) mask matrix.  The
+class and mask logits go back to the queries and the pixels through
+``grad.pair_backward``.
 
 The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
 exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
@@ -312,38 +311,6 @@ def _mask_loss_at(state, cols, masks):
     return assign, ce, mask_term, ce + mask_term, targets, weights
 
 
-def _pair_backward(w_d, w_ext, psp, pt, asp, at, inner, anorms, want_anchor):
-    """Backward of sum(w_d * d + w_ext * ext) over every (point, anchor)
-    pair, with (points, anchors) weights, to the points' spatial parts and,
-    with ``want_anchor``, to the anchors' (else None).
-
-    Each pair's gradient in ``grad``'s closed forms is c_self * (own
-    spatial) + c_other * (other spatial) with (P, A) coefficients, so each
-    sum over pairs is a matmul of weighted coefficients with the other
-    side's spatial block plus a row sum times the own block; no (P, A, d)
-    tensor is built.  The dense ``grad.grad_*_cross*`` kernels are its
-    oracle."""
-    L = inner
-    pt_col = pt[:, None]
-    L2m1 = np.maximum(L * L - 1.0, gr._FLOOR)
-    den = np.sqrt(L2m1)
-    A = (pt_col + at * L) / (anorms * den)
-    sin_term = np.sqrt(np.maximum(1.0 - A * A, gr._FLOOR))
-    coef = 1.0 / (sin_term * anorms * den)
-    U = w_d / den
-    V = w_ext * coef
-    V2 = V * (at + pt_col * L) / L2m1
-    g_p = -U @ asp + ((U @ at) / pt)[:, None] * psp
-    g_p += V2 @ asp - ((V.sum(axis=1) + V2 @ at) / pt)[:, None] * psp
-    if not want_anchor:
-        return g_p, None
-    g_a = -U.T @ psp + ((U.T @ pt) / at)[:, None] * asp
-    alpha = -coef * (at - A * anorms * L / den)
-    beta = -coef * (L / at - pt_col - A * den / anorms + A * anorms * L * pt_col / (den * at))
-    g_a += (w_ext * alpha).T @ psp + (w_ext * beta).sum(axis=0)[:, None] * asp
-    return g_p, g_a
-
-
 def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHeadConfig,
                    train_cfg: TrainConfig) -> TrainResult:
     """Hungarian-matched mask-classification training in the loop every
@@ -383,7 +350,7 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
         d_logits = cross_entropy_rows_backward(state["full_logits"], targets, weights)
         g_bno = float(d_logits[:, n_classes].sum())
         dl = d_logits[:, :n_classes]
-        g_qsp, _ = _pair_backward(
+        g_qsp, _ = gr.pair_backward(
             -W_D * dl, -dl * state["hinge_active"], state["qsp"], state["qt"],
             protos.spatial, protos.time, state["inner_cq"], protos.spatial_norms, False,
         )
@@ -394,7 +361,7 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
         d_mq = np.zeros_like(state["mq"])  # (n_px, N)
         d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(z, masks)
                             + LAMBDA_DICE * _dice_dlogit(z, masks)) / len(cols)).T
-        g_psp, g_msp = _pair_backward(
+        g_psp, g_msp = gr.pair_backward(
             d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
             state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),
             True,

@@ -517,10 +517,7 @@ def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
         return terms, None
 
     dl_dd = _ce_dlogits(logits, obj)
-    # distance gradients: dd_i/dspatial = -(a_i - (at_i/t) s)/sqrt(inner^2-1)
-    den_d = np.sqrt(np.maximum(inner * inner - 1.0, gr._FLOOR))
-    coef = dl_dd / den_d
-    g_sp = -(coef @ asp) + ((coef * at).sum(axis=1) / time)[:, None] * spatial
+    g_sp, _ = gr.pair_backward(dl_dd, None, spatial, time, asp, at, inner, anorm, False)
 
     active = use_mask & (hinge > 0.0)
     if np.any(active):

@@ -427,17 +427,19 @@ class TestBatchedKernels:
         inner = lz.inner_to_anchors(ps, pt, asp, at)
         pick = rng.integers(0, 5, size=40)
         rows = np.arange(40)
-        gathered = (ps, pt, asp[pick], at[pick], inner[rows, pick], an[pick])
+        g_asp, g_at, g_inner, g_an = asp[pick], at[pick], inner[rows, pick], an[pick]
         np.testing.assert_array_equal(
-            grad.batched_grad_ext_wrt_point(*gathered),
+            grad.batched_grad_ext_wrt_point(ps, pt, g_asp, g_at, g_inner, g_an),
             grad.grad_ext_cross_point(ps, pt, asp, at, inner, an)[rows, pick],
         )
+        dL = grad._distance_partial(g_inner)
         np.testing.assert_array_equal(
-            grad._distance_grad(*gathered[:5]),
+            grad._dense(dL, grad._chain(dL * g_at, 0.0, pt), g_asp, ps),
             grad.grad_distance_cross(ps, pt, asp, at, inner)[rows, pick],
         )
+        eL, _, ea0, en = grad._ext_partials(g_inner, pt, g_at, g_an)
         np.testing.assert_array_equal(
-            grad._ext_grad_anchor(*gathered),
+            grad._dense(eL, grad._chain(eL * pt, ea0, g_at) + en / g_an, ps, g_asp),
             grad.grad_ext_cross_anchor(ps, pt, asp, at, inner, an)[rows, pick],
         )
         # dd/danchor is dd/dpoint with the roles swapped
@@ -445,6 +447,28 @@ class TestBatchedKernels:
             grad.grad_distance_cross_anchor(ps, pt, asp, at, inner),
             grad.grad_distance_cross(asp, at, ps, pt, inner.T).transpose(1, 0, 2),
         )
+
+    def test_pair_backward_matches_summed_scalar_closed_forms(self):
+        # the dense kernels share their partials and chain rule with
+        # pair_backward; the scalar closed forms are derived on their own
+        rng = np.random.default_rng(79)
+        pt, ps = lz.batched_exp_lift(rng.normal(size=(20, 3)) * 1.5)
+        at, asp = lz.batched_exp_lift(rng.normal(size=(6, 3)) * 1.5)
+        an = np.linalg.norm(asp, axis=1)
+        w_d, w_ext = rng.normal(size=(2, 20, 6))
+        g_p, g_a = grad.pair_backward(w_d, w_ext, ps, pt, asp, at,
+                                      lz.inner_to_anchors(ps, pt, asp, at), an, True)
+        want_p, want_a = np.zeros((20, 3)), np.zeros((6, 3))
+        for i in range(20):
+            x = lz.LorentzPoint(pt[i], ps[i])
+            for j in range(6):
+                y = lz.LorentzPoint(at[j], asp[j])
+                want_p[i] += (w_d[i, j] * grad.grad_lorentz_distance(x, y)
+                              + w_ext[i, j] * grad.grad_exterior_angle(x, y))
+                want_a[j] += (w_d[i, j] * grad.grad_lorentz_distance(y, x)
+                              + w_ext[i, j] * grad.grad_exterior_angle_anchor(x, y))
+        for got, want in ((g_p, want_p), (g_a, want_a)):
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.abs(want).max())
 
     def test_exp_lift_backward_matches_fd(self):
         rng = np.random.default_rng(76)

@@ -355,8 +355,10 @@ class TestMaskAngleUncertainty:
 
 
 class TestPairBackward:
-    """The matmul contraction of ``_pair_backward`` against the einsum of
-    the dense all-pairs kernels it replaces."""
+    """The matmul contraction of ``grad.pair_backward`` against the einsum
+    of the dense all-pairs kernels.  Both apply the same partials through
+    the same chain rule, so this checks the contraction's algebra; the
+    independent check is the scalar-oracle test in ``test_grad``."""
 
     P = 50
 
@@ -388,7 +390,7 @@ class TestPairBackward:
     @pytest.mark.parametrize("want_anchor", [True, False])
     def test_matches_dense_kernels(self, n_anchors, want_anchor):
         args = self.pairs(n_anchors)
-        g_p, g_a = mh._pair_backward(*args, want_anchor)
+        g_p, g_a = gr.pair_backward(*args, want_anchor)
         d_p, d_a = self.dense(*args)
         clear_p = np.arange(self.P) != 3
         self.assert_close(g_p[clear_p], d_p[clear_p], 1e-12)
@@ -414,8 +416,8 @@ class TestPairBackward:
         anorms = np.linalg.norm(asp, axis=1)
         A = (pt[:, None] + at * inner) / (anorms * np.sqrt(np.maximum(inner * inner - 1.0, gr._FLOOR)))
         assert 1.0 - A[0, 0] * A[0, 0] == 0.0
-        g_p, g_a = mh._pair_backward(np.ones((1, 1)), np.ones((1, 1)), psp, pt, asp, at, inner,
-                                     anorms, True)
+        g_p, g_a = gr.pair_backward(np.ones((1, 1)), np.ones((1, 1)), psp, pt, asp, at, inner,
+                                    anorms, True)
         assert np.all(np.isfinite(g_p)) and np.all(np.isfinite(g_a))
 
 
