@@ -22,6 +22,10 @@ package; rescaling points from curvature -c onto this hyperboloid leaves
 apertures and exterior angles unchanged.  The scalar functions take K as
 a float.  A ``PrototypeSet`` carries K and turns it into its anchors'
 apertures once, at construction.
+
+The array form of the cross-entropy returns its softmax terms with the
+per-row losses, and its backward takes them, so a training step
+exponentiates its logits once.
 """
 
 from __future__ import annotations
@@ -213,18 +217,23 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row -log softmax(logits)[label] with the max-shifted form."""
+def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """Per-row -log softmax(logits)[label] with the max-shifted form, and
+    the softmax terms (e, s) that ``cross_entropy_rows_backward`` takes:
+    the shifted exponentials e and their row sums s, so softmax = e / s."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
-    return lse - picked
+    e = np.exp(shifted, out=shifted)
+    s = e.sum(axis=-1)
+    return np.log(s) - picked, (e, s)
 
 
-def cross_entropy_rows_backward(logits, labels, weights) -> np.ndarray:
-    """Gradient of sum(weights * cross_entropy_rows(logits, labels)) /
-    sum(weights) w.r.t. the (rows, C) logits."""
-    d = softmax_rows(logits)
+def cross_entropy_rows_backward(terms, labels, weights) -> np.ndarray:
+    """Gradient of sum(weights * cross_entropy_rows(logits, labels)[0])
+    w.r.t. the (rows, C) logits, from the softmax terms (e, s) that the
+    forward returned; the result is written over e."""
+    e, s = terms
+    d = np.divide(e, s[:, None], out=e)
     d[np.arange(d.shape[0]), labels] -= 1.0
-    d *= (weights / weights.sum())[:, None]
+    d *= weights[:, None]
     return d

@@ -25,8 +25,11 @@ moving point and ``y`` is the fixed anchor:
 
 The training stack assembles backprop by chain rule from these closed
 forms and the exponential-map Jacobian; no autodiff framework is
-involved.  Central finite differences are the independent oracle used to
-cross-check every formula.  The oracle has a scalar form,
+involved.  Each backward takes the terms its forward already computed:
+``exp_lift_backward`` the lift's ``clamped_lift_terms``, and the heads'
+cross-entropy backward the softmax terms of the forward.  Central finite
+differences are the independent oracle used to cross-check every
+formula.  The oracle has a scalar form,
 ``finite_difference_gradient``, and a row-wise array form that
 ``gradient_interaction_report`` runs once over all its samples.
 
@@ -56,8 +59,7 @@ import numpy as np
 
 from .entailment import ext_angles_from_inner
 from .errors import DomainError, OracleError, UsageError
-from .lorentz import (SMALL_R, LorentzPoint, clamped_lift_terms, distances_from_inner,
-                      sinh_ratio, time_from_spatial)
+from .lorentz import SMALL_R, LorentzPoint, distances_from_inner, sinh_ratio, time_from_spatial
 
 FD_STEP = 1e-6  # balances truncation against round-off at 64-bit
 _SAMPLE_DIM = 3  # spatial dimension of the sampled verification pairs
@@ -442,16 +444,18 @@ def pair_backward(w_d, w_ext, psp, pt, asp, at, inner, anorms, want_anchor):
     return g_p, gL.T @ psp + c_a[:, None] * asp
 
 
-def exp_lift_backward(v: np.ndarray, g_spatial: np.ndarray) -> np.ndarray:
+def exp_lift_backward(lift, g_spatial: np.ndarray) -> np.ndarray:
     """Chain a spatial-coordinate gradient back through the origin lift.
 
-    ``v`` (..., d) are raw tangent vectors (pre-clamp), ``g_spatial`` the
-    total derivative of the loss w.r.t. the lifted spatial coordinates
-    (time dependence already folded in).  Rows beyond the magnitude clamp
-    chain through the rescaling map as well.
+    ``lift`` holds the ``clamped_lift_terms`` of the raw (pre-clamp)
+    tangent vectors v (..., d), as ``batched_exp_lift`` returned them with
+    the lifted points; ``g_spatial`` is the total derivative of the loss
+    w.r.t. the lifted spatial coordinates (time dependence already folded
+    in).  Rows beyond the magnitude clamp chain through the rescaling map
+    as well.
     """
-    v = np.asarray(v, dtype=np.float64)
-    r_raw, clamped, scale, v_used, r, sr = clamped_lift_terms(v)
+    v, r_raw, clamped, scale, r, sr = lift
+    v_used = v * scale[..., None]  # the clamped rows, as the lift took them
     r_big = np.maximum(r, SMALL_R)  # generic branch evaluated safely, then discarded where small
     cross = np.where(r < SMALL_R, 1.0 / 3.0 + r * r / 30.0, (np.cosh(r_big) - sr) / (r_big * r_big))
     vg = np.einsum("...i,...i->...", v_used, g_spatial)

@@ -18,7 +18,9 @@ loudly.  The array layer (functions taking plain ndarrays, plus
 ``EmbeddingGrid``) serves grid-sized workloads.  Its kernels accept
 caller-supplied precomputed time components and spatial norms so hot
 loops avoid redundant square roots, and they absorb round-off by
-clamping instead of raising.
+clamping instead of raising.  The array lift also returns the terms it
+was computed from (norms, clamp rescaling, sinh(r)/r), so that a backward
+pass takes them instead of computing them again.
 
 Tangent magnitudes are clamped so that ||v|| <= MAX_TANGENT_NORM before
 cosh/sinh; every clamp is counted (see ``clamp_events``) and never
@@ -321,35 +323,36 @@ def time_from_spatial(spatial: np.ndarray) -> np.ndarray:
 
 
 def clamped_lift_terms(v: np.ndarray):
-    """(norms, over, scale, v_used, r, sinh(r)/r) of tangent rows v (..., d),
-    shared by the array lift and its backward: rows ``over`` MAX_TANGENT_NORM
-    are rescaled by ``scale`` onto the cap, r is the clamped norm, and no
-    clamp event is counted."""
+    """(v, norms, over, scale, r, sinh(r)/r) of tangent rows v (..., d),
+    the terms the array lift takes and its backward
+    (``grad.exp_lift_backward``) reuses: rows ``over`` MAX_TANGENT_NORM
+    are rescaled by ``scale`` (1 on the other rows) onto the cap, r is the
+    clamped norm, and no clamp event is counted."""
     v = np.asarray(v, dtype=np.float64)
     norms = np.sqrt(spatial_sq_norms(v))
-    over = norms > MAX_TANGENT_NORM
-    scale = np.ones_like(norms)
-    if np.any(over):
-        scale[over] = MAX_TANGENT_NORM / norms[over]
-        v = v * scale[..., None]
     r = np.minimum(norms, MAX_TANGENT_NORM)
+    scale = MAX_TANGENT_NORM / np.maximum(norms, MAX_TANGENT_NORM)
     ratio = np.where(r < SMALL_R, 1.0 + r * r / 6.0, np.sinh(r) / np.where(r == 0.0, 1.0, r))
-    return norms, over, scale, v, r, ratio
+    return v, norms, norms > MAX_TANGENT_NORM, scale, r, ratio
 
 
 def batched_exp_lift(v: np.ndarray):
     """Vectorized exponential lift at the origin.
 
-    v has shape (..., d).  Returns (time, spatial) with shapes (...,) and
-    (..., d).  Rows whose norm exceeds MAX_TANGENT_NORM are rescaled onto
-    the cap; each such row counts one clamp event.
+    v has shape (..., d).  Returns (time, spatial, lift) with shapes (...,),
+    (..., d) and the ``clamped_lift_terms`` of v, which a backward pass
+    hands to ``grad.exp_lift_backward``.  Rows whose norm exceeds
+    MAX_TANGENT_NORM are rescaled onto the cap; each such row counts one
+    clamp event.
     """
-    _, over, _, v, _, ratio = clamped_lift_terms(v)
+    lift = clamped_lift_terms(v)
+    v, _, over, scale, _, ratio = lift
     n_over = int(np.count_nonzero(over))
     if n_over:
         _CLAMPS.bump(n_over)
-    spatial = ratio[..., None] * v
-    return time_from_spatial(spatial), spatial
+    spatial = v * scale[..., None]
+    spatial *= ratio[..., None]
+    return time_from_spatial(spatial), spatial, lift
 
 
 def inner_to_anchors(
@@ -365,7 +368,9 @@ def inner_to_anchors(
 def distances_from_inner(inner: np.ndarray) -> np.ndarray:
     """Geodesic distances acosh(-<x, y>_L) from precomputed inner products;
     acosh argument clamped to >= 1 so round-off never yields NaN."""
-    return np.arccosh(np.maximum(-inner, 1.0))
+    d = np.negative(inner)
+    np.maximum(d, 1.0, out=d)
+    return np.arccosh(d, out=d)
 
 
 def pairwise_lorentz_distances(spatial: np.ndarray) -> np.ndarray:
@@ -413,7 +418,7 @@ class EmbeddingGrid:
 
     @classmethod
     def from_tangent(cls, v: np.ndarray) -> "EmbeddingGrid":
-        time, spatial = batched_exp_lift(v)
+        time, spatial, _ = batched_exp_lift(v)
         return cls(spatial, time)
 
     @property

@@ -20,7 +20,10 @@ dice losses on matched masks, supervises unmatched queries toward
 no-object, and backpropagates through every term by chain rule.  Segments
 travel as class columns plus one binary (M, pixels) mask matrix.  The
 class and mask logits go back to the queries and the pixels through
-``grad.pair_backward``.
+``grad.pair_backward``.  The backward takes what the forward computed:
+the lift terms of pixels and queries, the softmax terms of the class
+cross-entropy, and the sigmoid terms that ``matching_cost`` took of the
+mask logits.
 
 The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
 exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
@@ -116,9 +119,12 @@ class QuerySet:
         return self.class_tangents.shape[0]
 
     def class_points(self):
+        """(time, spatial, lift) of the lifted class queries, as
+        ``batched_exp_lift`` returns them."""
         return batched_exp_lift(self.class_tangents)
 
     def mask_points(self):
+        """(time, spatial, lift) of the lifted mask queries."""
         return batched_exp_lift(self.mask_tangents)
 
 
@@ -146,13 +152,13 @@ def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
 def class_query_logits(protos: PrototypeSet, queries: QuerySet) -> np.ndarray:
     """(N, C) matrix of -W_D*distance minus the cone hinge, with the cone
     apertures the prototype set carries."""
-    qt, qsp = queries.class_points()
+    qt, qsp, _ = queries.class_points()
     return _class_logits(qsp, qt, protos)[0]
 
 
 def mask_query_logits(queries: QuerySet, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
     """(N, H, W) mask logits m^d + m^a before the sigmoid."""
-    mt, msp = queries.mask_points()
+    mt, msp, _ = queries.mask_points()
     sp, t = grid.flat()
     logits, _ = _mask_logits(sp, t, msp, mt, cfg)
     h, w = grid.shape
@@ -208,7 +214,7 @@ def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -
 
 def mask_angle_uncertainty(grid: EmbeddingGrid, queries: QuerySet) -> ScalarMap:
     """Minimum exterior angle against the mask queries."""
-    mt, msp = queries.mask_points()
+    mt, msp, _ = queries.mask_points()
     return angle_uncertainty(grid, (msp, mt))
 
 
@@ -227,11 +233,13 @@ def _sigmoid_logs(z):
 
 
 def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, cols, masks):
-    """(cost, focal, dice), each (N, M): the assignment cost -LAMBDA_CLS *
+    """(cost, focal, dice, sig): the assignment cost -LAMBDA_CLS *
     p(class) + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice of every (query,
-    segment) pair and the focal and dice losses it is made of, taken on
-    sigmoid(mask_logits) (N, ...).  The M segments travel as their class
-    columns ``cols`` and one binary (M, pixels) ``masks`` matrix.
+    segment) pair and the focal and dice losses it is made of, each
+    (N, M), taken on sigmoid(mask_logits) (N, ...); ``sig`` holds the
+    sigmoid terms (p, log p, log(1 - p)), each (N, pixels), which the
+    backward of the matched pairs takes.  The M segments travel as their
+    class columns ``cols`` and one binary (M, pixels) ``masks`` matrix.
 
     The sigmoid terms are computed once for all queries; the focal and
     dice sums over pixels are then matrix products with the masks."""
@@ -244,26 +252,26 @@ def matching_cost(class_probs: np.ndarray, mask_logits: np.ndarray, cols, masks)
     num = 2.0 * (p @ masks.T) + _DICE_EPS
     dice = 1.0 - num / ((p.sum(axis=1)[:, None] + masks.sum(axis=1)) + _DICE_EPS)
     cost = -LAMBDA_CLS * class_probs[:, cols] + LAMBDA_FOCAL * focal + LAMBDA_DICE * dice
-    return cost, focal, dice
+    return cost, focal, dice, (p, log_p, log_1p)
 
 
-def _focal_dlogit(z, g):
-    """Gradient of the mean focal loss of sigmoid(z) against g w.r.t. z,
-    row by row along the last axis."""
-    p, log_p, log_1p = _sigmoid_logs(z)
+def _focal_dlogit(sig, g):
+    """Gradient of the mean focal loss of p = sigmoid(z) against g w.r.t. z,
+    row by row along the last axis, from the sigmoid terms ``sig`` = (p,
+    log p, log(1 - p)) of ``_sigmoid_logs``."""
+    p, log_p, log_1p = sig
     q = 1.0 - p
     dz = np.where(
         g > 0.5,
         GAMMA * p * (q**GAMMA) * log_p - q ** (GAMMA + 1.0),
         -GAMMA * (p**GAMMA) * q * log_1p + p ** (GAMMA + 1.0),
     )
-    return dz / z.shape[-1]
+    return dz / p.shape[-1]
 
 
-def _dice_dlogit(z, g):
-    """Gradient of the dice loss of sigmoid(z) against g w.r.t. z, row by
-    row along the last axis."""
-    p = 1.0 / (1.0 + np.exp(-z))
+def _dice_dlogit(p, g):
+    """Gradient of the dice loss of p = sigmoid(z) against g w.r.t. z, row
+    by row along the last axis."""
     num = 2.0 * (p * g).sum(axis=-1, keepdims=True) + _DICE_EPS
     den = (p.sum(axis=-1, keepdims=True) + g.sum(axis=-1, keepdims=True)) + _DICE_EPS
     dp = -(2.0 * g * den - num) / (den * den)
@@ -273,9 +281,9 @@ def _dice_dlogit(z, g):
 def _forward_state(v_p, queries, protos, head_cfg):
     """Lifted pixels (from their tangent vectors ``v_p``) and queries, the
     class and mask logits, and what the backward pass reuses."""
-    pt, psp = batched_exp_lift(v_p)
-    qt, qsp = queries.class_points()
-    mt, msp = queries.mask_points()
+    pt, psp, plift = batched_exp_lift(v_p)
+    qt, qsp, qlift = queries.class_points()
+    mt, msp, mlift = queries.mask_points()
     cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos)
     full_logits = np.concatenate(
         [cls_logits, np.full((queries.n, 1), queries.no_object_bias)], axis=1
@@ -283,6 +291,7 @@ def _forward_state(v_p, queries, protos, head_cfg):
     mq, inner_mp = _mask_logits(psp, pt, msp, mt, head_cfg)
     return {
         "pt": pt, "psp": psp, "qt": qt, "qsp": qsp, "mt": mt, "msp": msp,
+        "plift": plift, "qlift": qlift, "mlift": mlift,
         "inner_cq": inner_cq, "hinge_active": hinge_active,
         "full_logits": full_logits, "inner_mp": inner_mp, "mq": mq,
     }
@@ -291,24 +300,27 @@ def _forward_state(v_p, queries, protos, head_cfg):
 def _mask_loss_at(state, cols, masks):
     """Hungarian-match the queries to the segments (class columns ``cols``,
     binary (M, pixels) ``masks``) at ``state``; returns (assign, ce,
-    mask_term, total, targets, weights): class CE plus the matched
-    focal/dice terms.  A non-finite matching cost, which only a diverged
-    run produces, has no assignment: it returns None."""
+    mask_term, total, backward): class CE plus the matched focal/dice
+    terms, and what the backward takes, (targets, CE weights, the CE's
+    softmax terms, the sigmoid terms of the matched rows).  A non-finite
+    matching cost, which only a diverged run produces, has no assignment:
+    it returns None."""
     full_logits = state["full_logits"]
-    cost, focal, dice = matching_cost(softmax_rows(full_logits), state["mq"].T, cols, masks)
+    cost, focal, dice, sig = matching_cost(softmax_rows(full_logits), state["mq"].T, cols, masks)
     if not np.all(np.isfinite(cost)):
         return None
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
     targets[assign] = cols
-    ce_rows = cross_entropy_rows(full_logits, targets)
+    ce_rows, ce_terms = cross_entropy_rows(full_logits, targets)
     weights = np.where(targets == n_cls, NO_OBJECT_WEIGHT, 1.0)
     ce = float((ce_rows * weights).sum() / weights.sum())
     seg = np.arange(len(cols))
     mask_term = (LAMBDA_FOCAL * focal[assign, seg].sum()
                  + LAMBDA_DICE * dice[assign, seg].sum()) / max(len(cols), 1)
-    return assign, ce, mask_term, ce + mask_term, targets, weights
+    backward = (targets, weights / weights.sum(), ce_terms, tuple(t[assign] for t in sig))
+    return assign, ce, mask_term, ce + mask_term, backward
 
 
 def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHeadConfig,
@@ -341,37 +353,36 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
         matched = _mask_loss_at(state, cols, masks)
         if matched is None:
             return {"total": math.nan}, None
-        assign, ce, mask_term, total, targets, weights = matched
+        assign, ce, mask_term, total, (targets, ce_weights, ce_terms, sig) = matched
         terms = {"ce": ce, "mask": mask_term, "total": total}
         if not want_grad:
             return terms, None
 
         # ---- backward: class logits ----
-        d_logits = cross_entropy_rows_backward(state["full_logits"], targets, weights)
+        d_logits = cross_entropy_rows_backward(ce_terms, targets, ce_weights)
         g_bno = float(d_logits[:, n_classes].sum())
         dl = d_logits[:, :n_classes]
         g_qsp, _ = gr.pair_backward(
             -W_D * dl, -dl * state["hinge_active"], state["qsp"], state["qt"],
             protos.spatial, protos.time, state["inner_cq"], protos.spatial_norms, False,
         )
-        g_qc = gr.exp_lift_backward(queries.class_tangents, g_qsp)
+        g_qc = gr.exp_lift_backward(state["qlift"], g_qsp)
 
-        # ---- backward: mask logits, recomputed for the matched pairs only ----
-        z = state["mq"].T[assign]  # (M, n_px)
+        # ---- backward: mask logits, for the matched pairs only ----
         d_mq = np.zeros_like(state["mq"])  # (n_px, N)
-        d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(z, masks)
-                            + LAMBDA_DICE * _dice_dlogit(z, masks)) / len(cols)).T
+        d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(sig, masks)
+                            + LAMBDA_DICE * _dice_dlogit(sig[0], masks)) / len(cols)).T
         g_psp, g_msp = gr.pair_backward(
             d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
             state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),
             True,
         )
-        g_qm = gr.exp_lift_backward(queries.mask_tangents, g_msp)
+        g_qm = gr.exp_lift_backward(state["mlift"], g_msp)
 
         queries.class_tangents = queries.class_tangents - cls_lr * g_qc
         queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
         queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
-        return terms, gr.exp_lift_backward(v_p, g_psp)
+        return terms, gr.exp_lift_backward(state["plift"], g_psp)
 
     flat = scene.features.reshape(-1, scene.features.shape[-1])
     params, trace = _descend(loss, flat, train_cfg, bank.d)

@@ -324,15 +324,20 @@ def init_encoder(d_in: int, hidden: int, d_out: int, seed: int) -> EncoderParams
 
 
 def _encoder_parts(params: EncoderParams, flat: np.ndarray):
-    a1 = np.tanh(flat @ params.w1.T + params.b1)
-    u = a1 @ params.w2.T + params.b2
+    """Hidden activations a1 = tanh(flat w1^T + b1) and outputs
+    u = a1 w2^T + b2, each taken in the array it is born in."""
+    a1 = flat @ params.w1.T
+    a1 += params.b1
+    np.tanh(a1, out=a1)
+    u = a1 @ params.w2.T
+    u += params.b2
     return a1, u
 
 
 def encoder_forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """Per-pixel tangent vectors alpha * mlp(features), shape (H, W, d)."""
     h, w, _ = features.shape
-    _, u = _encoder_parts(params, features.reshape(h * w, -1))
+    u = _encoder_parts(params, features.reshape(h * w, -1))[1]
     return (params.alpha * u).reshape(h, w, -1)
 
 
@@ -403,13 +408,16 @@ def _start_encoder(flat: np.ndarray, cfg: TrainConfig, d_out: int) -> EncoderPar
 
 def _encoder_step(params, flat, a1, u, g_v, cfg: TrainConfig):
     """Chain dL/dv back through v = alpha * mlp(flat) (forward parts a1, u)
-    and take one plain gradient step, with weight decay on the weights."""
+    and take one plain gradient step, with weight decay on the weights.
+    dL/dz1 is written over a1, which the caller no longer needs."""
     g_u = params.alpha * g_v
     g_alpha = float(np.einsum("nd,nd->", u, g_v))
     g_w2 = g_u.T @ a1 + cfg.weight_decay * params.w2
     g_b2 = g_u.sum(axis=0)
-    g_a1 = g_u @ params.w2
-    g_z1 = g_a1 * (1.0 - a1 * a1)
+    g_z1 = a1
+    g_z1 *= a1
+    np.subtract(1.0, g_z1, out=g_z1)
+    g_z1 *= g_u @ params.w2  # dL/da1 times tanh' = 1 - a1^2
     g_w1 = g_z1.T @ flat + cfg.weight_decay * params.w1
     g_b1 = g_z1.sum(axis=0)
     params.w1 = params.w1 - cfg.lr * g_w1
@@ -452,6 +460,12 @@ class PixelObjective:
     by ``use_mask``.  The pixel head scores against the lifted prototypes
     and their cone apertures; the euclid head (``protos`` None) against the
     bank's reduced rows.
+
+    Construction also derives the per-pixel constants of every epoch:
+    ``n_used``, the used-pixel count; ``weights``, each pixel's share of the
+    mean cross-entropy (1/n_used if used, else 0); and, for the pixel head,
+    ``gt``, the spatial part, time, spatial norm and cone aperture of each
+    pixel's ground-truth anchor.
     """
 
     flat: np.ndarray  # (Npx, d_orig) scene features
@@ -476,6 +490,17 @@ class PixelObjective:
             protos=protos, cfg=cfg,
         )
 
+    def __post_init__(self):
+        n_used = int(self.use_mask.sum())
+        if n_used == 0:
+            raise UsageError("no pixels left to train on")
+        object.__setattr__(self, "n_used", n_used)
+        object.__setattr__(self, "weights", self.use_mask / n_used)
+        if self.protos is not None:
+            idx = self.labels_idx
+            object.__setattr__(self, "gt", (self.protos.spatial[idx], self.protos.time[idx],
+                                            self.protos.spatial_norms[idx], self.protos.apertures[idx]))
+
     def loss(self, v: np.ndarray, want_grad: bool):
         """(terms, dL/dv or None) at tangent vectors v (Npx, d); the terms
         are "ce", "entail" (pixel head only) and "total"."""
@@ -484,63 +509,51 @@ class PixelObjective:
         return _pixel_loss_and_grad(v, self, want_grad)
 
 
-def _ce_dlogits(logits, obj: PixelObjective) -> np.ndarray:
-    """d(mean masked CE)/d(distance) for logits = -distance/tau."""
-    dl_dd = cross_entropy_rows_backward(logits, obj.labels_idx, obj.use_mask * 1.0)
-    dl_dd *= -1.0 / obj.cfg.tau  # d(logits)/d(dist) = -1/tau
-    return dl_dd
-
-
 def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     """Mean combined loss over unmasked pixels and, optionally, its
     gradient w.r.t. the tangent vectors v (Npx, d)."""
     cfg, labels_idx, use_mask = obj.cfg, obj.labels_idx, obj.use_mask
-    asp, at, anorm = obj.protos.spatial, obj.protos.time, obj.protos.spatial_norms
-    time, spatial = batched_exp_lift(v)
+    asp, at = obj.protos.spatial, obj.protos.time
+    gt_asp, gt_at, gt_norm, gt_aperture = obj.gt
+    time, spatial, lift = batched_exp_lift(v)
     inner = inner_to_anchors(spatial, time, asp, at)
     logits = -distances_from_inner(inner) / cfg.tau
-    n_used = int(use_mask.sum())
-    if n_used == 0:
-        raise UsageError("no pixels left to train on")
-    ce_rows = cross_entropy_rows(logits[use_mask], labels_idx[use_mask])
-    ce = float(ce_rows.mean())
+    ce_rows, ce_terms = cross_entropy_rows(logits, labels_idx)
+    ce = float(ce_rows[use_mask].mean())
 
-    gt_at = at[labels_idx]
-    gt_norm = anorm[labels_idx]
     gt_inner = np.take_along_axis(inner, labels_idx[:, None], axis=1)[:, 0]
     # per-pixel exterior angle against the ground-truth anchor only
     ext_gt = ext_angles_from_inner(gt_inner, time, gt_at, gt_norm)
-    hinge = np.maximum(0.0, ext_gt - obj.protos.apertures[labels_idx])
+    hinge = np.maximum(0.0, ext_gt - gt_aperture)
     entail = float(hinge[use_mask].mean())
     terms = {"ce": ce, "entail": entail, "total": ce + cfg.lambda_w * entail}
     if not want_grad:
         return terms, None
 
-    dl_dd = _ce_dlogits(logits, obj)
-    g_sp, _ = gr.pair_backward(dl_dd, None, spatial, time, asp, at, inner, anorm, False)
+    dl_dd = cross_entropy_rows_backward(ce_terms, labels_idx, obj.weights)
+    dl_dd *= -1.0 / cfg.tau  # d(logits)/d(dist) = -1/tau
+    g_sp, _ = gr.pair_backward(dl_dd, None, spatial, time, asp, at, inner,
+                               obj.protos.spatial_norms, False)
 
-    active = use_mask & (hinge > 0.0)
-    if np.any(active):
-        g_ext = gr.batched_grad_ext_wrt_point(
-            spatial[active], time[active], asp[labels_idx[active]], gt_at[active],
-            gt_inner[active], gt_norm[active],
-        )
-        g_sp[active] += (cfg.lambda_w / n_used) * g_ext
-    return terms, gr.exp_lift_backward(v, g_sp)
+    # the hinge's gradient on every row, weighted 0 where it is inactive
+    g_ext = gr.batched_grad_ext_wrt_point(spatial, time, gt_asp, gt_at, gt_inner, gt_norm)
+    g_sp += ((cfg.lambda_w / obj.n_used) * (use_mask & (hinge > 0.0)))[:, None] * g_ext
+    return terms, gr.exp_lift_backward(lift, g_sp)
 
 
 def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
     """Euclidean counterpart: CE over -||v - proto||/tau logits."""
     diffs = v[:, None, :] - obj.rows[None, :, :]
     dists = np.sqrt(np.maximum(np.einsum("npd,npd->np", diffs, diffs), 0.0))
-    logits = -dists / obj.cfg.tau
-    use_mask = obj.use_mask
-    ce = float(cross_entropy_rows(logits[use_mask], obj.labels_idx[use_mask]).mean())
+    ce_rows, ce_terms = cross_entropy_rows(-dists / obj.cfg.tau, obj.labels_idx)
+    ce = float(ce_rows[obj.use_mask].mean())
     terms = {"ce": ce, "total": ce}
     if not want_grad:
         return terms, None
-    safe = np.maximum(dists, 1e-12)
-    return terms, np.einsum("np,npd->nd", _ce_dlogits(logits, obj) / safe, diffs)
+    dl_dd = cross_entropy_rows_backward(ce_terms, obj.labels_idx, obj.weights)
+    dl_dd *= -1.0 / obj.cfg.tau
+    dl_dd /= np.maximum(dists, 1e-12)
+    return terms, np.einsum("np,npd->nd", dl_dd, diffs)
 
 
 def train(scene: SyntheticScene, bank: DescriptorBank, cfg: TrainConfig,
@@ -560,8 +573,10 @@ def train(scene: SyntheticScene, bank: DescriptorBank, cfg: TrainConfig,
 def evaluate_loss(params: EncoderParams, objective: PixelObjective) -> float:
     """Total training objective at the given parameters (used by the
     loss-landscape scans; matches the trace's final entry bit for bit)."""
-    _, u = _encoder_parts(params, objective.flat)
-    return objective.loss(params.alpha * u, False)[0]["total"]
+    # a1 and u are dropped here, not held through the loss, whose
+    # temporaries then reuse their memory instead of growing the heap
+    v = params.alpha * _encoder_parts(params, objective.flat)[1]
+    return objective.loss(v, False)[0]["total"]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,10 @@
-"""Session-scoped reference runs shared by the module and acceptance tests."""
+"""Session-scoped reference runs shared by the module and acceptance tests.
 
+Each run fixture checks, when the session ends, that no test changed a
+byte of the parameters it shares.
+"""
+
+import numpy as np
 import pytest
 
 from lorentzseg import maskhead as mh
@@ -16,6 +21,25 @@ from lorentzseg.reference import (
 )
 
 
+def _parameter_bytes(run):
+    """The bytes of every parameter block of a TrainResult, the mask
+    head's queries included."""
+    blocks = dict(run.params.blocks())
+    if run.queries is not None:
+        blocks.update(class_tangents=run.queries.class_tangents,
+                      mask_tangents=run.queries.mask_tangents,
+                      no_object_bias=np.array([run.queries.no_object_bias]))
+    return {name: np.asarray(block).tobytes() for name, block in blocks.items()}
+
+
+def _shared(value, *runs):
+    """Yield ``value``; at the end of the session, fail if any of ``runs``
+    has changed a parameter byte."""
+    before = [_parameter_bytes(run) for run in runs]
+    yield value
+    assert [_parameter_bytes(run) for run in runs] == before, "a test changed a shared run"
+
+
 @pytest.fixture(scope="session")
 def clean_scene():
     return st.generate_scene(REFERENCE_SCENE)
@@ -28,7 +52,8 @@ def clean_bank(clean_scene):
 
 @pytest.fixture(scope="session")
 def clean_run(clean_scene, clean_bank):
-    return st.train(clean_scene, clean_bank, REFERENCE_TRAIN)
+    run = st.train(clean_scene, clean_bank, REFERENCE_TRAIN)
+    yield from _shared(run, run)
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +68,8 @@ def noisy_bank(noisy_scene):
 
 @pytest.fixture(scope="session")
 def noisy_run(noisy_scene, noisy_bank):
-    return st.train(noisy_scene, noisy_bank, REFERENCE_TRAIN)
+    run = st.train(noisy_scene, noisy_bank, REFERENCE_TRAIN)
+    yield from _shared(run, run)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +80,8 @@ def boundary_scene():
 @pytest.fixture(scope="session")
 def boundary_run(boundary_scene):
     bank = st.DescriptorBank.fit(boundary_scene, EMBED_DIM)
-    return st.train(boundary_scene, bank, REFERENCE_TRAIN)
+    run = st.train(boundary_scene, bank, REFERENCE_TRAIN)
+    yield from _shared(run, run)
 
 
 @pytest.fixture(scope="session")
@@ -62,11 +89,10 @@ def heldout_runs(noisy_scene):
     bank = st.DescriptorBank.fit(noisy_scene, EMBED_DIM, exclude=(HELDOUT_CLASS,))
     hyp = st.train(noisy_scene, bank, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS)
     euc = st.train(noisy_scene, bank, REFERENCE_TRAIN, exclude_class=HELDOUT_CLASS, head="euclid")
-    return bank, hyp, euc
+    yield from _shared((bank, hyp, euc), hyp, euc)
 
 
 @pytest.fixture(scope="session")
 def mask_run(clean_scene, clean_bank):
-    return mh.train_maskhead(
-        clean_scene, clean_bank, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN
-    )
+    run = mh.train_maskhead(clean_scene, clean_bank, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN)
+    yield from _shared(run, run)

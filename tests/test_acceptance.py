@@ -339,7 +339,7 @@ def test_criterion_7_mask_head_suite():
     queries = res.queries
     cfg = res.head_cfg
     logits = mh.class_query_logits(protos, queries)
-    qt, qsp = queries.class_points()
+    qt, qsp, _ = queries.class_points()
     for j in (0, 3, 7):
         q = lz.lift_point(qsp[j])
         for i in (0, 4, 8):
@@ -350,7 +350,7 @@ def test_criterion_7_mask_head_suite():
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
     grid = st.embed_scene(res.params, scene)
     mlogits = mh.mask_query_logits(queries, grid, cfg)
-    mt, msp = queries.mask_points()
+    mt, msp, _ = queries.mask_points()
     for i in (0, 5):
         anchor = lz.lift_point(msp[i])
         for (r, c) in ((3, 3), (40, 50)):

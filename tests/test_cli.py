@@ -762,23 +762,26 @@ class TestThreadCountDeterminism:
         src = str(Path(lorentzseg.__file__).resolve().parents[1])
         csv = tmp_path / "e.csv"
         write_embedding_csv(csv, np.random.default_rng(132).normal(size=(512, 4)))
+        runs = ("model.bin", "model.json", "trace.csv", "metrics.json")
         outputs = {}
         for blas in ("1", "2"):
             for pool in ("1", "2"):
                 out = tmp_path / f"blas{blas}_pool{pool}"
                 train = ["train", "--head", "pixel", *SMALL_TRAIN, "--epochs", "60",
                          "--out-dir", str(out)]
+                mask = ["train", "--head", "mask", "--height", "16", "--width", "16",
+                        "--epochs", "20", "--out-dir", str(out / "mask")]
                 delta = ["deltahyp", "--input", str(csv), "--metric", "lorentz",
                          "--batch-size", "256", "--batches", "4", "--out", str(out / "delta.json")]
-                # one child runs both commands, so the numpy import is paid once
+                # one child runs every command, so the numpy import is paid once
                 script = ("import sys; from lorentzseg.cli import main; "
-                          f"sys.exit(main({train!r}) or main({delta!r}))")
+                          f"sys.exit(main({train!r}) or main({mask!r}) or main({delta!r}))")
                 env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "LSK_THREADS": pool,
                        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
                 subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                capture_output=True)
                 outputs[blas, pool] = {
                     name: (out / name).read_bytes()
-                    for name in ("model.bin", "model.json", "trace.csv", "metrics.json", "delta.json")
+                    for name in (*runs, *(f"mask/{run}" for run in runs), "delta.json")
                 }
         assert all(files == outputs["1", "1"] for files in outputs.values())

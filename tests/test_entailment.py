@@ -290,9 +290,9 @@ class TestArrayKernels:
     def test_ext_angles_match_scalar(self):
         rng = np.random.default_rng(47)
         anchors = rng.normal(size=(4, 3)) * 1.2
-        at, asp = lz.batched_exp_lift(anchors)
+        at, asp, _ = lz.batched_exp_lift(anchors)
         pts = rng.normal(size=(20, 3))
-        pt, psp = lz.batched_exp_lift(pts)
+        pt, psp, _ = lz.batched_exp_lift(pts)
         angles = ent.ext_angles_to_anchors(psp, pt, asp, at)
         for i in range(20):
             for j in range(4):
@@ -305,8 +305,8 @@ class TestArrayKernels:
         # the shared exterior-angle body, fed one anchor per row, gives the
         # gathered all-pairs angles bit for bit
         rng = np.random.default_rng(50)
-        at, asp = lz.batched_exp_lift(rng.normal(size=(4, 3)) * 1.2)
-        pt, psp = lz.batched_exp_lift(rng.normal(size=(30, 3)))
+        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(4, 3)) * 1.2)
+        pt, psp, _ = lz.batched_exp_lift(rng.normal(size=(30, 3)))
         labels = rng.integers(0, 4, size=30)
         inner = lz.inner_to_anchors(psp, pt, asp, at)
         rows = np.arange(30)
@@ -316,7 +316,7 @@ class TestArrayKernels:
         assert np.array_equal(per_row, ent.ext_angles_to_anchors(psp, pt, asp, at)[rows, labels])
 
     def test_point_on_its_anchor_has_angle_zero(self):
-        at, asp = lz.batched_exp_lift(np.array([[0.7, -0.2]]))
+        at, asp, _ = lz.batched_exp_lift(np.array([[0.7, -0.2]]))
         inner = lz.inner_to_anchors(asp, at, asp, at)[:, 0]
         angle = ent.ext_angles_from_inner(inner, at, at, np.linalg.norm(asp, axis=1))
         assert angle.tolist() == [0.0]
@@ -324,7 +324,7 @@ class TestArrayKernels:
     def test_distance_logits_match_scalar(self):
         rng = np.random.default_rng(48)
         anchors = rng.normal(size=(3, 4))
-        at, asp = lz.batched_exp_lift(anchors)
+        at, asp, _ = lz.batched_exp_lift(anchors)
         protos = make_protos(anchors)
         y = lz.exp_lift_origin(rng.normal(size=4))
         tau = 0.2
@@ -336,7 +336,7 @@ class TestArrayKernels:
         rng = np.random.default_rng(49)
         logits = rng.normal(size=(10, 5))
         labels = rng.integers(0, 5, size=10)
-        rows = ent.cross_entropy_rows(logits, labels)
+        rows, _ = ent.cross_entropy_rows(logits, labels)
         for i in range(10):
             assert rows[i] == pytest.approx(
                 ent.pixel_cross_entropy(logits[i], int(labels[i])), rel=1e-12

@@ -421,8 +421,8 @@ class TestBatchedKernels:
         # one broadcasting body per formula: one anchor per row must give
         # exactly the all-pairs result gathered at that anchor
         rng = np.random.default_rng(78)
-        pt, ps = lz.batched_exp_lift(rng.normal(size=(40, 3)) * 1.5)
-        at, asp = lz.batched_exp_lift(rng.normal(size=(5, 3)) * 1.5)
+        pt, ps, _ = lz.batched_exp_lift(rng.normal(size=(40, 3)) * 1.5)
+        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(5, 3)) * 1.5)
         an = np.linalg.norm(asp, axis=1)
         inner = lz.inner_to_anchors(ps, pt, asp, at)
         pick = rng.integers(0, 5, size=40)
@@ -452,8 +452,8 @@ class TestBatchedKernels:
         # the dense kernels share their partials and chain rule with
         # pair_backward; the scalar closed forms are derived on their own
         rng = np.random.default_rng(79)
-        pt, ps = lz.batched_exp_lift(rng.normal(size=(20, 3)) * 1.5)
-        at, asp = lz.batched_exp_lift(rng.normal(size=(6, 3)) * 1.5)
+        pt, ps, _ = lz.batched_exp_lift(rng.normal(size=(20, 3)) * 1.5)
+        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(6, 3)) * 1.5)
         an = np.linalg.norm(asp, axis=1)
         w_d, w_ext = rng.normal(size=(2, 20, 6))
         g_p, g_a = grad.pair_backward(w_d, w_ext, ps, pt, asp, at,
@@ -477,12 +477,12 @@ class TestBatchedKernels:
             v = rng.normal(size=3) * rng.uniform(0.05, 2.5)
 
             def loss_of_tangent(w):
-                t, s = lz.batched_exp_lift(w[None, :])
+                t, s, _ = lz.batched_exp_lift(w[None, :])
                 return dist_of_spatial(s[0], y)
 
-            t, s = lz.batched_exp_lift(v[None, :])
+            t, s, terms = lz.batched_exp_lift(v[None, :])
             g_spatial = grad.grad_lorentz_distance(lz.lift_point(s[0]), y)
-            g_v = grad.exp_lift_backward(v[None, :], g_spatial[None, :])[0]
+            g_v = grad.exp_lift_backward(terms, g_spatial[None, :])[0]
             fd = grad.finite_difference_gradient(loss_of_tangent, v)
             np.testing.assert_allclose(g_v, fd, atol=2e-6)
 
@@ -493,12 +493,12 @@ class TestBatchedKernels:
         v = v / np.linalg.norm(v) * 15.0  # beyond the magnitude clamp
 
         def loss_of_tangent(w):
-            t, s = lz.batched_exp_lift(w[None, :])
+            t, s, _ = lz.batched_exp_lift(w[None, :])
             return dist_of_spatial(s[0], y)
 
-        t, s = lz.batched_exp_lift(v[None, :])
+        t, s, terms = lz.batched_exp_lift(v[None, :])
         g_spatial = grad.grad_lorentz_distance(lz.lift_point(s[0]), y)
-        g_v = grad.exp_lift_backward(v[None, :], g_spatial[None, :])[0]
+        g_v = grad.exp_lift_backward(terms, g_spatial[None, :])[0]
         fd = grad.finite_difference_gradient(loss_of_tangent, v)
         np.testing.assert_allclose(g_v, fd, atol=1e-5)
         lz.reset_clamp_events()

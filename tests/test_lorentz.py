@@ -256,7 +256,7 @@ class TestArrayLayer:
     def test_batched_lift_matches_scalar(self):
         rng = np.random.default_rng(12)
         v = rng.normal(size=(40, 3))
-        time, spatial = lz.batched_exp_lift(v)
+        time, spatial, _ = lz.batched_exp_lift(v)
         for i in range(40):
             p = lz.exp_lift_origin(v[i])
             assert time[i] == pytest.approx(p.time, rel=1e-15)
@@ -265,7 +265,7 @@ class TestArrayLayer:
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(13)
         v = rng.normal(size=(12, 4))
-        time, spatial = lz.batched_exp_lift(v)
+        time, spatial, _ = lz.batched_exp_lift(v)
         dmat = lz.pairwise_lorentz_distances(spatial)
         pts = [lz.lift_point(spatial[i]) for i in range(12)]
         for i in range(12):
@@ -294,7 +294,7 @@ class TestArrayLayer:
         v = np.zeros((5, 2))
         v[1] = [40.0, 0.0]
         v[4] = [0.0, 99.0]
-        time, spatial = lz.batched_exp_lift(v)
+        time, spatial, _ = lz.batched_exp_lift(v)
         assert lz.clamp_events() == 2
         assert np.all(np.isfinite(time))
         lz.reset_clamp_events()

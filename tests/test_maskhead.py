@@ -39,7 +39,7 @@ def logit(p):
 def pair_losses(z, g):
     """Focal (gamma 2) and dice values of one (mask logits, mask) pair, as
     matching sees them."""
-    _, focal, dice = mh.matching_cost(np.zeros((1, 1)), z[None], [0], g[None])
+    _, focal, dice, _ = mh.matching_cost(np.zeros((1, 1)), z[None], [0], g[None])
     return focal[0, 0], dice[0, 0]
 
 
@@ -63,7 +63,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[0.9, 0.4], [0.2, 1.0]])
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp = queries.class_points()
+        qt, qsp, _ = queries.class_points()
         for j in range(2):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
@@ -77,7 +77,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.1, 0.0]])
         queries = queries_from([[2.6, 0.0]])
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp = queries.class_points()
+        qt, qsp, _ = queries.class_points()
         inner = lz.inner_to_anchors(qsp, qt, protos.spatial, protos.time)
         d_batched = lz.distances_from_inner(inner)[0, 0]
         assert logits[0, 0] == -mh.W_D * d_batched  # bitwise: hinge is 0
@@ -89,7 +89,7 @@ class TestClassQueryLogits:
         protos = make_protos(rng.normal(size=(4, 3)))
         queries = queries_from(rng.normal(size=(5, 3)))
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp = queries.class_points()
+        qt, qsp, _ = queries.class_points()
         for j in range(5):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
@@ -136,7 +136,7 @@ class TestMaskQueryLogits:
         queries = queries_from(rng.normal(size=(3, 4)))
         grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(2, 5, 4)))
         logits = mh.mask_query_logits(queries, grid, cfg)
-        mt, msp = queries.mask_points()
+        mt, msp, _ = queries.mask_points()
         for i in range(3):
             anchor = lz.lift_point(msp[i])
             for r in range(2):
@@ -225,7 +225,7 @@ class TestFocalDice:
         z = rng.normal(size=50) * 3.0
         g = (rng.uniform(size=50) > 0.5).astype(float)
         val, _ = pair_losses(z, g)
-        dz = mh._focal_dlogit(z, g)
+        dz = mh._focal_dlogit(mh._sigmoid_logs(z), g)
         p = 1.0 / (1.0 + np.exp(-z))
         assert val == pytest.approx(mh.focal_loss(p, g, 2.0), rel=1e-10)
         # gradient vs FD
@@ -241,7 +241,7 @@ class TestFocalDice:
         rng = np.random.default_rng(117)
         z = rng.normal(size=30)
         g = (rng.uniform(size=30) > 0.6).astype(float)
-        dz = mh._dice_dlogit(z, g)
+        dz = mh._dice_dlogit(mh._sigmoid_logs(z)[0], g)
         for k in (0, 11, 29):
             h = 1e-6
             zp, zm = z.copy(), z.copy()
@@ -254,10 +254,12 @@ class TestFocalDice:
         rng = np.random.default_rng(119)
         z = rng.normal(size=(3, 40)) * 3.0
         g = (rng.uniform(size=(3, 40)) > 0.5).astype(float)
-        focal, dice = mh._focal_dlogit(z, g), mh._dice_dlogit(z, g)
+        sig = mh._sigmoid_logs(z)
+        focal, dice = mh._focal_dlogit(sig, g), mh._dice_dlogit(sig[0], g)
         for m in range(3):
-            assert np.all(focal[m] == mh._focal_dlogit(z[m], g[m]))
-            assert np.all(dice[m] == mh._dice_dlogit(z[m], g[m]))
+            row = mh._sigmoid_logs(z[m])
+            assert np.all(focal[m] == mh._focal_dlogit(row, g[m]))
+            assert np.all(dice[m] == mh._dice_dlogit(row[0], g[m]))
 
 
 class TestMatchingCost:
@@ -338,7 +340,7 @@ class TestMaskAngleUncertainty:
         grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(3, 3, 3)))
         q = queries_from(rng.normal(size=(1, 3)))
         m = mh.mask_angle_uncertainty(grid, q)
-        mt, msp = q.mask_points()
+        mt, msp, _ = q.mask_points()
         anchor = lz.lift_point(msp[0])
         for r in range(3):
             for c in range(3):
@@ -364,8 +366,8 @@ class TestPairBackward:
 
     def pairs(self, n_anchors):
         rng = np.random.default_rng(5)
-        pt, psp = lz.batched_exp_lift(rng.normal(size=(self.P, EMBED_DIM)) * 1.2)
-        at, asp = lz.batched_exp_lift(rng.normal(size=(n_anchors, EMBED_DIM)) * 1.2)
+        pt, psp, _ = lz.batched_exp_lift(rng.normal(size=(self.P, EMBED_DIM)) * 1.2)
+        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(n_anchors, EMBED_DIM)) * 1.2)
         psp[3], pt[3] = asp[0], at[0]  # a point on anchor 0
         inner = lz.inner_to_anchors(psp, pt, asp, at)
         assert inner[3, 0] ** 2 - 1.0 < gr._FLOOR  # its den is the floor's
@@ -410,8 +412,8 @@ class TestPairBackward:
         # the acos argument A is 1 and 1 - A^2 rounds to 0 here: only the
         # floor of sqrt(1 - A^2) keeps the ext coefficient finite
         u = np.array([0.6, 0.8])
-        at, asp = lz.batched_exp_lift(0.3 * u[None])
-        pt, psp = lz.batched_exp_lift(1.8 * u[None])
+        at, asp, _ = lz.batched_exp_lift(0.3 * u[None])
+        pt, psp, _ = lz.batched_exp_lift(1.8 * u[None])
         inner = lz.inner_to_anchors(psp, pt, asp, at)
         anorms = np.linalg.norm(asp, axis=1)
         A = (pt[:, None] + at * inner) / (anorms * np.sqrt(np.maximum(inner * inner - 1.0, gr._FLOOR)))

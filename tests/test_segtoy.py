@@ -337,6 +337,66 @@ class TestPixelObjectiveGradient:
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
 
+
+class TestPixelObjectiveOracle:
+    """The array objective against its scalar form,
+    ``entailment.combined_pixel_loss``, averaged over the used pixels."""
+
+    def test_loss_matches_scalar_combined_pixel_loss(self):
+        scene = st.generate_scene(st.SceneConfig(
+            parents=2, children_per_parent=2, height=8, width=8, noise_sigma=0.3,
+        ))
+        # three included classes span a 2-d PCA
+        bank = st.DescriptorBank.fit(scene, d=2, exclude=(1,))
+        cfg = st.TrainConfig(embed_dim=bank.d)
+        obj = st.PixelObjective.build(scene, bank, cfg, exclude_class=1)
+        rng = np.random.default_rng(131)
+        v = rng.normal(size=(obj.flat.shape[0], bank.d)) * 2.0
+        v[::5] *= 9.0
+        used = np.nonzero(obj.use_mask)[0]
+        points = {i: lz.exp_lift_origin(v[i]) for i in used}
+        labels = {i: int(obj.labels_idx[i]) for i in used}
+        oracle = np.mean([ent.combined_pixel_loss(obj.protos, points[i], labels[i], cfg.tau,
+                                                  cfg.lambda_w) for i in used])
+        got = obj.loss(v, False)[0]["total"]
+        lz.reset_clamp_events()
+        # the held-out class drops pixels, some used rows lie beyond the
+        # clamp, and the hinge is active on some
+        assert 0 < used.size < obj.use_mask.size
+        assert np.any(np.linalg.norm(v[used], axis=1) > lz.MAX_TANGENT_NORM)
+        anchors, K = obj.protos.anchors, obj.protos.K
+        assert any(ent.entailment_loss(anchors[labels[i]], points[i], K) > 0.0 for i in used)
+        assert got == pytest.approx(oracle, rel=1e-10)
+
+
+class TestNoInputMutated:
+    """The encoder and the loss work in arrays of their own: the
+    parameters, the features and the tangent vectors they are given keep
+    every byte."""
+
+    @pytest.mark.parametrize("head", ["pixel", "euclid"])
+    def test_forward_backward_and_training_leave_inputs_alone(self, head):
+        scene = st.generate_scene(SMALL)
+        bank = st.DescriptorBank.fit(scene, d=3)
+        cfg = st.TrainConfig(epochs=2, embed_dim=bank.d)
+        obj = st.PixelObjective.build(scene, bank, cfg, head=head)
+        params = st._start_encoder(obj.flat, cfg, bank.d)
+        params.alpha *= 20.0  # past the clamp, so the clamped backward runs too
+        v = st.encoder_forward(params, scene.features).reshape(obj.flat.shape[0], -1)
+
+        def snapshot():
+            blocks = [np.asarray(b).tobytes() for b in params.blocks().values()]
+            return blocks + [obj.flat.tobytes(), scene.features.tobytes(), v.tobytes()]
+
+        before = snapshot()
+        st.encoder_forward(params, scene.features)
+        st.evaluate_loss(params, obj)
+        obj.loss(v, True)
+        st.train(scene, bank, cfg, head=head)
+        lz.reset_clamp_events()
+        assert snapshot() == before
+
+
 class TestInference:
     def test_matches_per_pixel_bruteforce(self, clean_run, clean_scene):
         pred = st.infer_distance(clean_run.params, clean_run.protos, clean_scene)
