@@ -10,15 +10,19 @@ rounded down ~5 percent to absorb BLAS-ordering jitter across platforms;
 the runs themselves are deterministic per seed on a given machine.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from lorentzseg import maskhead as mh
-from lorentzseg import segtoy as st
-from lorentzseg import uncertainty as unc
-from lorentzseg.cli import _print_warning
-from lorentzseg.reference import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lorentzseg import maskhead as mh  # noqa: E402
+from lorentzseg import segtoy as st  # noqa: E402
+from lorentzseg import uncertainty as unc  # noqa: E402
+from lorentzseg.cli import _print_warning  # noqa: E402
+from lorentzseg.reference import (  # noqa: E402
     EMBED_DIM,
     HELDOUT_CLASS,
     REFERENCE_MASK_HEAD,
@@ -106,7 +110,7 @@ def main():
     ablate = mh.train_maskhead(sc_s, bk_s, REFERENCE_MASK_HEAD_ABLATED, REFERENCE_MASK_TRAIN)
     for tag, r in (("FULL", full), ("NOANGLE", ablate)):
         g = st.embed_scene(r.params, sc_s)
-        au_m = mh.mask_angle_uncertainty(g, r.queries)
+        au_m = mh.mask_angle_uncertainty(g, r.params)
         out[f"MASK_BOUNDARY_RECALL_{tag}"] = unc.boundary_recall(
             unc.boundary_map(au_m, 90.0), sc_s.labels
         )

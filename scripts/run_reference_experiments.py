@@ -11,10 +11,12 @@ CSV, and a delta-hyperbolicity report over the trained pixel embeddings.
 import sys
 from pathlib import Path
 
-from lorentzseg import segtoy as st
-from lorentzseg.cli import load_model, main
-from lorentzseg.fileio import write_embedding_csv
-from lorentzseg.reference import REFERENCE_SCENE_BOUNDARY
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lorentzseg import segtoy as st  # noqa: E402
+from lorentzseg.cli import load_model, main  # noqa: E402
+from lorentzseg.fileio import write_embedding_csv  # noqa: E402
+from lorentzseg.reference import REFERENCE_SCENE_BOUNDARY  # noqa: E402
 
 
 def sh(argv):

@@ -111,15 +111,11 @@ def _write_label_map(prefix, label_map: st.LabelMap):
 
 
 def _save_model(prefix, scene: st.SyntheticScene, res: st.TrainResult):
-    blocks = res.params.blocks()
     extras = {"head": res.head, "scene": dataclasses.asdict(scene.config),
               "train": dataclasses.asdict(res.config), "exclude_class": res.exclude_class}
-    if res.queries is not None:
-        blocks["class_tangents"] = res.queries.class_tangents
-        blocks["mask_tangents"] = res.queries.mask_tangents
-        blocks["no_object_bias"] = np.array([res.queries.no_object_bias])
+    if res.head_cfg is not None:
         extras["head_cfg"] = dataclasses.asdict(res.head_cfg)
-    save_param_blocks(prefix, blocks, extras)
+    save_param_blocks(prefix, res.params, extras)
 
 
 def load_model(prefix):
@@ -128,36 +124,36 @@ def load_model(prefix):
     prototypes rebuilt.  A descriptor that lacks a block or a key, has a
     setting its config does not, holds a value of the wrong kind or out of
     range, names an unknown head, or has blocks whose shapes do not fit the
-    rebuilt bank raises ParseError."""
+    rebuilt bank, or a block with a non-finite entry, raises ParseError."""
     try:
         blocks, extras = load_param_blocks(prefix)
         head = extras["head"]
         if head not in HEADS:
             raise ParseError(f"{prefix}.json: unknown head {head!r}")
-        params = st.EncoderParams.from_blocks(blocks)
         scene_cfg = st.SceneConfig(**extras["scene"])
         train_cfg = st.TrainConfig(**extras["train"])
         exclude = extras.get("exclude_class")
         scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+        # the training's block order, in which losscape draws its directions
         shapes = {"w1": (train_cfg.hidden, scene_cfg.descriptor_dim), "b1": (train_cfg.hidden,),
-                  "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,)}
-        queries = head_cfg = None
+                  "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,), "alpha": (1,)}
+        head_cfg = None
         if head == "mask":
             head_cfg = mh.MaskHeadConfig(**extras["head_cfg"])
-            queries = mh.QuerySet(
-                class_tangents=blocks["class_tangents"],
-                mask_tangents=blocks["mask_tangents"],
-                no_object_bias=float(blocks["no_object_bias"][0]),
-            )
-            shapes["class_tangents"] = (head_cfg.n_queries, bank.d)
+            queries = (head_cfg.n_queries, bank.d)
+            shapes.update(class_tangents=queries, mask_tangents=queries, no_object_bias=(1,))
+        params = {}
         for name, shape in shapes.items():
-            if np.shape(blocks[name]) != shape:
+            block = params[name] = blocks[name]
+            if block.shape != shape:
                 raise ParseError(f"{prefix}.json: block {name} has shape "
-                                 f"{np.shape(blocks[name])}, expected {shape}")
+                                 f"{block.shape}, expected {shape}")
+            if not np.all(np.isfinite(block)):
+                raise ParseError(f"{prefix}.bin: block {name} is not finite")
         protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.K)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
-    return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, queries, head_cfg)
+    return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, head_cfg)
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
@@ -334,7 +330,7 @@ def cmd_train(args):
         # floating-point warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             if args.head == "mask":
-                res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.queries),
+                res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.n_queries),
                                         train_cfg)
             else:
                 res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
@@ -381,7 +377,7 @@ def cmd_uncertainty(args):
     ru = unc.radius_uncertainty(grid)
     export_scalar_map(out_dir / "radius_uncertainty", ru.values, ru.kind)
     if res.head == "mask":
-        au = mh.mask_angle_uncertainty(grid, res.queries)
+        au = mh.mask_angle_uncertainty(grid, res.params)
     else:
         # the euclid head is scored against the prototypes its bank would lift to
         protos = res.protos or st.build_prototypes(res.bank, res.config.K)
@@ -412,12 +408,12 @@ def cmd_losscape(args):
     objective = st.PixelObjective.build(scene, res.bank, res.config, res.exclude_class, res.head)
 
     rng = np.random.default_rng(args.directions_seed)
-    base = res.params.blocks()
+    base = res.params
     dirs = []
     for _ in range(2):
         d = {}
         for name, block in base.items():
-            raw = rng.normal(size=np.asarray(block).shape)
+            raw = rng.normal(size=block.shape)
             bnorm = float(np.linalg.norm(block))
             rnorm = float(np.linalg.norm(raw))
             # filter normalization: each direction block rescaled to the
@@ -433,12 +429,10 @@ def cmd_losscape(args):
         for a in coords:
             for b in coords:
                 if a == 0.0 and b == 0.0:
-                    probe = res.params
+                    probe = base
                 else:
-                    probe = st.EncoderParams.from_blocks({
-                        name: np.asarray(block) + a * dirs[0][name] + b * dirs[1][name]
-                        for name, block in base.items()
-                    })
+                    probe = {name: block + a * dirs[0][name] + b * dirs[1][name]
+                             for name, block in base.items()}
                 rows.append((a, b, st.evaluate_loss(probe, objective)))
     if not np.isfinite(rows).all():
         raise UsageError(f"--extent {args.extent} perturbs the model past what its loss can hold")
@@ -492,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", choices=HEADS, default="pixel")
     _scene_flags(p)
     _train_flags(p)
-    p.add_argument("--queries", type=int, default=REFERENCE_MASK_HEAD.n_queries)
+    p.add_argument("--queries", type=int, dest="n_queries",
+                   default=REFERENCE_MASK_HEAD.n_queries)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -13,11 +13,14 @@ score pixel embeddings against each mask query (sample-to-sample),
 
 with a sigmoid downstream; the published shifts put the cone boundary
 (b_a = 0.17, the unit-radius aperture) and the b_d = 1 distance shell at
-logit zero.  Training runs in the loop every head shares
-(``segtoy._descend``).  Each step matches queries to ground-truth segments
-by Hungarian assignment, applies cross-entropy on classes plus focal and
-dice losses on matched masks, supervises unmatched queries toward
-no-object, and backpropagates through every term by chain rule.  Segments
+logit zero.  The head's parameters are three blocks of the model's dict:
+class_tangents and mask_tangents (N, d) and no_object_bias (1,).
+Training runs in the loop every head shares (``segtoy._descend``), which
+steps every block from the gradients ``_mask_loss`` returns.  Each step
+matches queries to ground-truth segments by Hungarian assignment, applies
+cross-entropy on classes plus focal and dice losses on matched masks,
+supervises unmatched queries toward no-object, and backpropagates through
+every term by chain rule.  Segments
 travel as class columns plus one binary (M, pixels) mask matrix.  The
 class and mask logits go back to the queries and the pixels through
 ``grad.pair_backward``.  The backward takes what the forward computed:
@@ -27,15 +30,17 @@ mask logits.
 
 The fixed values are module constants: W_D, B_D, S_D and B_A, the focal
 exponent GAMMA, the loss weights LAMBDA_CLS, LAMBDA_FOCAL and LAMBDA_DICE,
-NO_OBJECT_WEIGHT and CLASS_LR_SCALE.  ``MaskHeadConfig`` holds the two
-settings that vary: the query count ``n_queries`` and the angle scale
-``s_a`` (0.02; the angle ablation sets it to 1e9).
+and NO_OBJECT_WEIGHT; CLASS_LR_SCALE, the larger step of class_tangents
+and no_object_bias, is part of ``segtoy``'s step rule.  ``MaskHeadConfig``
+holds the two settings that vary: the query count ``n_queries`` and the
+angle scale ``s_a`` (0.02; the angle ablation sets it to 1e9).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -78,10 +83,6 @@ LAMBDA_CLS = 1.0
 LAMBDA_FOCAL = 20.0
 LAMBDA_DICE = 1.0
 NO_OBJECT_WEIGHT = 0.1
-# the 1/s_a and 1/s_d factors make the mask-logit path far stiffer than the
-# class-logit path; a per-group learning rate rebalances them (the usual
-# encoder-vs-head split)
-CLASS_LR_SCALE = 100.0
 
 
 @dataclass(frozen=True)
@@ -97,35 +98,6 @@ class MaskHeadConfig:
             raise UsageError(f"n_queries must be >= 1, got {self.n_queries}")
         if not (math.isfinite(self.s_a) and self.s_a > 0):
             raise UsageError(f"s_a must be finite and positive, got {self.s_a}")
-
-
-@dataclass
-class QuerySet:
-    """Learnable query embeddings: tangent parameters plus the no-object
-    bias; lifted coordinates are derived on demand."""
-
-    class_tangents: np.ndarray  # (N, d)
-    mask_tangents: np.ndarray  # (N, d)
-    no_object_bias: float = 0.0
-
-    def __post_init__(self):
-        if self.class_tangents.shape != self.mask_tangents.shape:
-            raise UsageError("class and mask tangents must share a shape")
-        if not (np.all(np.isfinite(self.class_tangents)) and np.all(np.isfinite(self.mask_tangents))):
-            raise UsageError("query tangents must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.class_tangents.shape[0]
-
-    def class_points(self):
-        """(time, spatial, lift) of the lifted class queries, as
-        ``batched_exp_lift`` returns them."""
-        return batched_exp_lift(self.class_tangents)
-
-    def mask_points(self):
-        """(time, spatial, lift) of the lifted mask queries."""
-        return batched_exp_lift(self.mask_tangents)
 
 
 def _class_logits(qsp, qt, protos: PrototypeSet):
@@ -149,20 +121,22 @@ def _mask_logits(sp, t, msp, mt, cfg: MaskHeadConfig):
     return (-d + B_D) / S_D + (-ext + B_A) / cfg.s_a, inner
 
 
-def class_query_logits(protos: PrototypeSet, queries: QuerySet) -> np.ndarray:
-    """(N, C) matrix of -W_D*distance minus the cone hinge, with the cone
-    apertures the prototype set carries."""
-    qt, qsp, _ = queries.class_points()
+def class_query_logits(protos: PrototypeSet, params: dict) -> np.ndarray:
+    """(N, C) matrix of -W_D*distance minus the cone hinge of the lifted
+    class queries of ``params``, with the cone apertures the prototype set
+    carries."""
+    qt, qsp, _ = batched_exp_lift(params["class_tangents"])
     return _class_logits(qsp, qt, protos)[0]
 
 
-def mask_query_logits(queries: QuerySet, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
-    """(N, H, W) mask logits m^d + m^a before the sigmoid."""
-    mt, msp, _ = queries.mask_points()
+def mask_query_logits(params: dict, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
+    """(N, H, W) mask logits m^d + m^a of the lifted mask queries of
+    ``params`` before the sigmoid."""
+    mt, msp, _ = batched_exp_lift(params["mask_tangents"])
     sp, t = grid.flat()
     logits, _ = _mask_logits(sp, t, msp, mt, cfg)
     h, w = grid.shape
-    return logits.T.reshape(queries.n, h, w)
+    return logits.T.reshape(-1, h, w)
 
 
 def hungarian_match(cost: np.ndarray) -> np.ndarray:
@@ -212,9 +186,9 @@ def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -
     return LabelMap(values, dict(legend or {}))
 
 
-def mask_angle_uncertainty(grid: EmbeddingGrid, queries: QuerySet) -> ScalarMap:
-    """Minimum exterior angle against the mask queries."""
-    mt, msp, _ = queries.mask_points()
+def mask_angle_uncertainty(grid: EmbeddingGrid, params: dict) -> ScalarMap:
+    """Minimum exterior angle against the lifted mask queries of ``params``."""
+    mt, msp, _ = batched_exp_lift(params["mask_tangents"])
     return angle_uncertainty(grid, (msp, mt))
 
 
@@ -278,15 +252,16 @@ def _dice_dlogit(p, g):
     return dp * p * (1.0 - p)
 
 
-def _forward_state(v_p, queries, protos, head_cfg):
-    """Lifted pixels (from their tangent vectors ``v_p``) and queries, the
-    class and mask logits, and what the backward pass reuses."""
+def _forward_state(v_p, params, protos, head_cfg):
+    """Lifted pixels (from their tangent vectors ``v_p``) and queries (the
+    blocks of ``params``), the class and mask logits, and what the backward
+    pass reuses."""
     pt, psp, plift = batched_exp_lift(v_p)
-    qt, qsp, qlift = queries.class_points()
-    mt, msp, mlift = queries.mask_points()
+    qt, qsp, qlift = batched_exp_lift(params["class_tangents"])
+    mt, msp, mlift = batched_exp_lift(params["mask_tangents"])
     cls_logits, inner_cq, hinge_active = _class_logits(qsp, qt, protos)
     full_logits = np.concatenate(
-        [cls_logits, np.full((queries.n, 1), queries.no_object_bias)], axis=1
+        [cls_logits, np.full((qt.shape[0], 1), params["no_object_bias"])], axis=1
     )
     mq, inner_mp = _mask_logits(psp, pt, msp, mt, head_cfg)
     return {
@@ -297,18 +272,20 @@ def _forward_state(v_p, queries, protos, head_cfg):
     }
 
 
-def _mask_loss_at(state, cols, masks):
-    """Hungarian-match the queries to the segments (class columns ``cols``,
-    binary (M, pixels) ``masks``) at ``state``; returns (assign, ce,
-    mask_term, total, backward): class CE plus the matched focal/dice
-    terms, and what the backward takes, (targets, CE weights, the CE's
-    softmax terms, the sigmoid terms of the matched rows).  A non-finite
-    matching cost, which only a diverged run produces, has no assignment:
-    it returns None."""
+def _mask_loss(params, v_p, want_grad, protos, head_cfg, cols, masks):
+    """The mask head's loss in ``segtoy._descend`` at the blocks ``params``
+    and the pixel tangent vectors ``v_p``: Hungarian-match the queries to
+    the segments (class columns ``cols``, binary (M, pixels) ``masks``),
+    then class CE plus the matched focal/dice terms.  Returns (terms,
+    dL/dv_p, grads), grads holding the gradients of class_tangents,
+    mask_tangents and no_object_bias (None and {} unless ``want_grad``).
+    A non-finite matching cost, which only a diverged run produces, has no
+    assignment: its total is NaN."""
+    state = _forward_state(v_p, params, protos, head_cfg)
     full_logits = state["full_logits"]
     cost, focal, dice, sig = matching_cost(softmax_rows(full_logits), state["mq"].T, cols, masks)
     if not np.all(np.isfinite(cost)):
-        return None
+        return {"total": math.nan}, None, {}
     assign = hungarian_match(cost)
     n, n_cls = full_logits.shape[0], full_logits.shape[1] - 1
     targets = np.full(n, n_cls, dtype=np.int64)
@@ -319,16 +296,42 @@ def _mask_loss_at(state, cols, masks):
     seg = np.arange(len(cols))
     mask_term = (LAMBDA_FOCAL * focal[assign, seg].sum()
                  + LAMBDA_DICE * dice[assign, seg].sum()) / max(len(cols), 1)
-    backward = (targets, weights / weights.sum(), ce_terms, tuple(t[assign] for t in sig))
-    return assign, ce, mask_term, ce + mask_term, backward
+    terms = {"ce": ce, "mask": mask_term, "total": ce + mask_term}
+    if not want_grad:
+        return terms, None, {}
+    sig = tuple(t[assign] for t in sig)  # the sigmoid terms of the matched rows only
+
+    # ---- backward: class logits ----
+    d_logits = cross_entropy_rows_backward(ce_terms, targets, weights / weights.sum())
+    g_bno = d_logits[:, n_cls].sum().reshape(1)
+    dl = d_logits[:, :n_cls]
+    g_qsp, _ = gr.pair_backward(
+        -W_D * dl, -dl * state["hinge_active"], state["qsp"], state["qt"],
+        protos.spatial, protos.time, state["inner_cq"], protos.spatial_norms, False,
+    )
+    g_qc = gr.exp_lift_backward(state["qlift"], g_qsp)
+
+    # ---- backward: mask logits, for the matched pairs only ----
+    d_mq = np.zeros_like(state["mq"])  # (n_px, N)
+    d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(sig, masks)
+                        + LAMBDA_DICE * _dice_dlogit(sig[0], masks)) / len(cols)).T
+    g_psp, g_msp = gr.pair_backward(
+        d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
+        state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),
+        True,
+    )
+    grads = {"class_tangents": g_qc,
+             "mask_tangents": gr.exp_lift_backward(state["mlift"], g_msp),
+             "no_object_bias": g_bno}
+    return terms, gr.exp_lift_backward(state["plift"], g_psp), grads
 
 
 def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHeadConfig,
                    train_cfg: TrainConfig) -> TrainResult:
     """Hungarian-matched mask-classification training in the loop every
-    head shares (``segtoy._descend``); the loss it descends steps the
-    queries and the no-object bias as well, all gradients by chain rule
-    through the closed forms."""
+    head shares (``segtoy._descend``), which steps the encoder and the
+    head's seeded query blocks from the gradients ``_mask_loss`` returns,
+    all by chain rule through the closed forms."""
     segments = scene_segments(scene)
     if len(segments) > head_cfg.n_queries:
         raise UsageError(f"{len(segments)} segments exceed {head_cfg.n_queries} queries")
@@ -341,52 +344,15 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
     masks = np.array([m.reshape(-1) for _, m in segments], dtype=np.float64)
 
     rng = np.random.default_rng(train_cfg.seed)
-    queries = QuerySet(
-        class_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
-        mask_tangents=rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
-    )
-    n_classes = len(bank.included)
-    cls_lr = train_cfg.lr * CLASS_LR_SCALE
-
-    def loss(v_p, want_grad):
-        state = _forward_state(v_p, queries, protos, head_cfg)
-        matched = _mask_loss_at(state, cols, masks)
-        if matched is None:
-            return {"total": math.nan}, None
-        assign, ce, mask_term, total, (targets, ce_weights, ce_terms, sig) = matched
-        terms = {"ce": ce, "mask": mask_term, "total": total}
-        if not want_grad:
-            return terms, None
-
-        # ---- backward: class logits ----
-        d_logits = cross_entropy_rows_backward(ce_terms, targets, ce_weights)
-        g_bno = float(d_logits[:, n_classes].sum())
-        dl = d_logits[:, :n_classes]
-        g_qsp, _ = gr.pair_backward(
-            -W_D * dl, -dl * state["hinge_active"], state["qsp"], state["qt"],
-            protos.spatial, protos.time, state["inner_cq"], protos.spatial_norms, False,
-        )
-        g_qc = gr.exp_lift_backward(state["qlift"], g_qsp)
-
-        # ---- backward: mask logits, for the matched pairs only ----
-        d_mq = np.zeros_like(state["mq"])  # (n_px, N)
-        d_mq[:, assign] = ((LAMBDA_FOCAL * _focal_dlogit(sig, masks)
-                            + LAMBDA_DICE * _dice_dlogit(sig[0], masks)) / len(cols)).T
-        g_psp, g_msp = gr.pair_backward(
-            d_mq * (-1.0 / S_D), d_mq * (-1.0 / head_cfg.s_a), state["psp"], state["pt"],
-            state["msp"], state["mt"], state["inner_mp"], np.linalg.norm(state["msp"], axis=1),
-            True,
-        )
-        g_qm = gr.exp_lift_backward(state["mlift"], g_msp)
-
-        queries.class_tangents = queries.class_tangents - cls_lr * g_qc
-        queries.mask_tangents = queries.mask_tangents - train_cfg.lr * g_qm
-        queries.no_object_bias = float(queries.no_object_bias - cls_lr * g_bno)
-        return terms, gr.exp_lift_backward(state["plift"], g_psp)
-
+    queries = {
+        "class_tangents": rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
+        "mask_tangents": rng.normal(size=(head_cfg.n_queries, bank.d)) * 0.5,
+        "no_object_bias": np.zeros(1),
+    }
+    loss = partial(_mask_loss, protos=protos, head_cfg=head_cfg, cols=cols, masks=masks)
     flat = scene.features.reshape(-1, scene.features.shape[-1])
-    params, trace = _descend(loss, flat, train_cfg, bank.d)
-    return TrainResult("mask", params, protos, bank, trace, train_cfg, None, queries, head_cfg)
+    params, trace = _descend(loss, flat, train_cfg, bank.d, queries)
+    return TrainResult("mask", params, protos, bank, trace, train_cfg, None, head_cfg)
 
 
 def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:
@@ -395,9 +361,9 @@ def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:
     probabilities."""
     h, w = scene.shape
     v_p = encoder_forward(result.params, scene.features).reshape(h * w, -1)
-    state = _forward_state(v_p, result.queries, result.protos, result.head_cfg)
+    state = _forward_state(v_p, result.params, result.protos, result.head_cfg)
     probs_full = softmax_rows(state["full_logits"])[:, :-1]
-    mask_probs = (1.0 / (1.0 + np.exp(-state["mq"].T))).reshape(result.queries.n, h, w)
+    mask_probs = (1.0 / (1.0 + np.exp(-state["mq"].T))).reshape(-1, h, w)
     legend = {i: n for i, n in enumerate(result.protos.labels)}
     return semantic_map(probs_full, mask_probs, legend)
 

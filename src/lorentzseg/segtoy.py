@@ -15,8 +15,9 @@ mean norm (unit tangent norm on average) and lifted to the hyperboloid
 to become class prototypes.
 
 The trainable encoder is a 2-layer perceptron with a tanh hidden layer
-and a learnable output scale, trained by plain full-batch gradient
-descent with weight decay.  Backprop is assembled by chain rule from the
+and a learnable output scale.  A model is one dict of named float64
+blocks, which one loop (``_descend``) steps by one plain gradient-descent
+rule with weight decay.  Backprop is assembled by chain rule from the
 closed-form spatial gradients and the exponential-map Jacobian; there is
 no autodiff anywhere.  An identically shaped Euclidean pipeline (no
 lift, no cone) exists for ablation baselines.
@@ -49,7 +50,7 @@ from .lorentz import (
 )
 
 if TYPE_CHECKING:  # annotations only; maskhead imports this module
-    from .maskhead import MaskHeadConfig, QuerySet
+    from .maskhead import MaskHeadConfig
 
 
 @dataclass(frozen=True)
@@ -287,61 +288,38 @@ def build_prototypes(bank: DescriptorBank, K: float) -> PrototypeSet:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class EncoderParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    alpha: float
-
-    def blocks(self) -> dict:
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "alpha": np.array([self.alpha]),
-        }
-
-    @classmethod
-    def from_blocks(cls, blocks: dict) -> "EncoderParams":
-        return cls(
-            w1=blocks["w1"], b1=blocks["b1"], w2=blocks["w2"], b2=blocks["b2"],
-            alpha=float(np.asarray(blocks["alpha"]).reshape(-1)[0]),
-        )
-
-
-def init_encoder(d_in: int, hidden: int, d_out: int, seed: int) -> EncoderParams:
+def init_encoder(d_in: int, hidden: int, d_out: int, seed: int) -> dict:
+    """Seeded blocks of the encoder v = alpha * (tanh(x w1^T + b1) w2^T + b2):
+    w1, b1, w2, b2 and alpha, of shape (1,)."""
     rng = np.random.default_rng(seed)
-    return EncoderParams(
-        w1=rng.normal(size=(hidden, d_in)) / math.sqrt(d_in),
-        b1=np.zeros(hidden),
-        w2=rng.normal(size=(d_out, hidden)) / math.sqrt(hidden),
-        b2=np.zeros(d_out),
-        alpha=1.0,
-    )
+    return {
+        "w1": rng.normal(size=(hidden, d_in)) / math.sqrt(d_in),
+        "b1": np.zeros(hidden),
+        "w2": rng.normal(size=(d_out, hidden)) / math.sqrt(hidden),
+        "b2": np.zeros(d_out),
+        "alpha": np.ones(1),
+    }
 
 
-def _encoder_parts(params: EncoderParams, flat: np.ndarray):
+def _encoder_parts(params: dict, flat: np.ndarray):
     """Hidden activations a1 = tanh(flat w1^T + b1) and outputs
     u = a1 w2^T + b2, each taken in the array it is born in."""
-    a1 = flat @ params.w1.T
-    a1 += params.b1
+    a1 = flat @ params["w1"].T
+    a1 += params["b1"]
     np.tanh(a1, out=a1)
-    u = a1 @ params.w2.T
-    u += params.b2
+    u = a1 @ params["w2"].T
+    u += params["b2"]
     return a1, u
 
 
-def encoder_forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+def encoder_forward(params: dict, features: np.ndarray) -> np.ndarray:
     """Per-pixel tangent vectors alpha * mlp(features), shape (H, W, d)."""
     h, w, _ = features.shape
     u = _encoder_parts(params, features.reshape(h * w, -1))[1]
-    return (params.alpha * u).reshape(h, w, -1)
+    return (params["alpha"] * u).reshape(h, w, -1)
 
 
-def embed_scene(params: EncoderParams, scene: SyntheticScene) -> EmbeddingGrid:
+def embed_scene(params: dict, scene: SyntheticScene) -> EmbeddingGrid:
     return EmbeddingGrid.from_tangent(encoder_forward(params, scene.features))
 
 
@@ -380,16 +358,18 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     """A trained head: "pixel", "euclid" (the Euclidean pipeline, which has
-    no prototypes) or "mask" (the only one with queries and a head config)."""
+    no prototypes) or "mask" (the only one with query blocks and a head
+    config).  ``params`` maps each block name to its float64 array: the
+    encoder's w1, b1, w2, b2 and alpha (shape (1,)), and the mask head's
+    class_tangents, mask_tangents and no_object_bias (shape (1,))."""
 
     head: str
-    params: EncoderParams
+    params: dict
     protos: PrototypeSet | None
     bank: DescriptorBank
     trace: dict  # "epoch" + one array per loss term, last = post-training eval; {} if loaded
     config: TrainConfig
     exclude_class: int | None = None
-    queries: QuerySet | None = None
     head_cfg: MaskHeadConfig | None = None
 
     @property
@@ -397,54 +377,68 @@ class TrainResult:
         return float(self.trace["total"][-1])
 
 
-def _start_encoder(flat: np.ndarray, cfg: TrainConfig, d_out: int) -> EncoderParams:
-    """Seeded encoder whose alpha gives its initial outputs unit mean norm."""
+# The step rule of _descend: weight decay on the encoder's weight matrices
+# only, and a larger step on the mask head's class blocks.  The 1/s_a and
+# 1/s_d factors make its mask-logit path far stiffer than its class-logit
+# path; a per-group learning rate rebalances them.
+CLASS_LR_SCALE = 100.0
+_DECAYED = ("w1", "w2")
+_LR_SCALE = {"class_tangents": CLASS_LR_SCALE, "no_object_bias": CLASS_LR_SCALE}
+
+
+def _start_encoder(flat: np.ndarray, cfg: TrainConfig, d_out: int) -> dict:
+    """Seeded encoder blocks whose alpha gives its outputs unit mean norm."""
     params = init_encoder(flat.shape[1], cfg.hidden, d_out, cfg.seed)
     _, u0 = _encoder_parts(params, flat)
     mean_norm = float(np.linalg.norm(u0, axis=1).mean())
-    params.alpha = 1.0 / mean_norm if mean_norm > 0 else 1.0
+    params["alpha"] = np.array([1.0 / mean_norm if mean_norm > 0 else 1.0])
     return params
 
 
-def _encoder_step(params, flat, a1, u, g_v, cfg: TrainConfig):
-    """Chain dL/dv back through v = alpha * mlp(flat) (forward parts a1, u)
-    and take one plain gradient step, with weight decay on the weights.
-    dL/dz1 is written over a1, which the caller no longer needs."""
-    g_u = params.alpha * g_v
-    g_alpha = float(np.einsum("nd,nd->", u, g_v))
-    g_w2 = g_u.T @ a1 + cfg.weight_decay * params.w2
+def _encoder_backward(params: dict, flat, a1, u, g_v) -> dict:
+    """The gradients of the encoder blocks, dL/dv chained back through
+    v = alpha * mlp(flat) (forward parts a1, u).  dL/dz1 is written over
+    a1, which the caller no longer needs."""
+    g_u = params["alpha"] * g_v
+    g_alpha = np.einsum("nd,nd->", u, g_v).reshape(1)
+    g_w2 = g_u.T @ a1
     g_b2 = g_u.sum(axis=0)
     g_z1 = a1
     g_z1 *= a1
     np.subtract(1.0, g_z1, out=g_z1)
-    g_z1 *= g_u @ params.w2  # dL/da1 times tanh' = 1 - a1^2
-    g_w1 = g_z1.T @ flat + cfg.weight_decay * params.w1
-    g_b1 = g_z1.sum(axis=0)
-    params.w1 = params.w1 - cfg.lr * g_w1
-    params.b1 = params.b1 - cfg.lr * g_b1
-    params.w2 = params.w2 - cfg.lr * g_w2
-    params.b2 = params.b2 - cfg.lr * g_b2
-    params.alpha = float(params.alpha - cfg.lr * g_alpha)
+    g_z1 *= g_u @ params["w2"]  # dL/da1 times tanh' = 1 - a1^2
+    return {"w1": g_z1.T @ flat, "b1": g_z1.sum(axis=0), "w2": g_w2, "b2": g_b2,
+            "alpha": g_alpha}
 
 
-def _descend(loss, flat: np.ndarray, cfg: TrainConfig, d_out: int):
-    """The training loop of every head: full-batch gradient descent of a
-    seeded encoder on ``loss``; returns (params, trace).  ``loss(v,
-    want_grad)`` maps the tangent vectors v = alpha * mlp(flat) to a dict
-    of loss terms, "total" among them, and dL/dv (None unless
-    ``want_grad``); a head with parameters of its own steps them there.
-    Step ``cfg.epochs`` is the post-training evaluation; a non-finite total
-    at any step raises TrainingDivergedError at it."""
+def _descend(loss, flat: np.ndarray, cfg: TrainConfig, d_out: int, head_blocks: dict):
+    """The training loop of every head: full-batch gradient descent on
+    ``loss`` of one dict of blocks, a seeded encoder's plus the head's own
+    ``head_blocks``; returns (params, trace).  ``loss(params, v,
+    want_grad)`` takes the tangent vectors v = alpha * mlp(flat), mutates
+    nothing and returns a dict of loss terms, "total" among them, then
+    dL/dv and the gradients of the head's own blocks (None and {} unless
+    ``want_grad``).  The loop chains dL/dv back through the encoder and
+    steps every block by p - (lr * scale) * (g + wd * p), wd and scale as
+    _DECAYED and _LR_SCALE say.  Step ``cfg.epochs`` is the post-training
+    evaluation; a non-finite total at any step raises TrainingDivergedError
+    at it."""
     params = _start_encoder(flat, cfg, d_out)
+    params.update(head_blocks)
     rows = []
     for epoch in range(cfg.epochs + 1):
         a1, u = _encoder_parts(params, flat)
-        terms, g_v = loss(params.alpha * u, epoch < cfg.epochs)
+        terms, g_v, grads = loss(params, params["alpha"] * u, epoch < cfg.epochs)
         if not math.isfinite(terms["total"]):
             raise TrainingDivergedError(epoch)
         rows.append(terms)
         if epoch < cfg.epochs:
-            _encoder_step(params, flat, a1, u, g_v, cfg)
+            grads.update(_encoder_backward(params, flat, a1, u, g_v))
+            for name, g in grads.items():
+                p = params[name]
+                if name in _DECAYED:
+                    g = g + cfg.weight_decay * p
+                params[name] = p - (cfg.lr * _LR_SCALE.get(name, 1.0)) * g
     trace = {"epoch": np.arange(cfg.epochs + 1)}
     trace.update((name, np.asarray([row[name] for row in rows])) for name in rows[0])
     return params, trace
@@ -501,12 +495,13 @@ class PixelObjective:
             object.__setattr__(self, "gt", (self.protos.spatial[idx], self.protos.time[idx],
                                             self.protos.spatial_norms[idx], self.protos.apertures[idx]))
 
-    def loss(self, v: np.ndarray, want_grad: bool):
-        """(terms, dL/dv or None) at tangent vectors v (Npx, d); the terms
-        are "ce", "entail" (pixel head only) and "total"."""
-        if self.protos is None:
-            return _euclid_loss_and_grad(v, self, want_grad)
-        return _pixel_loss_and_grad(v, self, want_grad)
+    def loss(self, params: dict, v: np.ndarray, want_grad: bool):
+        """The loss of ``segtoy._descend`` at tangent vectors v (Npx, d):
+        (terms, dL/dv or None, {}), the terms "ce", "entail" (pixel head
+        only) and "total".  The per-pixel heads have no blocks of their own,
+        so nothing here reads ``params``."""
+        head = _euclid_loss_and_grad if self.protos is None else _pixel_loss_and_grad
+        return (*head(v, self, want_grad), {})
 
 
 def _pixel_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
@@ -566,17 +561,17 @@ def train(scene: SyntheticScene, bank: DescriptorBank, cfg: TrainConfig,
     if exclude_class is not None and exclude_class in bank.included:
         raise UsageError("bank must be fit with the held-out class excluded")
     obj = PixelObjective.build(scene, bank, cfg, exclude_class, head)
-    params, trace = _descend(obj.loss, obj.flat, cfg, bank.d)
+    params, trace = _descend(obj.loss, obj.flat, cfg, bank.d, {})
     return TrainResult(head, params, obj.protos, bank, trace, cfg, exclude_class)
 
 
-def evaluate_loss(params: EncoderParams, objective: PixelObjective) -> float:
+def evaluate_loss(params: dict, objective: PixelObjective) -> float:
     """Total training objective at the given parameters (used by the
     loss-landscape scans; matches the trace's final entry bit for bit)."""
     # a1 and u are dropped here, not held through the loss, whose
     # temporaries then reuse their memory instead of growing the heap
-    v = params.alpha * _encoder_parts(params, objective.flat)[1]
-    return objective.loss(v, False)[0]["total"]
+    v = params["alpha"] * _encoder_parts(params, objective.flat)[1]
+    return objective.loss(params, v, False)[0]["total"]
 
 
 # --------------------------------------------------------------------------
@@ -593,7 +588,7 @@ class LabelMap:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
 
 
-def infer_distance(params: EncoderParams, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
+def infer_distance(params: dict, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
     """Per-pixel argmin geodesic distance over prototypes; ties break to
     the lowest class index."""
     grid = embed_scene(params, scene)
@@ -604,7 +599,7 @@ def infer_distance(params: EncoderParams, protos: PrototypeSet, scene: Synthetic
     return LabelMap(values, {i: n for i, n in enumerate(protos.labels)})
 
 
-def infer_angle(params: EncoderParams, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
+def infer_angle(params: dict, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
     """Per-pixel argmin exterior angle over prototypes; ties break low."""
     grid = embed_scene(params, scene)
     sp, t = grid.flat()
@@ -613,7 +608,7 @@ def infer_angle(params: EncoderParams, protos: PrototypeSet, scene: SyntheticSce
     return LabelMap(values, {i: n for i, n in enumerate(protos.labels)})
 
 
-def infer_euclidean(params: EncoderParams, bank: DescriptorBank, scene: SyntheticScene) -> LabelMap:
+def infer_euclidean(params: dict, bank: DescriptorBank, scene: SyntheticScene) -> LabelMap:
     v = encoder_forward(params, scene.features)
     flat = v.reshape(-1, v.shape[-1])
     diffs = flat[:, None, :] - bank.reduced[None, :, :]
@@ -641,7 +636,7 @@ def miou(pred, gt, n_classes: int) -> float:
 
 
 def text_query(
-    params: EncoderParams,
+    params: dict,
     scene: SyntheticScene,
     query: np.ndarray,
     bank: DescriptorBank,
@@ -668,7 +663,7 @@ def text_query(
 
 
 def euclid_text_query(
-    params: EncoderParams,
+    params: dict,
     scene: SyntheticScene,
     query: np.ndarray,
     bank: DescriptorBank,

@@ -4,7 +4,6 @@ Each run fixture checks, when the session ends, that no test changed a
 byte of the parameters it shares.
 """
 
-import numpy as np
 import pytest
 
 from lorentzseg import maskhead as mh
@@ -24,12 +23,7 @@ from lorentzseg.reference import (
 def _parameter_bytes(run):
     """The bytes of every parameter block of a TrainResult, the mask
     head's queries included."""
-    blocks = dict(run.params.blocks())
-    if run.queries is not None:
-        blocks.update(class_tangents=run.queries.class_tangents,
-                      mask_tangents=run.queries.mask_tangents,
-                      no_object_bias=np.array([run.queries.no_object_bias]))
-    return {name: np.asarray(block).tobytes() for name, block in blocks.items()}
+    return {name: block.tobytes() for name, block in run.params.items()}
 
 
 def _shared(value, *runs):

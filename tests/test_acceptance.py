@@ -336,10 +336,10 @@ def test_criterion_7_mask_head_suite():
 
     # compositional recomputation of the class/mask logit formulas
     protos = res.protos
-    queries = res.queries
+    params = res.params
     cfg = res.head_cfg
-    logits = mh.class_query_logits(protos, queries)
-    qt, qsp, _ = queries.class_points()
+    logits = mh.class_query_logits(protos, params)
+    qt, qsp, _ = lz.batched_exp_lift(params["class_tangents"])
     for j in (0, 3, 7):
         q = lz.lift_point(qsp[j])
         for i in (0, 4, 8):
@@ -349,8 +349,8 @@ def test_criterion_7_mask_head_suite():
             )
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
     grid = st.embed_scene(res.params, scene)
-    mlogits = mh.mask_query_logits(queries, grid, cfg)
-    mt, msp, _ = queries.mask_points()
+    mlogits = mh.mask_query_logits(params, grid, cfg)
+    mt, msp, _ = lz.batched_exp_lift(params["mask_tangents"])
     for i in (0, 5):
         anchor = lz.lift_point(msp[i])
         for (r, c) in ((3, 3), (40, 50)):

@@ -492,7 +492,8 @@ class TestModelLoading:
 
     def test_loaded_record_is_the_trained_head(self, trained_dir):
         scene, res = load_model(str(trained_dir / "pix" / "model"))
-        assert (res.head, res.trace, res.exclude_class, res.queries) == ("pixel", {}, None, None)
+        assert (res.head, res.trace, res.exclude_class, res.head_cfg) == ("pixel", {}, None, None)
+        assert tuple(res.params) == ("w1", "b1", "w2", "b2", "alpha")
         assert scene.shape == (16, 16) and res.bank.d == res.config.embed_dim == 8
         pred = st.infer_distance(res.params, res.protos, scene)
         assert st.miou(pred, scene.labels, scene.n_classes) == 1.0
@@ -504,6 +505,55 @@ class TestModelLoading:
             doc["extras"]["train"]["momentum"] = 0.9
         model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+
+
+def _poisoned_model(src_dir, dst_dir, name, value):
+    """Copy the model under ``src_dir`` with the first entry of block
+    ``name`` set to ``value`` in its blob."""
+    doc = read_json(src_dir / "model.json")
+    offset = next(b["offset"] for b in doc["blocks"] if b["name"] == name)
+    raw = np.fromfile(src_dir / "model.bin", dtype="<f8")
+    raw[offset] = value
+    dst_dir.mkdir()
+    write_json(dst_dir / "model.json", doc)
+    raw.tofile(dst_dir / "model.bin")
+    return str(dst_dir / "model")
+
+
+class TestModelBlockValues:
+    """A block of the wrong shape or with a non-finite entry exits 3 with
+    one stderr line from every command that reads a model."""
+
+    COMMANDS = {
+        "infer": ["infer", "--out-dir", "{out}"],
+        "uncertainty": ["uncertainty", "--out-dir", "{out}"],
+        "losscape": ["losscape", "--grid", "3", "--out", "{out}/ls.csv"],
+    }
+
+    def assert_exits_3(self, model, command, tmp_path, capsys, message):
+        argv = [a.format(out=tmp_path / "out") for a in self.COMMANDS[command]]
+        assert run([argv[0], "--model", model, *argv[1:]]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:") and message in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "uncertainty", "losscape"])
+    def test_nan_in_pixel_weights_exits_3(self, trained_dir, tmp_path, command, capsys):
+        model = _poisoned_model(trained_dir / "pix", tmp_path / "m", "w1", np.nan)
+        self.assert_exits_3(model, command, tmp_path, capsys, "block w1 is not finite")
+
+    @pytest.mark.parametrize("name, value", [("w2", np.inf), ("no_object_bias", np.nan),
+                                             ("class_tangents", -np.inf)])
+    def test_non_finite_mask_block_exits_3(self, mask_k_dir, tmp_path, name, value, capsys):
+        model = _poisoned_model(mask_k_dir, tmp_path / "m", name, value)
+        self.assert_exits_3(model, "infer", tmp_path, capsys, f"block {name} is not finite")
+
+    @pytest.mark.parametrize("command", ["infer", "uncertainty", "losscape"])
+    def test_alpha_of_another_shape_exits_3(self, trained_dir, tmp_path, command, capsys):
+        def reshape_alpha(doc):
+            next(b for b in doc["blocks"] if b["name"] == "alpha")["shape"] = [1, 1]
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", reshape_alpha)
+        self.assert_exits_3(model, command, tmp_path, capsys, "block alpha has shape (1, 1)")
 
 
 # the settings that became maskhead constants, at the constants' values
@@ -527,8 +577,8 @@ class TestMaskModelConeConstant:
         scene, res = load_model(str(mask_k_dir / "model"))
         assert res.head == "mask" and res.config.K == 0.2 and res.trace == {}
         v = st.encoder_forward(res.params, scene.features).reshape(-1, res.bank.d)
-        state = mh._forward_state(v, res.queries, res.protos, res.head_cfg)
-        logits = mh.class_query_logits(res.protos, res.queries)
+        state = mh._forward_state(v, res.params, res.protos, res.head_cfg)
+        logits = mh.class_query_logits(res.protos, res.params)
         assert np.array_equal(logits, state["full_logits"][:, :-1])
 
     # MaskHeadConfig has n_queries and s_a only: a K, or a setting that is a

@@ -44,8 +44,11 @@ def pair_losses(z, g):
 
 
 def queries_from(tangents):
+    """The query blocks of a mask head whose class and mask queries share
+    ``tangents``."""
     arr = np.asarray(tangents, dtype=float)
-    return mh.QuerySet(arr.copy(), arr.copy(), 0.0)
+    return {"class_tangents": arr.copy(), "mask_tangents": arr.copy(),
+            "no_object_bias": np.zeros(1)}
 
 
 class TestClassQueryLogits:
@@ -63,7 +66,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.0, 0.0], [0.0, 1.2]])
         queries = queries_from([[0.9, 0.4], [0.2, 1.0]])
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp, _ = queries.class_points()
+        qt, qsp, _ = lz.batched_exp_lift(queries["class_tangents"])
         for j in range(2):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
@@ -77,7 +80,7 @@ class TestClassQueryLogits:
         protos = make_protos([[1.1, 0.0]])
         queries = queries_from([[2.6, 0.0]])
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp, _ = queries.class_points()
+        qt, qsp, _ = lz.batched_exp_lift(queries["class_tangents"])
         inner = lz.inner_to_anchors(qsp, qt, protos.spatial, protos.time)
         d_batched = lz.distances_from_inner(inner)[0, 0]
         assert logits[0, 0] == -mh.W_D * d_batched  # bitwise: hinge is 0
@@ -89,7 +92,7 @@ class TestClassQueryLogits:
         protos = make_protos(rng.normal(size=(4, 3)))
         queries = queries_from(rng.normal(size=(5, 3)))
         logits = mh.class_query_logits(protos, queries)
-        qt, qsp, _ = queries.class_points()
+        qt, qsp, _ = lz.batched_exp_lift(queries["class_tangents"])
         for j in range(5):
             q = lz.lift_point(qsp[j])
             for i, anchor in enumerate(protos.anchors):
@@ -136,7 +139,7 @@ class TestMaskQueryLogits:
         queries = queries_from(rng.normal(size=(3, 4)))
         grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(2, 5, 4)))
         logits = mh.mask_query_logits(queries, grid, cfg)
-        mt, msp, _ = queries.mask_points()
+        mt, msp, _ = lz.batched_exp_lift(queries["mask_tangents"])
         for i in range(3):
             anchor = lz.lift_point(msp[i])
             for r in range(2):
@@ -340,7 +343,7 @@ class TestMaskAngleUncertainty:
         grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(3, 3, 3)))
         q = queries_from(rng.normal(size=(1, 3)))
         m = mh.mask_angle_uncertainty(grid, q)
-        mt, msp, _ = q.mask_points()
+        mt, msp, _ = lz.batched_exp_lift(q["mask_tangents"])
         anchor = lz.lift_point(msp[0])
         for r in range(3):
             for c in range(3):
@@ -424,13 +427,13 @@ class TestPairBackward:
 
 
 class TestTrainMaskheadGradient:
-    """End to end: the gradient one training step applies, recovered as
-    (before - after)/lr with no weight decay, against central differences
-    of the matched loss the trainer reports."""
+    """End to end: the gradient of every block that a training step takes,
+    the query blocks' from ``_mask_loss`` and the encoder blocks' chained
+    from its dL/dv, against central differences of the matched loss the
+    trainer reports."""
 
-    LR = 1e-7
-    QUERY_BLOCKS = ("mask_tangents", "class_tangents")
-    ENCODER_BLOCKS = ("w1", "w2", "b2", "alpha")
+    BLOCKS = ("w1", "b1", "w2", "b2", "alpha",
+              "class_tangents", "mask_tangents", "no_object_bias")
 
     def test_step_matches_finite_differences(self):
         scene = st.generate_scene(st.SceneConfig(
@@ -439,9 +442,10 @@ class TestTrainMaskheadGradient:
         ))
         bank = st.DescriptorBank.fit(scene, d=3)
         head = mh.MaskHeadConfig(n_queries=6)
-        cfg = st.TrainConfig(epochs=0, lr=self.LR, weight_decay=0.0, hidden=8, embed_dim=3)
-        before = mh.train_maskhead(scene, bank, head, cfg)
-        after = mh.train_maskhead(scene, bank, head, dataclasses.replace(cfg, epochs=1))
+        cfg = st.TrainConfig(epochs=0, weight_decay=0.0, hidden=8, embed_dim=3)
+        start = mh.train_maskhead(scene, bank, head, cfg)
+        params = start.params
+        assert tuple(params) == self.BLOCKS
 
         flat = scene.features.reshape(-1, scene.features.shape[-1])
         column = {c: j for j, c in enumerate(bank.included)}
@@ -449,30 +453,22 @@ class TestTrainMaskheadGradient:
         cols = np.array([column[c] for c, _ in segments])
         masks = np.array([m.reshape(-1) for _, m in segments], dtype=np.float64)
 
-        def loss_at(params, queries):
-            v = params.alpha * st._encoder_parts(params, flat)[1]
-            state = mh._forward_state(v, queries, before.protos, head)
-            return mh._mask_loss_at(state, cols, masks)[3]
+        def loss_at(probe, want_grad):
+            a1, u = st._encoder_parts(probe, flat)
+            terms, g_v, grads = mh._mask_loss(probe, probe["alpha"] * u, want_grad,
+                                              start.protos, head, cols, masks)
+            return terms, a1, u, g_v, grads
 
-        v = before.params.alpha * st._encoder_parts(before.params, flat)[1]
-        state = mh._forward_state(v, before.queries, before.protos, head)
+        _, a1, u, g_v, grads = loss_at(params, True)
+        assert set(grads) == {"class_tangents", "mask_tangents", "no_object_bias"}
+        grads.update(st._encoder_backward(params, flat, a1, u, g_v))
+        state = mh._forward_state(params["alpha"] * u, params, start.protos, head)
         assert state["hinge_active"].any()  # the class-logit cone hinge is exercised
 
-        def perturbed(block, x):
-            params = dataclasses.replace(before.params)
-            queries = dataclasses.replace(before.queries)
-            owner = queries if block in self.QUERY_BLOCKS else params
-            setattr(owner, block, float(x[0]) if block == "alpha" else x)
-            return loss_at(params, queries)
-
-        for block in self.QUERY_BLOCKS + self.ENCODER_BLOCKS:
-            owner = "queries" if block in self.QUERY_BLOCKS else "params"
-            x0 = np.atleast_1d(getattr(getattr(before, owner), block))
-            x1 = np.atleast_1d(getattr(getattr(after, owner), block))
-            lr = self.LR * (mh.CLASS_LR_SCALE if block == "class_tangents" else 1.0)
-            applied = (x0 - x1) / lr
-            fd = gr.finite_difference_gradient(lambda x: perturbed(block, x), x0)
-            err = np.linalg.norm(applied - fd) / np.linalg.norm(applied)
+        for block in self.BLOCKS:
+            fd = gr.finite_difference_gradient(
+                lambda x: loss_at({**params, block: x}, False)[0]["total"], params[block])
+            err = np.linalg.norm(grads[block] - fd) / np.linalg.norm(grads[block])
             assert err < 1e-6, (block, err)
 
 
@@ -482,8 +478,8 @@ class TestTrainMaskhead:
         res = mh.train_maskhead(clean_scene, clean_bank, mh.MaskHeadConfig(n_queries=10), cfg)
         rng = np.random.default_rng(9)
         expected = rng.normal(size=(10, clean_bank.d)) * 0.5
-        np.testing.assert_array_equal(res.queries.class_tangents, expected)
-        assert res.queries.no_object_bias == 0.0
+        np.testing.assert_array_equal(res.params["class_tangents"], expected)
+        np.testing.assert_array_equal(res.params["no_object_bias"], [0.0])
 
     def test_too_few_queries_rejected(self, clean_scene, clean_bank):
         with pytest.raises(UsageError):
@@ -521,7 +517,7 @@ class TestTrainMaskhead:
         recalls = {}
         for tag, r in (("full", full), ("ablated", ablated)):
             grid = st.embed_scene(r.params, scene)
-            au = mh.mask_angle_uncertainty(grid, r.queries)
+            au = mh.mask_angle_uncertainty(grid, r.params)
             recalls[tag] = unc.boundary_recall(unc.boundary_map(au, 90.0), scene.labels)
         assert recalls["full"] >= ref.MASK_BOUNDARY_RECALL_FULL_MIN
         assert recalls["full"] > recalls["ablated"]

@@ -223,8 +223,8 @@ class TestEncoder:
     def test_zero_weights_lift_to_origin(self):
         scene = st.generate_scene(SMALL)
         params = st.init_encoder(16, 8, 4, seed=0)
-        params.w1 = np.zeros_like(params.w1)
-        params.w2 = np.zeros_like(params.w2)
+        params["w1"] = np.zeros_like(params["w1"])
+        params["w2"] = np.zeros_like(params["w2"])
         grid = st.embed_scene(params, scene)
         assert np.all(grid.time == 1.0)
         assert np.all(grid.spatial == 0.0)
@@ -248,8 +248,8 @@ class TestEncoder:
         for k in range(3):
             fd = gr.finite_difference_gradient(lambda x: out_k(x, k), f0)
             # analytic JVP row: alpha * w2 @ diag(1-a1^2) @ w1
-            a1 = np.tanh(params.w1 @ f0 + params.b1)
-            row = params.alpha * (params.w2[k] * (1 - a1 * a1)) @ params.w1
+            a1 = np.tanh(params["w1"] @ f0 + params["b1"])
+            row = params["alpha"] * (params["w2"][k] * (1 - a1 * a1)) @ params["w1"]
             np.testing.assert_allclose(row, fd, atol=1e-7)
 
 
@@ -260,8 +260,8 @@ class TestTrain:
         cfg = st.TrainConfig(epochs=5, lr=0.0, seed=3, hidden=6, embed_dim=3)
         res = st.train(scene, bank, cfg)
         fresh = st.init_encoder(16, 6, bank.d, 3)
-        np.testing.assert_array_equal(res.params.w1, fresh.w1)
-        np.testing.assert_array_equal(res.params.w2, fresh.w2)
+        np.testing.assert_array_equal(res.params["w1"], fresh["w1"])
+        np.testing.assert_array_equal(res.params["w2"], fresh["w2"])
         assert np.ptp(res.trace["total"]) == 0.0  # flat trace
 
     def test_noise_free_scene_reaches_perfect_accuracy(self, clean_scene, clean_bank):
@@ -299,9 +299,9 @@ class TestTrain:
         cfg = st.TrainConfig(epochs=40, lr=0.5)
         a = st.train(scene, bank, cfg)
         b = st.train(scene, bank, cfg)
-        np.testing.assert_array_equal(a.params.w1, b.params.w1)
-        np.testing.assert_array_equal(a.params.w2, b.params.w2)
-        assert a.params.alpha == b.params.alpha
+        np.testing.assert_array_equal(a.params["w1"], b.params["w1"])
+        np.testing.assert_array_equal(a.params["w2"], b.params["w2"])
+        np.testing.assert_array_equal(a.params["alpha"], b.params["alpha"])
         np.testing.assert_array_equal(a.trace["total"], b.trace["total"])
 
 
@@ -326,16 +326,81 @@ class TestPixelObjectiveGradient:
         obj = st.PixelObjective.build(scene, bank, cfg, exclude_class=held_out, head=head)
         params = st._start_encoder(obj.flat, cfg, bank.d)
         _, u = st._encoder_parts(params, obj.flat)
-        v = params.alpha * u
-        terms, g = obj.loss(v, True)
+        v = params["alpha"] * u
+        terms, g, _ = obj.loss(params, v, True)
         if head == "pixel":
             assert terms["entail"] > 0.0  # the cone hinge is part of what is checked
         if held_out is not None:
             held = scene.labels.reshape(-1) == held_out
             assert held.any() and np.all(g[held] == 0.0)
-        fd = gr.finite_difference_gradient(lambda w: obj.loss(w, False)[0]["total"], v)
+        fd = gr.finite_difference_gradient(lambda w: obj.loss(params, w, False)[0]["total"], v)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
+
+
+class TestEncoderBlockGradient:
+    """End to end: the encoder-block gradients that ``_descend`` steps,
+    chained from each pixel head's dL/dv, against central differences of
+    ``evaluate_loss``."""
+
+    @pytest.mark.parametrize("head", ["pixel", "euclid"])
+    def test_matches_finite_differences(self, head):
+        scene = st.generate_scene(st.SceneConfig(
+            parents=2, children_per_parent=2, height=10, width=10,
+            noise_sigma=0.3, edge_blend=0.5,
+        ))
+        bank = st.DescriptorBank.fit(scene, d=3)
+        cfg = st.TrainConfig(hidden=6, embed_dim=bank.d)
+        obj = st.PixelObjective.build(scene, bank, cfg, head=head)
+        params = st._start_encoder(obj.flat, cfg, bank.d)
+        a1, u = st._encoder_parts(params, obj.flat)
+        terms, g_v, own = obj.loss(params, params["alpha"] * u, True)
+        assert own == {}
+        if head == "pixel":
+            assert terms["entail"] > 0.0  # the cone hinge is part of what is checked
+        grads = st._encoder_backward(params, obj.flat, a1, u, g_v)
+        assert tuple(grads) == tuple(params)
+        for name, g in grads.items():
+            fd = gr.finite_difference_gradient(
+                lambda x: st.evaluate_loss({**params, name: x}, obj), params[name])
+            assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6, name
+
+
+class TestStepRule:
+    """``_descend`` steps every block by p - (lr * scale) * (g + wd * p):
+    only w1 and w2 decay, and only class_tangents and no_object_bias take
+    CLASS_LR_SCALE."""
+
+    def test_decay_and_scale_per_block(self):
+        scene = st.generate_scene(SMALL)
+        flat = scene.features.reshape(-1, scene.features.shape[-1])
+        lr, wd = 0.01, 0.5
+        cfg = st.TrainConfig(epochs=1, lr=lr, weight_decay=wd, hidden=6, embed_dim=3)
+        head = {"class_tangents": np.ones((2, 3)), "mask_tangents": np.ones((2, 3)),
+                "no_object_bias": np.ones(1)}
+        g_head = {name: np.full_like(block, 0.25) for name, block in head.items()}
+
+        def loss(params, v, want_grad):
+            # a constant gradient, so the first step's is known in advance
+            if not want_grad:
+                return {"total": 0.0}, None, {}
+            return {"total": 0.0}, np.full_like(v, 0.1), dict(g_head)
+
+        start = st._start_encoder(flat, cfg, 3)
+        a1, u = st._encoder_parts(start, flat)
+        g_enc = st._encoder_backward(start, flat, a1, u, np.full_like(u, 0.1))
+        params, _ = st._descend(loss, flat, cfg, 3, head)
+        assert tuple(params) == tuple(start) + tuple(head)
+        for name in ("w1", "w2"):
+            np.testing.assert_array_equal(
+                params[name], start[name] - lr * (g_enc[name] + wd * start[name]))
+        for name in ("b1", "b2", "alpha"):
+            np.testing.assert_array_equal(params[name], start[name] - lr * g_enc[name])
+        for name, scale in (("class_tangents", st.CLASS_LR_SCALE), ("mask_tangents", 1.0),
+                            ("no_object_bias", st.CLASS_LR_SCALE)):
+            np.testing.assert_array_equal(params[name], head[name] - (lr * scale) * g_head[name])
+        # the head's blocks are stepped into new arrays, not in place
+        np.testing.assert_array_equal(head["class_tangents"], 1.0)
 
 
 class TestPixelObjectiveOracle:
@@ -358,7 +423,7 @@ class TestPixelObjectiveOracle:
         labels = {i: int(obj.labels_idx[i]) for i in used}
         oracle = np.mean([ent.combined_pixel_loss(obj.protos, points[i], labels[i], cfg.tau,
                                                   cfg.lambda_w) for i in used])
-        got = obj.loss(v, False)[0]["total"]
+        got = obj.loss({}, v, False)[0]["total"]
         lz.reset_clamp_events()
         # the held-out class drops pixels, some used rows lie beyond the
         # clamp, and the hinge is active on some
@@ -381,17 +446,17 @@ class TestNoInputMutated:
         cfg = st.TrainConfig(epochs=2, embed_dim=bank.d)
         obj = st.PixelObjective.build(scene, bank, cfg, head=head)
         params = st._start_encoder(obj.flat, cfg, bank.d)
-        params.alpha *= 20.0  # past the clamp, so the clamped backward runs too
+        params["alpha"] *= 20.0  # past the clamp, so the clamped backward runs too
         v = st.encoder_forward(params, scene.features).reshape(obj.flat.shape[0], -1)
 
         def snapshot():
-            blocks = [np.asarray(b).tobytes() for b in params.blocks().values()]
+            blocks = [b.tobytes() for b in params.values()]
             return blocks + [obj.flat.tobytes(), scene.features.tobytes(), v.tobytes()]
 
         before = snapshot()
         st.encoder_forward(params, scene.features)
         st.evaluate_loss(params, obj)
-        obj.loss(v, True)
+        obj.loss(params, v, True)
         st.train(scene, bank, cfg, head=head)
         lz.reset_clamp_events()
         assert snapshot() == before
@@ -409,8 +474,8 @@ class TestInference:
     def test_tie_breaks_to_lowest_index(self):
         scene = st.generate_scene(SMALL)
         params = st.init_encoder(16, 8, 2, seed=0)
-        params.w1 = np.zeros_like(params.w1)
-        params.w2 = np.zeros_like(params.w2)  # all pixels at the origin
+        params["w1"] = np.zeros_like(params["w1"])
+        params["w2"] = np.zeros_like(params["w2"])  # all pixels at the origin
         anchors = (lz.exp_lift_origin([1.0, 0.0]), lz.exp_lift_origin([-1.0, 0.0]))
         protos = ent.PrototypeSet(anchors, ("a", "b"), 0.1)
         pred = st.infer_distance(params, protos, scene)

@@ -178,8 +178,8 @@ class TestReferenceRunStatistics:
 
     def test_zero_encoder_gives_constant_maps(self, clean_scene):
         params = st.init_encoder(16, 8, 4, seed=0)
-        params.w1 = np.zeros_like(params.w1)
-        params.w2 = np.zeros_like(params.w2)
+        params["w1"] = np.zeros_like(params["w1"])
+        params["w2"] = np.zeros_like(params["w2"])
         grid = st.embed_scene(params, clean_scene)
         ru = unc.radius_uncertainty(grid)
         assert ru.vmin == ru.vmax
