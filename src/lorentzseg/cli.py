@@ -324,14 +324,16 @@ def cmd_train(args):
     out_dir = Path(args.out_dir)
     cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
            "head": args.head, "exclude_class": args.exclude_class}
+    if args.head == "mask":
+        head_cfg = mh.MaskHeadConfig(n_queries=args.n_queries)
+        cfg["head_cfg"] = dataclasses.asdict(head_cfg)
     fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
     try:
         # a run that overflows ends in TrainingDivergedError; numpy's
         # floating-point warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             if args.head == "mask":
-                res = mh.train_maskhead(scene, bank, mh.MaskHeadConfig(n_queries=args.n_queries),
-                                        train_cfg)
+                res = mh.train_maskhead(scene, bank, head_cfg, train_cfg)
             else:
                 res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
     except TrainingDivergedError as exc:

@@ -221,7 +221,12 @@ def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
     """Per-row -log softmax(logits)[label] with the max-shifted form, and
     the softmax terms (e, s) that ``cross_entropy_rows_backward`` takes:
     the shifted exponentials e and their row sums s, so softmax = e / s."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # the exact row maxima taken column by column, several times faster than
+    # max(axis=-1) on a narrow class axis; the row sum keeps its order
+    row_max = logits[:, 0].copy()
+    for column in logits.T[1:]:
+        np.maximum(row_max, column, out=row_max)
+    shifted = logits - row_max[:, None]
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
     e = np.exp(shifted, out=shifted)
     s = e.sum(axis=-1)

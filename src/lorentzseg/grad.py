@@ -164,7 +164,7 @@ def grad_euclidean_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d||x - y||/dx = (x - y)/||x - y||."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     diff = x - y
-    norm = float(np.linalg.norm(diff))
+    norm = math.sqrt(diff.dot(diff))
     if norm == 0.0:
         raise DomainError("distance gradient undefined at coincident points")
     return diff / norm
@@ -173,7 +173,7 @@ def grad_euclidean_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def grad_cosine_similarity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d cos(x,y)/dx = (y ||x||^2 - (x.y) x) / (||y|| ||x||^3)."""
     x, y = np.asarray(x, float), np.asarray(y, float)
-    nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    nx, ny = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
     if nx == 0.0 or ny == 0.0:
         raise DomainError("cosine gradient undefined for zero-norm input")
     return (y * nx * nx - float(np.dot(x, y)) * x) / (ny * nx**3)
@@ -184,7 +184,7 @@ def euclidean_exterior_angle(x: np.ndarray, y: np.ndarray) -> float:
     between its origin ray and the offset x - y."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     v = x - y
-    nv, ny = float(np.linalg.norm(v)), float(np.linalg.norm(y))
+    nv, ny = math.sqrt(v.dot(v)), math.sqrt(y.dot(y))
     if nv == 0.0 or ny == 0.0:
         raise DomainError("euclidean exterior angle undefined")
     return math.acos(min(1.0, max(-1.0, float(np.dot(y, v)) / (ny * nv))))
@@ -198,7 +198,7 @@ def grad_euclidean_exterior_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x, y = np.asarray(x, float), np.asarray(y, float)
     v = x - y
-    nv, ny = float(np.linalg.norm(v)), float(np.linalg.norm(y))
+    nv, ny = math.sqrt(v.dot(v)), math.sqrt(y.dot(y))
     if nv == 0.0 or ny == 0.0:
         raise DomainError("euclidean exterior angle undefined")
     A = float(np.dot(y, v)) / (ny * nv)
@@ -246,7 +246,8 @@ def _sample_pair(rng):
     while True:
         xs = rng.normal(size=_SAMPLE_DIM) * rng.uniform(0.3, 1.2)
         ys = rng.normal(size=_SAMPLE_DIM) * rng.uniform(0.3, 1.2)
-        nx, ny = np.linalg.norm(xs), np.linalg.norm(ys)
+        # the bits of np.linalg.norm, without its per-call overhead
+        nx, ny = math.sqrt(xs.dot(xs)), math.sqrt(ys.dot(ys))
         if min(nx, ny) < 0.05:
             continue
         x = LorentzPoint(math.sqrt(1.0 + nx * nx), xs)
@@ -296,19 +297,18 @@ def gradient_interaction_report(sample_count: int, seed: int) -> GradientReport:
     for k in range(sample_count):
         x, y = _sample_pair(rng)
         xs[k], ys[k], yt[k] = x.spatial, y.spatial, y.time
-        gd[k] = grad_lorentz_distance(x, y)
-        ga[k] = grad_exterior_angle(x, y)
-        cos = float(np.dot(gd[k], ga[k]) / (np.linalg.norm(gd[k]) * np.linalg.norm(ga[k])))
+        gd[k] = g_d = grad_lorentz_distance(x, y)
+        ga[k] = g_a = grad_exterior_angle(x, y)
+        cos = float(g_d.dot(g_a) / (math.sqrt(g_d.dot(g_d)) * math.sqrt(g_a.dot(g_a))))
         pred = grad_sign_predictor(x, y)
         if abs(cos) > 1e-8:
             gated += 1
             if (cos > 0) - (cos < 0) == pred:
                 agree += 1
 
-        ge_d[k] = grad_euclidean_distance(x.spatial, y.spatial)
-        ge_a[k] = grad_euclidean_exterior_angle(x.spatial, y.spatial)
-        cos_e = float(np.dot(ge_d[k], ge_a[k])
-                      / (np.linalg.norm(ge_d[k]) * np.linalg.norm(ge_a[k])))
+        ge_d[k] = e_d = grad_euclidean_distance(x.spatial, y.spatial)
+        ge_a[k] = e_a = grad_euclidean_exterior_angle(x.spatial, y.spatial)
+        cos_e = float(e_d.dot(e_a) / (math.sqrt(e_d.dot(e_d)) * math.sqrt(e_a.dot(e_a))))
         if abs(cos_e) >= 1e-8:
             violations += 1
         cosines.append(cos)

@@ -83,7 +83,7 @@ def _as_spatial(v) -> np.ndarray:
     arr = np.array(v, dtype=np.float64, copy=True).reshape(-1)
     if arr.size < 1:
         raise UsageError("spatial vector must have dimension >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise UsageError("spatial vector must be finite")
     arr.setflags(write=False)
     return arr
@@ -128,7 +128,7 @@ class LorentzPoint:
 
     @property
     def spatial_norm(self) -> float:
-        return float(np.linalg.norm(self.spatial))
+        return math.sqrt(self.spatial.dot(self.spatial))
 
     def same_coords(self, other: "LorentzPoint") -> bool:
         return (

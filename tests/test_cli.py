@@ -264,6 +264,19 @@ class TestTrainInferUncertainty:
         assert manifest["tool_version"]
         assert "clamp_events" in manifest and "wall_clock_s" in manifest
 
+    def test_mask_manifest_records_head_settings(self, trained_dir, tmp_path):
+        configs = []
+        for queries in ("10", "12"):
+            out = tmp_path / queries
+            assert run(["train", "--head", "mask", "--height", "16", "--width", "16",
+                        "--epochs", "1", "--queries", queries, "--out-dir", str(out)]) == 0
+            configs.append(read_json(out / "manifest.json")["config"])
+        a, b = configs
+        assert a.keys() == b.keys()
+        assert [key for key in a if a[key] != b[key]] == ["head_cfg"]
+        assert (a["head_cfg"]["n_queries"], b["head_cfg"]["n_queries"]) == (10, 12)
+        assert "head_cfg" not in read_json(trained_dir / "pix" / "manifest.json")["config"]
+
     def test_mask_head_cli(self, tmp_path):
         out = tmp_path / "mask"
         assert run(["train", "--head", "mask", "--height", "24", "--width", "24",

@@ -332,6 +332,20 @@ class TestArrayKernels:
         batched = -lz.distances_from_inner(inner)[0] / tau
         np.testing.assert_allclose(batched, ent.distance_logits(protos, y, tau), atol=1e-12)
 
+    def test_cross_entropy_rows_shifts_by_the_exact_row_max(self):
+        rng = np.random.default_rng(50)
+        logits = rng.normal(size=(64, 9))
+        logits[::5, 3] = logits[::5, 7]  # ties
+        logits[1, 2], logits[2, :] = np.nan, -np.inf
+        labels = rng.integers(0, 9, size=64)
+        with np.errstate(invalid="ignore"):
+            rows, (e, s) = ent.cross_entropy_rows(logits, labels)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            e_ref = np.exp(shifted)
+            rows_ref = np.log(e_ref.sum(axis=-1)) - shifted[np.arange(64), labels]
+        np.testing.assert_array_equal(e, e_ref)
+        np.testing.assert_array_equal(rows, rows_ref)
+
     def test_cross_entropy_rows_matches_scalar(self):
         rng = np.random.default_rng(49)
         logits = rng.normal(size=(10, 5))

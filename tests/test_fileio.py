@@ -1,4 +1,5 @@
-"""The file readers raise ParseError and nothing else, whatever bytes they read."""
+"""The file readers raise ParseError and nothing else, whatever bytes they
+read; the JSON writer writes what json.dumps would."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from lorentzseg import fileio
 from lorentzseg.errors import ParseError
 from lorentzseg.fileio import (
     PARAMS_FORMAT,
@@ -15,6 +17,7 @@ from lorentzseg.fileio import (
     read_json,
     read_pgm,
     save_param_blocks,
+    write_json,
 )
 
 FUZZ = settings(max_examples=200, deadline=None)
@@ -135,3 +138,34 @@ class TestReaderFaults:
         assert extras == {"head": "pixel"}
         for name, block in blocks.items():
             np.testing.assert_array_equal(loaded[name], block)
+
+
+BATCH = fileio._JSON_BATCH
+NESTED = {"b": [1, {"z": [], "a": [2.5, None]}], "a": {"y": True, "x": ["s"]}}
+
+
+class TestWriteJson:
+    """write_json streams each top-level list in batches; the bytes must be
+    those of one json.dumps of the whole payload."""
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"samples": []},
+        {"samples": list(range(3)), "count": 3},
+        {"samples": [{"k": i, "v": [i, -0.5]} for i in range(BATCH)]},
+        {"samples": [[i, i / 3] for i in range(2 * BATCH + 7)], "tail": "x"},
+        {"nested": NESTED, "list": [NESTED] * (BATCH + 1)},
+        {"\u00fcber": ["caf\u00e9", {"\u03b1": 1}], "\u00e9": [], "plain": 1e-300},
+    ], ids=["empty-dict", "empty-list", "short", "one-batch", "ragged", "nested", "non-ascii"])
+    def test_equals_json_dumps_and_reads_back(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+        assert read_json(path) == payload
+
+    @FUZZ
+    @given(payload=hs.dictionaries(hs.text(max_size=5), JSON_VALUES, max_size=4))
+    def test_any_payload_equals_json_dumps(self, fuzz_dir, payload):
+        path = fuzz_dir / "w.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"

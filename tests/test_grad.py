@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from lorentzseg import entailment as ent
 from lorentzseg import grad
@@ -310,6 +312,15 @@ class TestFiniteDifferenceOracle:
 
 
 class TestGradientInteractionReport:
+    @settings(max_examples=300, deadline=None)
+    @given(v=hs.lists(hs.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_sqrt_of_self_dot_is_norm(self, v):
+        # the scalar closed forms and the sampling loop take norms this way;
+        # a squared norm past the float range is inf on both sides
+        v = np.array(v, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+
     def test_deterministic(self):
         a = grad.gradient_interaction_report(25, seed=5)
         b = grad.gradient_interaction_report(25, seed=5)
