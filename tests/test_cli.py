@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 from test_fileio import JSON_VALUES
 
@@ -785,10 +785,8 @@ class TestCliContract:
     """One flag of a command set to a value of a fixed pool: the run keeps
     the exit-code contract of the CLI."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(case=hs.sampled_from(CONTRACT_CASES))
-    @example(case=("train-pixel", "--lr", "1e300"))  # runs that diverge
-    @example(case=("train-mask", "--lr", "1e300"))
+    @pytest.mark.parametrize("case", CONTRACT_CASES,
+                             ids=[f"{name}{flag}={value}" for name, flag, value in CONTRACT_CASES])
     def test_any_flag_value_keeps_exit_contract(self, trained_dir, mask_k_dir, contract_dir, case):
         name, flag, value = case
         paths = {"pix": trained_dir / "pix" / "model", "mask": mask_k_dir / "model",

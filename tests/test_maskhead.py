@@ -13,17 +13,15 @@ from lorentzseg import grad as gr
 from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
-from lorentzseg import uncertainty as unc
 from lorentzseg.errors import UsageError
 from lorentzseg.reference import (
     EMBED_DIM,
     REFERENCE_MASK_HEAD,
-    REFERENCE_MASK_HEAD_ABLATED,
     REFERENCE_MASK_TRAIN,
-    REFERENCE_SCENE_ABLATION,
 )
 
 import reference_values as ref
+from reference_runs import STATISTICS
 
 
 def make_protos(vectors):
@@ -488,12 +486,12 @@ class TestTrainMaskhead:
                 st.TrainConfig(epochs=1),
             )
 
-    def test_reference_run_perfect_miou(self, mask_run, clean_scene):
-        pred = mh.predict_semantic(mask_run, clean_scene)
-        assert st.miou(pred, clean_scene.labels, clean_scene.n_classes) == ref.MASK_MIOU_EXACT
+    def test_reference_run_perfect_miou(self, reference_runs):
+        assert STATISTICS["MASK_MIOU"](reference_runs) == ref.MASK_MIOU_EXACT
 
-    def test_loss_decreases(self, mask_run):
-        assert mask_run.trace["total"][-1] < mask_run.trace["total"][0]
+    def test_loss_decreases(self, reference_runs):
+        trace = reference_runs["mask"].trace["total"]
+        assert trace[-1] < trace[0]
 
     def test_epoch_builds_no_pixel_query_dim_tensor(self, clean_scene, clean_bank):
         # one dense (pixels, queries, d) float64 tensor is P*N*d*8 bytes; the
@@ -509,19 +507,13 @@ class TestTrainMaskhead:
             tracemalloc.stop()
         assert peak < 4 * dense, (peak, dense)
 
-    def test_angle_ablation_degrades_boundary_separation(self):
-        scene = st.generate_scene(REFERENCE_SCENE_ABLATION)
-        bank = st.DescriptorBank.fit(scene, EMBED_DIM)
-        full = mh.train_maskhead(scene, bank, REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN)
-        ablated = mh.train_maskhead(scene, bank, REFERENCE_MASK_HEAD_ABLATED, REFERENCE_MASK_TRAIN)
-        recalls = {}
-        for tag, r in (("full", full), ("ablated", ablated)):
-            grid = st.embed_scene(r.params, scene)
-            au = mh.mask_angle_uncertainty(grid, r.params)
-            recalls[tag] = unc.boundary_recall(unc.boundary_map(au, 90.0), scene.labels)
-        assert recalls["full"] >= ref.MASK_BOUNDARY_RECALL_FULL_MIN
-        assert recalls["full"] > recalls["ablated"]
+    def test_angle_ablation_degrades_boundary_separation(self, reference_runs):
+        full = STATISTICS["MASK_BOUNDARY_RECALL_FULL"](reference_runs)
+        ablated = STATISTICS["MASK_BOUNDARY_RECALL_NOANGLE"](reference_runs)
+        assert full >= ref.MASK_BOUNDARY_RECALL_FULL_MIN
+        assert full > ablated
         # the floor reads a descent, not an oscillation whose end point
         # depends on float summation order: few steps may raise the loss
-        up_steps = int(np.count_nonzero(np.diff(full.trace["total"]) > 0))
+        trace = reference_runs["ablation-full"].trace["total"]
+        up_steps = int(np.count_nonzero(np.diff(trace) > 0))
         assert up_steps <= 20, up_steps

@@ -14,6 +14,7 @@ from lorentzseg.errors import TrainingDivergedError, UsageError
 from lorentzseg.reference import EMBED_DIM
 
 import reference_values as ref
+from reference_runs import STATISTICS
 
 
 SMALL = st.SceneConfig(parents=2, children_per_parent=2, height=16, width=16,
@@ -481,11 +482,8 @@ class TestInference:
         pred = st.infer_distance(params, protos, scene)
         assert np.all(pred.values == 0)
 
-    def test_angle_mode_agrees_on_clean_run(self, clean_run, clean_scene):
-        pd = st.infer_distance(clean_run.params, clean_run.protos, clean_scene)
-        pa = st.infer_angle(clean_run.params, clean_run.protos, clean_scene)
-        agreement = float((pd.values == pa.values).mean())
-        assert agreement >= ref.CLEAN_AGREEMENT_MIN
+    def test_angle_mode_agrees_on_clean_run(self, reference_runs):
+        assert STATISTICS["CLEAN_AGREEMENT"](reference_runs) >= ref.CLEAN_AGREEMENT_MIN
 
     def test_logit_identity(self, clean_run, clean_scene):
         # argmax of -d/tau logits is the distance-inference label
@@ -549,48 +547,24 @@ class TestRetrieval:
         with pytest.raises(UsageError):
             st.text_query(clean_run.params, clean_scene, np.zeros(5), clean_bank)
 
-    def test_parent_query_recalls_children(self, noisy_run, noisy_scene, noisy_bank):
-        recalls = []
-        for p in range(3):
-            gt = np.isin(
-                noisy_scene.labels,
-                [c for c, pp in noisy_scene.hierarchy.items() if pp == p],
-            )
-            s = st.text_query(
-                noisy_run.params, noisy_scene, noisy_scene.parent_descriptors[p],
-                noisy_bank, mode="angle",
-            )
-            recalls.append(st.recall_at_budget(s, gt))
-        assert min(recalls) >= ref.PARENT_CHILD_RECALL_MIN
+    def test_parent_query_recalls_children(self, reference_runs):
+        assert STATISTICS["PARENT_CHILD_RECALL_MIN"](reference_runs) >= ref.PARENT_CHILD_RECALL_MIN
 
-    def test_unrelated_query_carries_higher_angles(self, noisy_run, noisy_scene, noisy_bank):
-        rng = np.random.default_rng(0)
-        s_rand = st.text_query(
-            noisy_run.params, noisy_scene, rng.normal(size=16) * 2.0, noisy_bank, mode="angle"
-        )
-        s_cls = st.text_query(
-            noisy_run.params, noisy_scene, noisy_scene.class_descriptors[0],
-            noisy_bank, mode="angle",
-        )
-        n0 = int((noisy_scene.labels == 0).sum())
-        ext_rand = float((-np.sort(s_rand.reshape(-1))[::-1][:n0]).mean())
-        ext_cls = float((-np.sort(s_cls.reshape(-1))[::-1][:n0]).mean())
+    def test_unrelated_query_carries_higher_angles(self, reference_runs):
+        ext_rand = STATISTICS["CROSSLABEL_EXT_RANDOM"](reference_runs)
+        ext_cls = STATISTICS["CROSSLABEL_EXT_SAMECLASS"](reference_runs)
         assert ext_rand - ext_cls >= ref.CROSSLABEL_EXT_GAP_MIN
 
 
 class TestHeldOut:
-    def test_holdout_requires_matching_bank(self, noisy_scene, noisy_bank):
+    def test_holdout_requires_matching_bank(self, reference_runs):
+        scene, bank = reference_runs.scene("noisy"), reference_runs.bank("noisy")
         with pytest.raises(UsageError):
-            st.train(noisy_scene, noisy_bank, st.TrainConfig(epochs=1), exclude_class=4)
+            st.train(scene, bank, st.TrainConfig(epochs=1), exclude_class=4)
 
-    def test_hyperbolic_beats_euclidean(self, heldout_runs, noisy_scene):
-        bank, hyp_run, euc_run = heldout_runs
-        gt = noisy_scene.labels == 4
-        q = noisy_scene.class_descriptors[4]
-        s_h = st.text_query(hyp_run.params, noisy_scene, q, bank, mode="distance")
-        s_e = st.euclid_text_query(euc_run.params, noisy_scene, q, bank)
-        r_h = st.recall_at_budget(s_h, gt)
-        r_e = st.recall_at_budget(s_e, gt)
+    def test_hyperbolic_beats_euclidean(self, reference_runs):
+        r_h = STATISTICS["HELDOUT_RECALL_HYP"](reference_runs)
+        r_e = STATISTICS["HELDOUT_RECALL_EUC"](reference_runs)
         assert r_h >= ref.HELDOUT_RECALL_HYP_MIN
         assert r_h > r_e
 

@@ -10,6 +10,7 @@ from lorentzseg import uncertainty as unc
 from lorentzseg.errors import UsageError
 
 import reference_values as ref
+from reference_runs import STATISTICS
 
 
 def grid_from_tangents(v):
@@ -96,14 +97,8 @@ class TestClassConfidence:
         assert np.all(np.diff(vals[1:]) < 0.0)
         assert conf.vmax <= 1.0 and conf.vmin > 0.0
 
-    def test_members_above_nonmembers_on_reference_run(self, boundary_run, boundary_scene):
-        grid = st.embed_scene(boundary_run.params, boundary_scene)
-        conf = unc.class_confidence(grid, boundary_scene.labels == 0)
-        gap = float(
-            conf.values[boundary_scene.labels == 0].mean()
-            - conf.values[boundary_scene.labels != 0].mean()
-        )
-        assert gap >= ref.CONFIDENCE_GAP_MIN
+    def test_members_above_nonmembers_on_reference_run(self, reference_runs):
+        assert STATISTICS["CONFIDENCE_GAP_CLASS0"](reference_runs) >= ref.CONFIDENCE_GAP_MIN
 
     def test_empty_set_rejected(self):
         grid = grid_from_tangents(np.zeros((2, 2, 2)))
@@ -157,21 +152,16 @@ class TestLabelBoundaryMask:
 
 
 class TestReferenceRunStatistics:
-    def test_boundary_margins_exceed_committed(self, boundary_run, boundary_scene):
-        grid = st.embed_scene(boundary_run.params, boundary_scene)
-        ru = unc.radius_uncertainty(grid)
-        au = unc.angle_uncertainty(grid, boundary_run.protos)
-        assert unc.boundary_interior_margin(ru, boundary_scene.labels) >= ref.BOUNDARY_MARGIN_RADIUS_MIN
-        assert unc.boundary_interior_margin(au, boundary_scene.labels) >= ref.BOUNDARY_MARGIN_ANGLE_MIN
+    def test_boundary_margins_exceed_committed(self, reference_runs):
+        assert STATISTICS["BOUNDARY_MARGIN_RADIUS"](reference_runs) >= ref.BOUNDARY_MARGIN_RADIUS_MIN
+        assert STATISTICS["BOUNDARY_MARGIN_ANGLE"](reference_runs) >= ref.BOUNDARY_MARGIN_ANGLE_MIN
 
-    def test_boundary_recall_above_committed(self, boundary_run, boundary_scene):
-        grid = st.embed_scene(boundary_run.params, boundary_scene)
-        au = unc.angle_uncertainty(grid, boundary_run.protos)
-        bm = unc.boundary_map(au, 90.0)
-        assert unc.boundary_recall(bm, boundary_scene.labels) >= ref.BOUNDARY_RECALL_ANGLE_P90_MIN
+    def test_boundary_recall_above_committed(self, reference_runs):
+        recall_p90 = STATISTICS["BOUNDARY_RECALL_ANGLE_P90"](reference_runs)
+        assert recall_p90 >= ref.BOUNDARY_RECALL_ANGLE_P90_MIN
 
-    def test_ranking_identity_on_reference_run(self, boundary_run, boundary_scene):
-        grid = st.embed_scene(boundary_run.params, boundary_scene)
+    def test_ranking_identity_on_reference_run(self, reference_runs):
+        grid = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
         v1, v2, v3 = unc.radius_uncertainty_variants(grid)
         np.testing.assert_array_equal(unc.ranking_signature(v1), unc.ranking_signature(v2))
         np.testing.assert_array_equal(unc.ranking_signature(v1), unc.ranking_signature(v3))
