@@ -39,6 +39,8 @@ HELD_OUT = ["--height", "32", "--width", "32", "--exclude-class", "4"]
 CLOUD = "{tmp}/cloud.csv"
 # a cloud with one row of 1e200, whose distances overflow
 OVERFLOW = "{tmp}/overflow.csv"
+# a cloud whose odd rows repeat the even rows plus 1e-9 noise
+NEAR = "{tmp}/near.csv"
 DELTA = ["--input", CLOUD, "--batch-size", "128", "--batches", "2"]
 
 # (name, expected exit code, argv); {tmp} is the temporary directory and
@@ -88,9 +90,13 @@ COMMANDS = (
     ("deltahyp-euclidean", 0, ["deltahyp", *DELTA, "--out", "{dir}/dh.json"]),
     ("deltahyp-lorentz", 0, ["deltahyp", *DELTA, "--metric", "lorentz",
                              "--out", "{dir}/dh.json"]),
-    # 200 points per batch: three full 64-row blocks of the max-min kernel and a partial one
+    # 200 points per batch: delta_from_matrix walks three full 64-row blocks and a partial one
     ("deltahyp-lorentz-partial", 0, ["deltahyp", "--input", CLOUD, "--batch-size", "200",
                                      "--batches", "2", "--metric", "lorentz",
+                                     "--out", "{dir}/dh.json"]),
+    # distances at the acosh floor and round-off between near-twin rows
+    ("deltahyp-near-duplicates", 0, ["deltahyp", "--input", NEAR, "--metric", "lorentz",
+                                     "--batch-size", "128", "--batches", "2",
                                      "--out", "{dir}/dh.json"]),
     ("deltahyp-overflow", 2, ["deltahyp", "--input", OVERFLOW, "--out", "{dir}/dh.json"]),
     ("losscape-huge-extent", 2, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "3",
@@ -135,6 +141,12 @@ def main() -> int:
         write_embedding_csv(OVERFLOW.format(tmp=tmp),
                             [[1e200 if i == 3 else big.gauss(0.0, 1.0) for _ in range(4)]
                              for i in range(20)])
+        twin = random.Random(2)
+        near = []
+        for _ in range(150):
+            row = [twin.gauss(0.0, 1.0) for _ in range(4)]
+            near += [row, [x + 1e-9 * twin.gauss(0.0, 1.0) for x in row]]
+        write_embedding_csv(NEAR.format(tmp=tmp), near)
         for name, expected, argv in COMMANDS:
             run_dir = Path(tmp) / name
             run_dir.mkdir()

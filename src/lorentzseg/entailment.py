@@ -50,9 +50,10 @@ _DEGENERATE_TOL = 1e-12
 @dataclass(frozen=True)
 class PrototypeSet:
     """C class anchors on one hyperboloid, with their class labels and the
-    cone constant K; ``apertures`` holds each anchor's half-aperture
-    asin(2K/||x'||), computed once here; an anchor with ||x'|| <= 2K, the
-    origin included, raises UsageError."""
+    cone constant K.  The stacked ``spatial`` (C, d) and ``time`` (C,) of
+    the anchors, their ``spatial_norms`` and each anchor's half-aperture
+    ``apertures``, asin(2K/||x'||), are computed once here; an anchor with
+    ||x'|| <= 2K, the origin included, raises UsageError."""
 
     anchors: tuple
     labels: tuple
@@ -69,10 +70,11 @@ class PrototypeSet:
         for a in self.anchors:
             if not manifold_check(a, 1e-8):
                 raise DomainError("anchor fails the manifold check")
-        object.__setattr__(self, "_spatial", np.stack([a.spatial for a in self.anchors]))
-        object.__setattr__(self, "_time", np.array([a.time for a in self.anchors]))
+        object.__setattr__(self, "spatial", np.stack([a.spatial for a in self.anchors]))
+        object.__setattr__(self, "time", np.array([a.time for a in self.anchors]))
+        norms = np.linalg.norm(self.spatial, axis=1)
+        object.__setattr__(self, "spatial_norms", norms)
         floor = 2.0 * self.K
-        norms = self.spatial_norms
         bad = np.nonzero(norms <= floor)[0]
         if bad.size:
             i = int(bad[0])
@@ -86,18 +88,6 @@ class PrototypeSet:
     @property
     def n_classes(self) -> int:
         return len(self.anchors)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return self._spatial
-
-    @property
-    def time(self) -> np.ndarray:
-        return self._time
-
-    @property
-    def spatial_norms(self) -> np.ndarray:
-        return np.linalg.norm(self._spatial, axis=1)
 
 
 def _check_cone_constant(K: float):

@@ -5,17 +5,21 @@ With a fixed base point r, the Gromov product of y and z is
 products, delta = max_ij [(A (x) A)_ij - A_ij] where
 (A (x) B)_ij = max_k min(A_ik, B_kj) is the max-min matrix product, and
 delta_rel = 2*delta/diam normalizes to [0, 1]; smaller means more
-tree-like.  The max-min product is cubic, evaluated in blocks of rows:
-a running max over k of min(A_ik, B_kj) fills one block at a time in two
-small buffers, so memory stays O(n^2) for the matrices themselves and
-the buffers stay in cache.  A is symmetric, so A (x) A is too, and delta
-walks only the row blocks of the upper triangle: half the work, with
-every max and min exact.  Sub-cubic algorithms exist but are unnecessary
-at batch sizes around a thousand.  A brute-force triple loop lives
-alongside as the oracle.  The lorentz metric lifts point rows onto the
-unit-curvature hyperboloid; delta_rel is scale-invariant, so a rescaled
-point cloud stands in for another curvature.  Every function takes and
-returns arrays; reading an embedding file is the caller's job.
+tree-like.  Each decision has one owner.  ``DistanceMatrix`` alone
+mirrors a distance matrix from its upper triangle; the pairwise kernels
+of ``lorentz`` return theirs as computed.  ``delta_from_matrix`` alone
+cuts the max-min product into blocks of rows: A is symmetric, so
+A (x) A is too, and it walks only the row blocks of the upper triangle,
+half the work, with every max and min exact.  ``maxmin_product`` is the
+kernel of one block: a running max over k of min(A_ik, B_kj) in two
+(rows, m) buffers, which stay in cache at the block size, so memory
+stays O(n^2) for the matrices themselves.  Sub-cubic algorithms exist
+but are unnecessary at batch sizes around a thousand.  A brute-force
+triple loop lives alongside as the oracle.  The lorentz metric lifts
+point rows onto the unit-curvature hyperboloid; delta_rel is
+scale-invariant, so a rescaled point cloud stands in for another
+curvature.  Every function takes and returns arrays; reading an
+embedding file is the caller's job.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ _REPORT_FORMAT = "lorentzseg/hyperbolicity-report/v1"
 
 METRICS = ("euclidean", "lorentz")
 
-_MAXMIN_BLOCK = 64  # rows per block of the max-min product; two (64, n) buffers fit in L2
+_MAXMIN_BLOCK = 64  # rows per block of delta_from_matrix; two (64, n) buffers fit in L2
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class DistanceMatrix:
     overflowed distances raise DomainError (the other checks miss nan).
     Entries within 1e-12 of symmetric are accepted and stored with the
     lower triangle mirrored from the upper, so values are bitwise
-    symmetric."""
+    symmetric.  This is the one place a distance matrix is mirrored."""
 
     values: np.ndarray
 
@@ -92,29 +96,28 @@ def gromov_products(D: DistanceMatrix, base: int) -> np.ndarray:
 
 
 def maxmin_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(A (x) B)_ij = max_k min(A_ik, B_kj), one block of rows at a time;
-    the block of A is transposed once so that its column k is contiguous."""
+    """(A (x) B)_ij = max_k min(A_ik, B_kj) for any conformable A and B,
+    as one block: a running max over k into two (rows, m) buffers.  A is
+    transposed once so that its column k is contiguous; the caller picks
+    the block size (``delta_from_matrix``)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise UsageError(f"non-conformable shapes {A.shape} x {B.shape}")
-    n, m = A.shape[0], B.shape[1]
-    out = np.empty((n, m))
-    scratch = np.empty((min(_MAXMIN_BLOCK, n), m))
-    for start in range(0, n, _MAXMIN_BLOCK):
-        stop = min(start + _MAXMIN_BLOCK, n)
-        AT = np.ascontiguousarray(A[start:stop].T)
-        best, cur = out[start:stop], scratch[:stop - start]
-        best.fill(-np.inf)
-        for k in range(AT.shape[0]):
-            np.minimum(AT[k][:, None], B[k], out=cur)
-            np.maximum(best, cur, out=best)
-    return out
+    AT = np.ascontiguousarray(A.T)
+    best = np.full((A.shape[0], B.shape[1]), -np.inf)
+    cur = np.empty_like(best)
+    for k in range(AT.shape[0]):
+        np.minimum(AT[k][:, None], B[k], out=cur)
+        np.maximum(best, cur, out=best)
+    return best
 
 
 def delta_from_matrix(D: DistanceMatrix, base: int = 0) -> float:
-    """max_ij [(A (x) A)_ij - A_ij] over the upper triangle's row blocks;
-    both terms are symmetric, so the lower triangle repeats it exactly."""
+    """max_ij [(A (x) A)_ij - A_ij] over the upper triangle, in blocks of
+    _MAXMIN_BLOCK rows; this is the one place the max-min product is
+    blocked.  Both terms are symmetric, so the lower triangle repeats the
+    maximum exactly."""
     A = gromov_products(D, base)
     best = -math.inf
     for start in range(0, D.n, _MAXMIN_BLOCK):

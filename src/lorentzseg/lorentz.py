@@ -374,29 +374,31 @@ def distances_from_inner(inner: np.ndarray) -> np.ndarray:
 
 
 def pairwise_lorentz_distances(spatial: np.ndarray) -> np.ndarray:
-    """Symmetric pairwise geodesic distances of lifted points (n, d) -> (n, n).
+    """Pairwise geodesic distances of lifted points (n, d) -> (n, n), with
+    an exactly zero diagonal.
 
-    The diagonal is exactly zero and the matrix is mirrored from the upper
-    triangle so it is bitwise symmetric.
+    The rows are made contiguous so that ``x @ x.T`` is numpy's symmetric
+    product; the matrix is returned as computed, and
+    ``hyperbolicity.DistanceMatrix`` owns the mirror from its upper triangle.
     """
-    spatial = np.asarray(spatial, dtype=np.float64)
+    spatial = np.ascontiguousarray(spatial, dtype=np.float64)
     t = time_from_spatial(spatial)
     inner = spatial @ spatial.T - np.outer(t, t)
     d = distances_from_inner(inner)
     np.fill_diagonal(d, 0.0)
-    upper = np.triu(d, 1)
-    return upper + upper.T
+    return d
 
 
 def pairwise_euclidean_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric pairwise Euclidean distances (n, d) -> (n, n)."""
-    points = np.asarray(points, dtype=np.float64)
+    """Pairwise Euclidean distances (n, d) -> (n, n), with an exactly zero
+    diagonal; contiguous rows and no mirror, as in
+    ``pairwise_lorentz_distances``."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
     sq = spatial_sq_norms(points)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     d = np.sqrt(np.maximum(d2, 0.0))
     np.fill_diagonal(d, 0.0)
-    upper = np.triu(d, 1)
-    return upper + upper.T
+    return d
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ percentile.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +29,8 @@ KINDS = ("radius_uncertainty", "angle_uncertainty", "confidence", "boundary")
 class ScalarMap:
     values: np.ndarray  # (H, W)
     kind: str
-    vmin: float = math.nan
-    vmax: float = math.nan
+    vmin: float = field(init=False)
+    vmax: float = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)

@@ -60,6 +60,35 @@ class TestPairwiseDistances:
         with pytest.raises(UsageError):
             hyp.pairwise_distances(np.eye(4), "manhattan")
 
+    @pytest.mark.parametrize("metric", hyp.METRICS)
+    def test_memory_three_matrices(self, metric):
+        # the kernels return the matrix as computed and DistanceMatrix
+        # mirrors it once, so the peak is the matrix and the two
+        # temporaries of the symmetry check
+        n = 512
+        pts = np.random.default_rng(99).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            hyp.pairwise_distances(pts, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("metric, kernel", [
+        ("euclidean", lz.pairwise_euclidean_distances),
+        ("lorentz", lz.pairwise_lorentz_distances),
+    ])
+    def test_strided_rows_match_contiguous_bitwise(self, metric, kernel):
+        # contiguous rows make x @ x.T numpy's one symmetric product for
+        # every input layout, so the unmirrored kernel is symmetric too
+        wide = np.random.default_rng(99).normal(size=(128, 8))
+        strided = wide[:, ::2]
+        np.testing.assert_array_equal(hyp.pairwise_distances(strided, metric).values,
+                                      hyp.pairwise_distances(strided.copy(), metric).values)
+        raw = kernel(strided)
+        np.testing.assert_array_equal(raw, raw.T)
+
 
 class TestDistanceMatrixType:
     def test_rejects_asymmetry(self):
@@ -138,7 +167,7 @@ class TestMaxminProduct:
         np.testing.assert_array_equal(hyp.maxmin_product(A, A), naive_maxmin(A, A))
 
     def test_chunked_equals_unchunked(self):
-        # 70 rows span a full 64-row block and a partial one
+        # the whole 70-row matrix as one block of the kernel
         rng = np.random.default_rng(83)
         A = rng.uniform(size=(70, 70))
         np.testing.assert_array_equal(hyp.maxmin_product(A, A), naive_maxmin(A, A))

@@ -106,6 +106,17 @@ class TestClassConfidence:
             unc.class_confidence(grid, np.zeros((2, 2), dtype=bool))
 
 
+class TestScalarMap:
+    def test_range_is_not_a_parameter(self):
+        # vmin and vmax are always the range of the values, never arguments
+        with pytest.raises(TypeError):
+            unc.ScalarMap(np.zeros((2, 2)), "confidence", vmin=5.0)
+        with pytest.raises(TypeError):
+            unc.ScalarMap(np.zeros((2, 2)), "confidence", vmax=-3.0)
+        m = unc.ScalarMap(np.array([[1.0, -2.0], [4.0, 0.5]]), "confidence")
+        assert (m.vmin, m.vmax) == (-2.0, 4.0)
+
+
 class TestBoundaryMap:
     def test_percentile_100_all_zero(self):
         rng = np.random.default_rng(103)
