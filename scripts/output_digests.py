@@ -42,6 +42,12 @@ OVERFLOW = "{tmp}/overflow.csv"
 # a cloud whose odd rows repeat the even rows plus 1e-9 noise
 NEAR = "{tmp}/near.csv"
 DELTA = ["--input", CLOUD, "--batch-size", "128", "--batches", "2"]
+# every scene and training flag of train off its default
+EVERY_FLAG = ["--parents", "2", "--children", "4", "--height", "12", "--width", "10",
+              "--noise", "0.05", "--edge-blend", "0.3", "--descriptor-dim", "6",
+              "--scene-seed", "7", "--epochs", "30", "--lr", "0.25", "--lambda-w", "0.4",
+              "--tau", "0.2", "--cone-k", "0.15", "--seed", "3", "--weight-decay", "0.002",
+              "--hidden", "5", "--embed-dim", "4"]
 
 # (name, expected exit code, argv); {tmp} is the temporary directory and
 # {dir} the command's own directory, which holds everything it writes
@@ -105,6 +111,10 @@ COMMANDS = (
                           "--out", "{dir}/gf.csv"]),
     ("parse-error", 2, ["losscape", "--model", "{tmp}/train-pixel/model", "--grid", "x",
                         "--out", "{dir}/ls.csv"]),
+    ("train-every-flag", 0, ["train", *EVERY_FLAG, "--out-dir", "{dir}"]),
+    ("losscape-every-flag", 0, ["losscape", "--model", "{tmp}/train-every-flag/model",
+                                "--directions-seed", "5", "--grid", "7", "--extent", "0.5",
+                                "--out", "{dir}/ls.csv"]),
     ("train-many-classes", 2, ["train", "--parents", "16", "--children", "17", "--epochs", "1",
                                "--out-dir", "{dir}"]),
 )

@@ -4,12 +4,16 @@ Subcommands: deltahyp, gradcheck, gradfield, train, infer, uncertainty,
 losscape.  ``train --head`` takes pixel, euclid (the Euclidean ablation
 baseline) or mask; every trained head is one ``segtoy.TrainResult``,
 which ``load_model`` reads back with its scene for infer, uncertainty
-and losscape.  Each ``cmd_*`` returns its exit code, the path of its run
-manifest and the manifest's run-specific fields (command, full config,
-seed, inputs, outputs); ``main`` starts the clock, resets the clamp
-tally and writes every manifest, adding the version, wall clock and
-clamp events.  Re-running with the same flags reproduces every output
-byte for byte (the manifest itself carries the wall clock).
+and losscape.  The parsed flags describe each run: ``main`` writes the
+subcommand's name as the manifest's ``command``, its flags minus the
+output flag as its ``config``, and the manifest to ``<out>.manifest.json``
+or ``<out-dir>/manifest.json``.  Each ``cmd_*`` returns its exit code and
+what its flags cannot say: the seed, inputs and outputs; ``train`` also
+returns its command, its resolved scene, training and head config (the
+extras of ``model.json`` too) and, when it diverges, ``diverged_at_step``.
+``main`` starts the clock, resets the clamp tally and adds the version,
+wall clock and clamp events.  Re-running with the same flags reproduces
+every output byte for byte (the manifest itself carries the wall clock).
 
 Exit codes: 0 success, 1 failed numerical check or diverged training
 run (a non-finite loss at any step, the post-training evaluation
@@ -53,47 +57,25 @@ from .reference import REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN, REFERENCE_SCEN
 HEADS = ("pixel", "euclid", "mask")
 
 
-def _scene_flags(p: argparse.ArgumentParser):
-    p.add_argument("--parents", type=int, default=REFERENCE_SCENE.parents)
-    p.add_argument("--children", type=int, default=REFERENCE_SCENE.children_per_parent)
-    p.add_argument("--height", type=int, default=REFERENCE_SCENE.height)
-    p.add_argument("--width", type=int, default=REFERENCE_SCENE.width)
-    p.add_argument("--noise", type=float, default=REFERENCE_SCENE.noise_sigma)
-    p.add_argument("--edge-blend", type=float, default=REFERENCE_SCENE.edge_blend)
-    p.add_argument("--descriptor-dim", type=int, default=REFERENCE_SCENE.descriptor_dim)
-    p.add_argument("--scene-seed", type=int, default=REFERENCE_SCENE.seed)
+# (flag, field): each flag of train sets one field of SceneConfig or
+# TrainConfig and takes that field's reference value as its type and default
+SCENE_FLAGS = (
+    ("--parents", "parents"), ("--children", "children_per_parent"), ("--height", "height"),
+    ("--width", "width"), ("--noise", "noise_sigma"), ("--edge-blend", "edge_blend"),
+    ("--descriptor-dim", "descriptor_dim"), ("--scene-seed", "seed"),
+)
+TRAIN_FLAGS = (
+    ("--epochs", "epochs"), ("--lr", "lr"), ("--lambda-w", "lambda_w"), ("--tau", "tau"),
+    ("--cone-k", "K"), ("--seed", "seed"), ("--weight-decay", "weight_decay"),
+    ("--hidden", "hidden"), ("--embed-dim", "embed_dim"),
+)
 
 
-def _train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=REFERENCE_TRAIN.epochs)
-    p.add_argument("--lr", type=float, default=None, help=(
-        f"default {REFERENCE_TRAIN.lr} (pixel, euclid) or {REFERENCE_MASK_TRAIN.lr} (mask)"))
-    p.add_argument("--lambda-w", type=float, default=REFERENCE_TRAIN.lambda_w)
-    p.add_argument("--tau", type=float, default=REFERENCE_TRAIN.tau)
-    p.add_argument("--cone-k", type=float, default=REFERENCE_TRAIN.K)
-    p.add_argument("--seed", type=int, default=REFERENCE_TRAIN.seed)
-    p.add_argument("--weight-decay", type=float, default=REFERENCE_TRAIN.weight_decay)
-    p.add_argument("--hidden", type=int, default=REFERENCE_TRAIN.hidden)
-    p.add_argument("--embed-dim", type=int, default=REFERENCE_TRAIN.embed_dim)
-    p.add_argument("--exclude-class", type=int, default=None)
-
-
-def _scene_from_args(args) -> st.SceneConfig:
-    return st.SceneConfig(
-        parents=args.parents, children_per_parent=args.children, height=args.height,
-        width=args.width, noise_sigma=args.noise, edge_blend=args.edge_blend,
-        descriptor_dim=args.descriptor_dim, seed=args.scene_seed,
-    )
-
-
-def _train_from_args(args, head: str) -> st.TrainConfig:
-    reference = REFERENCE_MASK_TRAIN if head == "mask" else REFERENCE_TRAIN
-    lr = args.lr if args.lr is not None else reference.lr
-    return st.TrainConfig(
-        epochs=args.epochs, lr=lr, lambda_w=args.lambda_w, tau=args.tau,
-        K=args.cone_k, seed=args.seed, weight_decay=args.weight_decay,
-        hidden=args.hidden, embed_dim=args.embed_dim,
-    )
+def _from_flags(cls, flags, args, **given):
+    """A ``cls`` whose fields are the values of their flags in ``args``,
+    those ``given`` excepted."""
+    return cls(**{field: getattr(args, flag[2:].replace("-", "_")) for flag, field in flags}
+               | given)
 
 
 def _write_csv(path, kind: str, columns, rows):
@@ -108,14 +90,6 @@ def _write_csv(path, kind: str, columns, rows):
 def _write_label_map(prefix, label_map: st.LabelMap):
     write_pgm(str(prefix) + ".pgm", label_map.values.astype(np.uint8))
     write_json(str(prefix) + ".legend.json", {str(k): v for k, v in label_map.legend.items()})
-
-
-def _save_model(prefix, scene: st.SyntheticScene, res: st.TrainResult):
-    extras = {"head": res.head, "scene": dataclasses.asdict(scene.config),
-              "train": dataclasses.asdict(res.config), "exclude_class": res.exclude_class}
-    if res.head_cfg is not None:
-        extras["head_cfg"] = dataclasses.asdict(res.head_cfg)
-    save_param_blocks(prefix, res.params, extras)
 
 
 def load_model(prefix):
@@ -170,20 +144,6 @@ def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
     return scene, st.DescriptorBank.fit(scene, d=embed_dim, exclude=exclude)
 
 
-def _fields(command: str, config: dict, seed, inputs, outputs) -> dict:
-    """The run-specific fields of a manifest; ``main`` adds the rest."""
-    return {"command": command, "config": config, "seed": seed,
-            "inputs": inputs, "outputs": outputs}
-
-
-def _diverged(exc: TrainingDivergedError, out_dir: Path, fields: dict):
-    """Exit 1 with one stderr line; the manifest records the failing step
-    and, as nothing was written yet, no outputs."""
-    print(f"training diverged: {exc}", file=sys.stderr)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return 1, out_dir / "manifest.json", {**fields, "diverged_at_step": exc.step}
-
-
 def cmd_deltahyp(args):
     points = read_embedding_csv(args.input)
     # overflowed distances end in DistanceMatrix's DomainError, not in warnings
@@ -196,10 +156,7 @@ def cmd_deltahyp(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_dict())
     print(f"delta_rel={report.delta_rel:.6f} over {report.batch_count} batches")
-    cfg = {"input": args.input, "metric": args.metric,
-           "batch_size": args.batch_size, "batches": args.batches, "seed": args.seed}
-    return 0, Path(f"{out}.manifest.json"), _fields(
-        "deltahyp", cfg, args.seed, [args.input], [out])
+    return 0, {"seed": args.seed, "inputs": [args.input], "outputs": [out]}
 
 
 def cmd_gradcheck(args):
@@ -215,9 +172,7 @@ def cmd_gradcheck(args):
         f"euclid_violations={report.euclid_orthogonality_violations} "
         f"-> {'PASS' if ok else 'FAIL'}"
     )
-    cfg = {"samples": args.samples, "seed": args.seed}
-    return 0 if ok else 1, Path(f"{out}.manifest.json"), _fields(
-        "gradcheck", cfg, args.seed, [], [out])
+    return 0 if ok else 1, {"seed": args.seed, "inputs": [], "outputs": [out]}
 
 
 def _gradfield_row(v, target):
@@ -289,9 +244,7 @@ def cmd_gradfield(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, "gradfield", GRADFIELD_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {out}")
-    cfg = {"grid_extent": args.grid_extent, "resolution": args.resolution,
-           "target": args.target}
-    return 0, Path(f"{out}.manifest.json"), _fields("gradfield", cfg, None, [], [out])
+    return 0, {"seed": None, "inputs": [], "outputs": [out]}
 
 
 def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
@@ -314,20 +267,24 @@ def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
 
 
 def cmd_train(args):
-    scene_cfg = _scene_from_args(args)
-    train_cfg = _train_from_args(args, args.head)
+    scene_cfg = _from_flags(st.SceneConfig, SCENE_FLAGS, args)
+    reference = REFERENCE_MASK_TRAIN if args.head == "mask" else REFERENCE_TRAIN
+    train_cfg = _from_flags(st.TrainConfig, TRAIN_FLAGS, args,
+                            lr=reference.lr if args.lr is None else args.lr)
     if args.head == "mask" and args.exclude_class is not None:
         # refused before the bank fit, whose rank-deficiency warning would
         # otherwise print ahead of the error
         raise UsageError(f"the mask head cannot hold out class {args.exclude_class}")
-    scene, bank = _scene_and_bank(scene_cfg, args.embed_dim, args.exclude_class)
+    scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, args.exclude_class)
     out_dir = Path(args.out_dir)
-    cfg = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
-           "head": args.head, "exclude_class": args.exclude_class}
+    # the resolved run: the manifest's config and the extras of model.json
+    config = {"scene": dataclasses.asdict(scene_cfg), "train": dataclasses.asdict(train_cfg),
+              "head": args.head, "exclude_class": args.exclude_class}
     if args.head == "mask":
         head_cfg = mh.MaskHeadConfig(n_queries=args.n_queries)
-        cfg["head_cfg"] = dataclasses.asdict(head_cfg)
-    fields = _fields(f"train --head {args.head}", cfg, train_cfg.seed, [], [])
+        config["head_cfg"] = dataclasses.asdict(head_cfg)
+    fields = {"command": f"train --head {args.head}", "config": config,
+              "seed": train_cfg.seed, "inputs": [], "outputs": []}
     try:
         # a run that overflows ends in TrainingDivergedError; numpy's
         # floating-point warnings on the way there would only repeat it
@@ -337,10 +294,14 @@ def cmd_train(args):
             else:
                 res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
     except TrainingDivergedError as exc:
-        return _diverged(exc, out_dir, fields)
+        # exit 1 with one stderr line; as nothing was written yet, the
+        # manifest records the failing step and no outputs
+        print(f"training diverged: {exc}", file=sys.stderr)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return 1, {**fields, "diverged_at_step": exc.step}
     # made once the run ended: a setting the training refuses leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
-    _save_model(out_dir / "model", scene, res)
+    save_param_blocks(out_dir / "model", res.params, config)
     _write_csv(out_dir / "trace.csv", "trace", res.trace, zip(*res.trace.values()))
     _, metrics = _predict(res, scene, "distance")
     metrics = {("train_" + k if k.startswith("miou_") else k): v for k, v in metrics.items()}
@@ -350,7 +311,7 @@ def cmd_train(args):
     print(json.dumps(metrics, sort_keys=True))
     fields["outputs"] = [out_dir / "model.json", out_dir / "model.bin", out_dir / "trace.csv",
                          out_dir / "gt.pgm", out_dir / "gt.legend.json", out_dir / "metrics.json"]
-    return 0, out_dir / "manifest.json", fields
+    return 0, fields
 
 
 def cmd_infer(args):
@@ -362,9 +323,8 @@ def cmd_infer(args):
     write_json(out_dir / "metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True))
     outputs = [out_dir / "pred.pgm", out_dir / "pred.legend.json", out_dir / "metrics.json"]
-    cfg = {"model": args.model, "mode": args.mode}
-    return 0, out_dir / "manifest.json", _fields(
-        "infer", cfg, res.config.seed, [args.model + ".json", args.model + ".bin"], outputs)
+    inputs = [args.model + ".json", args.model + ".bin"]
+    return 0, {"seed": res.config.seed, "inputs": inputs, "outputs": outputs}
 
 
 def cmd_uncertainty(args):
@@ -377,26 +337,24 @@ def cmd_uncertainty(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ru = unc.radius_uncertainty(grid)
-    export_scalar_map(out_dir / "radius_uncertainty", ru.values, ru.kind)
+    export_scalar_map(out_dir / "radius_uncertainty", ru)
     if res.head == "mask":
         au = mh.mask_angle_uncertainty(grid, res.params)
     else:
         # the euclid head is scored against the prototypes its bank would lift to
         protos = res.protos or st.build_prototypes(res.bank, res.config.K)
         au = unc.angle_uncertainty(grid, protos)
-    export_scalar_map(out_dir / "angle_uncertainty", au.values, au.kind)
+    export_scalar_map(out_dir / "angle_uncertainty", au)
     bm = unc.boundary_map(au, args.percentile)
-    export_scalar_map(out_dir / "boundary", bm.values, bm.kind,
-                      {"percentile": args.percentile})
+    export_scalar_map(out_dir / "boundary", bm, {"percentile": args.percentile})
     conf = unc.class_confidence(grid, scene.labels == args.class_id)
-    export_scalar_map(out_dir / f"confidence_class{args.class_id}", conf.values, conf.kind,
+    export_scalar_map(out_dir / f"confidence_class{args.class_id}", conf,
                       {"class_id": args.class_id})
     print(f"wrote uncertainty maps to {out_dir}")
     stems = ("radius_uncertainty", "angle_uncertainty", "boundary", f"confidence_class{args.class_id}")
     outputs = [out_dir / f"{stem}.{ext}" for stem in stems for ext in ("pgm", "csv", "json")]
-    cfg = {"model": args.model, "percentile": args.percentile, "class_id": args.class_id}
-    return 0, out_dir / "manifest.json", _fields(
-        "uncertainty", cfg, res.config.seed, [args.model + ".json", args.model + ".bin"], outputs)
+    inputs = [args.model + ".json", args.model + ".bin"]
+    return 0, {"seed": res.config.seed, "inputs": inputs, "outputs": outputs}
 
 
 def cmd_losscape(args):
@@ -443,10 +401,8 @@ def cmd_losscape(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, "losscape", ("alpha", "beta", "loss"), rows)
     print(f"center_loss={center_loss!r}")
-    cfg = {"model": args.model, "directions_seed": args.directions_seed,
-           "grid": args.grid, "extent": args.extent}
-    return 0, Path(f"{out}.manifest.json"), _fields(
-        "losscape", cfg, args.directions_seed, [args.model + ".json", args.model + ".bin"], [out])
+    inputs = [args.model + ".json", args.model + ".bin"]
+    return 0, {"seed": args.directions_seed, "inputs": inputs, "outputs": [out]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -486,8 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a head on a synthetic scene")
     p.add_argument("--head", choices=HEADS, default="pixel")
-    _scene_flags(p)
-    _train_flags(p)
+    for flags, reference in ((SCENE_FLAGS, REFERENCE_SCENE), (TRAIN_FLAGS, REFERENCE_TRAIN)):
+        for flag, field in flags:
+            value = getattr(reference, field)
+            if field == "lr":  # the one per-head default, which cmd_train resolves
+                p.add_argument(flag, type=float, default=None, help=(
+                    f"default {value} (pixel, euclid) or {REFERENCE_MASK_TRAIN.lr} (mask)"))
+            else:
+                p.add_argument(flag, type=type(value), default=value)
+    p.add_argument("--exclude-class", type=int, default=None)
     p.add_argument("--queries", type=int, dest="n_queries",
                    default=REFERENCE_MASK_HEAD.n_queries)
     p.add_argument("--out-dir", required=True)
@@ -530,8 +493,15 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             args = build_parser().parse_args(argv)
-            code, path, fields = args.func(args)
+            code, fields = args.func(args)
+            config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+            if "out" in config:
+                path = Path(f"{Path(config.pop('out'))}.manifest.json")
+            else:
+                path = Path(config.pop("out_dir")) / "manifest.json"
             write_json(path, {
+                "command": args.command,
+                "config": config,
                 **fields,
                 "outputs": [str(p) for p in fields["outputs"]],
                 "tool_version": __version__,

@@ -156,11 +156,11 @@ def read_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def export_scalar_map(path_prefix, values: np.ndarray, kind: str, extras: dict | None = None):
-    """Write a float map as min-max normalized PGM plus raw CSV and a JSON
-    sidecar recording the normalization bounds."""
-    values = np.asarray(values, dtype=np.float64)
-    vmin, vmax = float(values.min()), float(values.max())
+def export_scalar_map(path_prefix, smap, extras: dict | None = None):
+    """Write an ``uncertainty.ScalarMap`` as PGM normalized to its
+    ``vmin``/``vmax``, plus raw CSV and a JSON sidecar recording those
+    bounds."""
+    values, vmin, vmax = smap.values, smap.vmin, smap.vmax
     span = vmax - vmin
     if span > 0:
         scaled = np.round((values - vmin) / span * 255.0)
@@ -168,7 +168,7 @@ def export_scalar_map(path_prefix, values: np.ndarray, kind: str, extras: dict |
         scaled = np.zeros_like(values)
     write_pgm(str(path_prefix) + ".pgm", scaled)
     np.savetxt(str(path_prefix) + ".csv", values, delimiter=",", fmt="%.17g")
-    sidecar = {"kind": kind, "min": vmin, "max": vmax, "shape": list(values.shape)}
+    sidecar = {"kind": smap.kind, "min": vmin, "max": vmax, "shape": list(values.shape)}
     if extras:
         sidecar.update(extras)
     write_json(str(path_prefix) + ".json", sidecar)
@@ -195,7 +195,8 @@ def save_param_blocks(path_prefix, blocks: dict, extras: dict | None = None):
 
 
 def load_param_blocks(path_prefix):
-    """Inverse of save_param_blocks; returns (blocks, extras)."""
+    """Inverse of save_param_blocks; returns (blocks, extras).  A
+    descriptor that names one block twice raises ParseError."""
     meta = read_json(str(path_prefix) + ".json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != PARAMS_FORMAT:
@@ -212,6 +213,8 @@ def load_param_blocks(path_prefix):
                 raise ParseError(f"{path_prefix}.json: bad offset, count or shape in {entry!r}")
             if start + count > raw.size:
                 raise ParseError(f"{path_prefix}.bin: truncated blob for block {entry['name']!r}")
+            if entry["name"] in blocks:
+                raise ParseError(f"{path_prefix}.json: block {entry['name']!r} is listed twice")
             blocks[entry["name"]] = raw[start : start + count].reshape(shape).copy()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path_prefix}.json: malformed model descriptor ({exc!r})") from exc

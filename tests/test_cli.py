@@ -519,6 +519,17 @@ class TestModelLoading:
         model = _edited_model(trained_dir / "pix", tmp_path / "m", add_momentum)
         assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
 
+    def test_block_listed_twice_exits_3(self, trained_dir, tmp_path, capsys):
+        # a second b2 entry over the blob's first values, which would win
+        def list_b2_twice(doc):
+            b2 = next(b for b in doc["blocks"] if b["name"] == "b2")
+            doc["blocks"].append({**b2, "offset": 0})
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", list_b2_twice)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:") and "'b2'" in err[0], err
+        assert not (tmp_path / "inf").exists()
+
 
 def _poisoned_model(src_dir, dst_dir, name, value):
     """Copy the model under ``src_dir`` with the first entry of block
@@ -816,6 +827,87 @@ class TestCliContract:
                 for path in files:
                     if path.suffix not in (".pgm", ".bin"):
                         _assert_finite(path)
+
+
+# each command but train with every flag other than its output flag off its
+# default; {pix} is a trained pixel model and {csv} an embedding CSV
+EVERY_FLAG = {
+    "deltahyp": ["--input", "{csv}", "--metric", "lorentz", "--batch-size", "20",
+                 "--batches", "3", "--seed", "7"],
+    "gradcheck": ["--samples", "20", "--seed", "3"],
+    "gradfield": ["--grid-extent", "1.2", "--resolution", "5", "--target", "0.5,0.3"],
+    "infer": ["--model", "{pix}", "--mode", "angle"],
+    "uncertainty": ["--model", "{pix}", "--percentile", "80", "--class-id", "2"],
+    "losscape": ["--model", "{pix}", "--directions-seed", "3", "--grid", "3", "--extent", "0.5"],
+}
+
+# every scene and training flag of train off its default, each value
+# distinct from the others of its config: (flag, value, config, field)
+TRAIN_EVERY_FLAG = (
+    ("--parents", "2", "scene", "parents"),
+    ("--children", "4", "scene", "children_per_parent"),
+    ("--height", "12", "scene", "height"),
+    ("--width", "10", "scene", "width"),
+    ("--noise", "0.05", "scene", "noise_sigma"),
+    ("--edge-blend", "0.3", "scene", "edge_blend"),
+    ("--descriptor-dim", "6", "scene", "descriptor_dim"),
+    ("--scene-seed", "7", "scene", "seed"),
+    ("--epochs", "2", "train", "epochs"),
+    ("--lr", "0.25", "train", "lr"),
+    ("--lambda-w", "0.4", "train", "lambda_w"),
+    ("--tau", "0.2", "train", "tau"),
+    ("--cone-k", "0.15", "train", "K"),
+    ("--seed", "3", "train", "seed"),
+    ("--weight-decay", "0.002", "train", "weight_decay"),
+    ("--hidden", "5", "train", "hidden"),
+    ("--embed-dim", "4", "train", "embed_dim"),
+)
+
+
+class TestManifestConfig:
+    """A manifest records every flag of its run."""
+
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_config_is_the_flags_but_the_output_flag(self, command, trained_dir, contract_dir,
+                                                     tmp_path):
+        paths = {"pix": trained_dir / "pix" / "model", "csv": contract_dir / "e.csv"}
+        argv = [arg.format(**paths) for arg in EVERY_FLAG[command]]
+        options = {a.option_strings[0]: a for a in _COMMANDS[command]._actions
+                   if a.dest != "help"}
+        out_flag = "--out-dir" if "--out-dir" in options else "--out"
+        expected = {}
+        for flag, value in zip(argv[::2], argv[1::2]):
+            action = options[flag]
+            expected[action.dest] = action.type(value) if action.type else value
+            assert expected[action.dest] != action.default, flag
+        assert expected.keys() == {a.dest for flag, a in options.items() if flag != out_flag}
+        out = tmp_path / "run"
+        assert run([command, *argv, out_flag, str(out)]) == 0
+        manifest = read_json(out / "manifest.json" if out_flag == "--out-dir"
+                             else Path(f"{out}.manifest.json"))
+        assert manifest["command"] == command
+        assert manifest["config"] == expected
+
+    def test_train_flags_land_at_their_fields(self, tmp_path):
+        options = {a.option_strings[0] for a in _COMMANDS["train"]._actions if a.dest != "help"}
+        table = {flag for flag, *_ in TRAIN_EVERY_FLAG}
+        assert options - table == {"--head", "--exclude-class", "--queries", "--out-dir"}
+        out = tmp_path / "run"
+        argv = [arg for flag, value, *_ in TRAIN_EVERY_FLAG for arg in (flag, value)]
+        assert run(["train", *argv, "--out-dir", str(out)]) == 0
+        expected = {"scene": {}, "train": {}}
+        defaults = {"scene": st.SceneConfig(), "train": st.TrainConfig()}
+        for flag, value, config, field in TRAIN_EVERY_FLAG:
+            expected[config][field] = float(value) if "." in value else int(value)
+            assert expected[config][field] != getattr(defaults[config], field), flag
+        scene_cfg = st.SceneConfig(**expected["scene"])
+        train_cfg = st.TrainConfig(**expected["train"])
+        manifest = read_json(out / "manifest.json")
+        extras = read_json(out / "model.json")["extras"]
+        for config in (manifest["config"], extras):
+            assert config == {**expected, "head": "pixel", "exclude_class": None}
+        scene, res = load_model(str(out / "model"))
+        assert scene.config == scene_cfg and res.config == train_cfg
 
 
 class TestThreadCountDeterminism:

@@ -126,6 +126,13 @@ class TestReaderFaults:
         with pytest.raises(ParseError):
             load_param_blocks(tmp_path / "m")
 
+    def test_block_listed_twice(self, tmp_path):
+        entries = [{"name": "a", "shape": [2], "offset": 0, "count": 2},
+                   {"name": "a", "shape": [2], "offset": 2, "count": 2}]
+        _write_model(tmp_path / "m", _descriptor(entries), FOUR_VALUES)
+        with pytest.raises(ParseError, match="'a' is listed twice"):
+            load_param_blocks(tmp_path / "m")
+
     def test_descriptor_that_is_not_an_object(self, tmp_path):
         _write_model(tmp_path / "m", b"[1, 2]", FOUR_VALUES)
         with pytest.raises(ParseError):
