@@ -343,7 +343,7 @@ def cmd_uncertainty(args):
     else:
         # the euclid head is scored against the prototypes its bank would lift to
         protos = res.protos or st.build_prototypes(res.bank, res.config.K)
-        au = unc.angle_uncertainty(grid, protos)
+        au = unc.angle_uncertainty(grid, protos.spatial, protos.time)
     export_scalar_map(out_dir / "angle_uncertainty", au)
     bm = unc.boundary_map(au, args.percentile)
     export_scalar_map(out_dir / "boundary", bm, {"percentile": args.percentile})

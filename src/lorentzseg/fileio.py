@@ -195,8 +195,11 @@ def save_param_blocks(path_prefix, blocks: dict, extras: dict | None = None):
 
 
 def load_param_blocks(path_prefix):
-    """Inverse of save_param_blocks; returns (blocks, extras).  A
-    descriptor that names one block twice raises ParseError."""
+    """Inverse of save_param_blocks; returns (blocks, extras).  The blocks
+    must tile the blob as save_param_blocks lays them out: taken in offset
+    order, each starts where the previous one ended and the last ends at
+    the blob's end.  A descriptor that names one block twice, or whose
+    blocks overlap, leave a gap or leave values over, raises ParseError."""
     meta = read_json(str(path_prefix) + ".json")
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != PARAMS_FORMAT:
@@ -206,8 +209,9 @@ def load_param_blocks(path_prefix):
     except OSError as exc:
         raise ParseError(f"{path_prefix}.bin: {exc}") from exc
     blocks = {}
+    end = 0
     try:
-        for entry in meta["blocks"]:
+        for entry in sorted(meta["blocks"], key=lambda e: e["offset"]):
             start, count, shape = entry["offset"], entry["count"], tuple(entry["shape"])
             if start < 0 or count < 0 or math.prod(shape) != count:
                 raise ParseError(f"{path_prefix}.json: bad offset, count or shape in {entry!r}")
@@ -215,7 +219,15 @@ def load_param_blocks(path_prefix):
                 raise ParseError(f"{path_prefix}.bin: truncated blob for block {entry['name']!r}")
             if entry["name"] in blocks:
                 raise ParseError(f"{path_prefix}.json: block {entry['name']!r} is listed twice")
+            if start != end:
+                raise ParseError(f"{path_prefix}.json: malformed model descriptor (block "
+                                 f"{entry['name']!r} starts at {start}, the blocks before "
+                                 f"it end at {end})")
             blocks[entry["name"]] = raw[start : start + count].reshape(shape).copy()
+            end = start + count
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path_prefix}.json: malformed model descriptor ({exc!r})") from exc
+    if end != raw.size:
+        raise ParseError(f"{path_prefix}.json: malformed model descriptor (the blocks end at "
+                         f"{end}, the blob holds {raw.size} values)")
     return blocks, meta.get("extras", {})

@@ -189,7 +189,7 @@ def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -
 def mask_angle_uncertainty(grid: EmbeddingGrid, params: dict) -> ScalarMap:
     """Minimum exterior angle against the lifted mask queries of ``params``."""
     mt, msp, _ = batched_exp_lift(params["mask_tangents"])
-    return angle_uncertainty(grid, (msp, mt))
+    return angle_uncertainty(grid, msp, mt)
 
 
 # --------------------------------------------------------------------------

@@ -225,21 +225,20 @@ def pca_reduce(X: np.ndarray, d: int):
 
 @dataclass(frozen=True)
 class DescriptorBank:
-    """Synthetic label descriptors with their PCA reduction.
+    """The PCA-reduced label descriptors that become the prototypes.
 
     ``reduced`` rows already carry the prototype scaling (divided by the
     mean row norm, so rows have unit tangent norm on average);
     ``included`` lists the class ids the PCA was fit on, which is how
     held-out classes stay out of both the projection and the prototype
-    set.
+    set; ``d`` is the effective PCA rank and ``names`` the included
+    classes' names.  No command projects a new query, so the bank keeps
+    neither the projection nor the raw descriptors; the retrieval
+    statistics of tests/reference_runs.py refit the PCA for their queries.
     """
 
-    raw: np.ndarray
     included: tuple
-    projection: np.ndarray
-    mean: np.ndarray
     reduced: np.ndarray
-    mean_norm: float
     d: int
     names: tuple
 
@@ -255,25 +254,11 @@ class DescriptorBank:
         if mean_norm <= 0:
             raise UsageError("descriptor rows collapse to zero after PCA")
         return cls(
-            raw=raw,
             included=included,
-            projection=proj,
-            mean=raw[list(included)].mean(axis=0),
             reduced=reduced / mean_norm,
-            mean_norm=mean_norm,
             d=proj.shape[1],
             names=tuple(scene.class_names[i] for i in included),
         )
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        """Run a raw descriptor-space vector through the trained PCA and
-        prototype scaling (the novel-query path)."""
-        vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if vec.size != self.raw.shape[1]:
-            raise UsageError(
-                f"query must have descriptor dimension {self.raw.shape[1]}, got {vec.size}"
-            )
-        return (vec - self.mean) @ self.projection / self.mean_norm
 
 
 def build_prototypes(bank: DescriptorBank, K: float) -> PrototypeSet:
@@ -575,7 +560,7 @@ def evaluate_loss(params: dict, objective: PixelObjective) -> float:
 
 
 # --------------------------------------------------------------------------
-# inference, scoring, retrieval
+# inference and scoring
 # --------------------------------------------------------------------------
 
 
@@ -633,59 +618,6 @@ def miou(pred, gt, n_classes: int) -> float:
         union = np.count_nonzero(gt_c | pred_c)
         ious.append(inter / union)
     return float(np.mean(ious))
-
-
-def text_query(
-    params: dict,
-    scene: SyntheticScene,
-    query: np.ndarray,
-    bank: DescriptorBank,
-    mode: str = "distance",
-) -> np.ndarray:
-    """Score every pixel against a raw descriptor-space query.
-
-    The query passes through the bank's PCA projection and scaling, is
-    lifted, and scores are -distance or -exterior angle.  Returns the
-    (H, W) scores.
-    """
-    if mode not in ("distance", "angle"):
-        raise UsageError(f"mode must be 'distance' or 'angle', got {mode!r}")
-    q = exp_lift_origin(bank.project(query))
-    grid = embed_scene(params, scene)
-    sp, t = grid.flat()
-    anchor_sp, anchor_t = q.spatial[None, :], np.array([q.time])
-    inner = inner_to_anchors(sp, t, anchor_sp, anchor_t)
-    if mode == "distance":
-        scores = -distances_from_inner(inner)[:, 0]
-    else:
-        scores = -ext_angles_to_anchors(sp, t, anchor_sp, anchor_t, inner=inner)[:, 0]
-    return scores.reshape(grid.shape)
-
-
-def euclid_text_query(
-    params: dict,
-    scene: SyntheticScene,
-    query: np.ndarray,
-    bank: DescriptorBank,
-) -> np.ndarray:
-    """(H, W) scores -||v - q|| of the Euclidean pipeline against the
-    projected query."""
-    q = bank.project(query)
-    v = encoder_forward(params, scene.features)
-    return -np.linalg.norm(v - q[None, None, :], axis=-1)
-
-
-def recall_at_budget(scores: np.ndarray, gt_mask: np.ndarray) -> float:
-    """Recall of the ground-truth pixels among as many top-scoring pixels
-    as there are ground-truth pixels."""
-    gt_mask = np.asarray(gt_mask, dtype=bool)
-    total = int(gt_mask.sum())
-    if total == 0:
-        raise UsageError("empty ground-truth mask")
-    flat = np.asarray(scores).reshape(-1)
-    top = np.argsort(-flat, kind="stable")[:total]
-    hits = int(gt_mask.reshape(-1)[top].sum())
-    return hits / total
 
 
 def scene_segments(scene: SyntheticScene):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entailment import PrototypeSet, ext_angles_to_anchors
+from .entailment import ext_angles_to_anchors
 from .errors import UsageError
 from .lorentz import EmbeddingGrid, distances_from_inner, inner_to_anchors
 from .models import hyperbolic_mean_arrays
@@ -47,36 +47,19 @@ class ScalarMap:
         object.__setattr__(self, "vmax", float(vals.max()))
 
 
-def _anchor_arrays(anchors):
-    if isinstance(anchors, PrototypeSet):
-        return anchors.spatial, anchors.time
-    if isinstance(anchors, tuple) and len(anchors) == 2:
-        return np.asarray(anchors[0], float), np.asarray(anchors[1], float)
-    pts = list(anchors)
-    if not pts:
-        raise UsageError("need at least one anchor")
-    return np.stack([p.spatial for p in pts]), np.array([p.time for p in pts])
-
-
 def radius_uncertainty(grid: EmbeddingGrid) -> ScalarMap:
     """-x0 per pixel: lower hyperboloid radius means higher uncertainty."""
     return ScalarMap(-grid.time, "radius_uncertainty")
 
 
-def radius_uncertainty_variants(grid: EmbeddingGrid):
-    """The three monotone-equivalent formulations, for ranking checks:
-    (-x0, -||x'||, -poincare radius)."""
-    pnorm = grid.spatial_norms / (grid.time + 1.0)
-    return -grid.time, -grid.spatial_norms, -pnorm
-
-
-def angle_uncertainty(grid: EmbeddingGrid, anchors) -> ScalarMap:
-    """Minimum exterior angle over the anchors, per pixel, in [0, pi]."""
-    asp, at = _anchor_arrays(anchors)
-    if np.any(np.linalg.norm(asp, axis=1) == 0.0):
+def angle_uncertainty(grid: EmbeddingGrid, anchor_spatial: np.ndarray,
+                      anchor_time: np.ndarray) -> ScalarMap:
+    """Minimum exterior angle over the anchors (spatial parts (A, d), times
+    (A,)), per pixel, in [0, pi]."""
+    if np.any(np.linalg.norm(anchor_spatial, axis=1) == 0.0):
         raise UsageError("an anchor at the origin has no exterior angle")
     sp, t = grid.flat()
-    ext = ext_angles_to_anchors(sp, t, asp, at)
+    ext = ext_angles_to_anchors(sp, t, anchor_spatial, anchor_time)
     return ScalarMap(ext.min(axis=1).reshape(grid.shape), "angle_uncertainty")
 
 
@@ -106,38 +89,3 @@ def boundary_map(u: ScalarMap, percentile: float) -> ScalarMap:
         return ScalarMap(np.zeros_like(u.values), "boundary")
     thr = float(np.percentile(u.values, percentile))
     return ScalarMap((u.values > thr).astype(np.float64), "boundary")
-
-
-def label_boundary_mask(labels: np.ndarray) -> np.ndarray:
-    """Pixels with a 4-neighbor of another label."""
-    labels = np.asarray(labels)
-    edge = np.zeros(labels.shape, dtype=bool)
-    edge[:-1, :] |= labels[:-1, :] != labels[1:, :]
-    edge[1:, :] |= labels[1:, :] != labels[:-1, :]
-    edge[:, :-1] |= labels[:, :-1] != labels[:, 1:]
-    edge[:, 1:] |= labels[:, 1:] != labels[:, :-1]
-    return edge
-
-
-def boundary_interior_margin(u: ScalarMap, labels: np.ndarray) -> float:
-    """Mean over the region borders minus the interior mean."""
-    edge = label_boundary_mask(labels)
-    if edge.all() or not edge.any():
-        raise UsageError("degenerate boundary mask")
-    return float(u.values[edge].mean() - u.values[~edge].mean())
-
-
-def boundary_recall(pred_boundary: ScalarMap, labels: np.ndarray) -> float:
-    """Fraction of true border pixels flagged by the map."""
-    edge = label_boundary_mask(labels)
-    if not edge.any():
-        raise UsageError("no boundary pixels in the label map")
-    flagged = pred_boundary.values > 0.5
-    return float(flagged[edge].mean())
-
-
-def ranking_signature(values: np.ndarray) -> np.ndarray:
-    """Dense ranks of the flattened values, for ordering-equivalence
-    checks: ties share a rank and the ranks run 0, 1, 2, ... without gaps
-    ([3, 3, 5] -> [0, 0, 1])."""
-    return np.unique(np.asarray(values).reshape(-1), return_inverse=True)[1]

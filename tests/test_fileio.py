@@ -133,6 +133,22 @@ class TestReaderFaults:
         with pytest.raises(ParseError, match="'a' is listed twice"):
             load_param_blocks(tmp_path / "m")
 
+    @pytest.mark.parametrize("entries, blob, match", [
+        # b starts inside a: it would alias a's second value
+        ([{"name": "a", "shape": [2], "offset": 0, "count": 2},
+          {"name": "b", "shape": [2], "offset": 1, "count": 2}], np.arange(6.0), "'b' starts at"),
+        # a gap between a and b
+        ([{"name": "b", "shape": [2], "offset": 3, "count": 2},
+          {"name": "a", "shape": [2], "offset": 0, "count": 2}], np.arange(6.0), "'b' starts at"),
+        # values left over past the last block
+        ([{"name": "a", "shape": [2], "offset": 0, "count": 2},
+          {"name": "b", "shape": [2], "offset": 2, "count": 2}], np.arange(6.0), "blocks end at 4"),
+    ], ids=["overlap", "gap", "blob-too-long"])
+    def test_blocks_must_tile_the_blob(self, tmp_path, entries, blob, match):
+        _write_model(tmp_path / "m", _descriptor(entries), blob.tobytes())
+        with pytest.raises(ParseError, match=match):
+            load_param_blocks(tmp_path / "m")
+
     def test_descriptor_that_is_not_an_object(self, tmp_path):
         _write_model(tmp_path / "m", b"[1, 2]", FOUR_VALUES)
         with pytest.raises(ParseError):

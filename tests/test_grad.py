@@ -481,6 +481,24 @@ class TestBatchedKernels:
         for got, want in ((g_p, want_p), (g_a, want_a)):
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.abs(want).max())
 
+    def test_point_on_its_anchors_origin_ray_gives_finite_grads(self):
+        # ext is 0 on the ray, where 1 - A^2 rounds below 0 (-5.8e-15 and
+        # -1.8e-15 for these two points); the sin floor keeps the
+        # gradients finite
+        u = np.array([1.0, 0.2, -0.3])
+        anchor = lift(u)
+        points = [lift(s * u) for s in (1.5, 3.0)]
+        ps, pt = np.stack([p.spatial for p in points]), np.array([p.time for p in points])
+        asp, at = anchor.spatial[None, :], np.array([anchor.time])
+        an = np.array([anchor.spatial_norm])
+        inner = lz.inner_to_anchors(ps, pt, asp, at)
+        g_row = grad.batched_grad_ext_wrt_point(ps, pt, np.repeat(asp, 2, axis=0),
+                                                np.repeat(at, 2), inner[:, 0], np.repeat(an, 2))
+        assert np.all(np.isfinite(g_row))
+        g_p, g_a = grad.pair_backward(np.ones((2, 1)), np.ones((2, 1)), ps, pt, asp, at,
+                                      inner, an, True)
+        assert np.all(np.isfinite(g_p)) and np.all(np.isfinite(g_a))
+
     def test_exp_lift_backward_matches_fd(self):
         rng = np.random.default_rng(76)
         y = lift(rng.normal(size=3))

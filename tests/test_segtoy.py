@@ -1,5 +1,6 @@
 """Tests for the synthetic per-pixel pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from lorentzseg.errors import TrainingDivergedError, UsageError
 from lorentzseg.reference import EMBED_DIM
 
 import reference_values as ref
-from reference_runs import STATISTICS
+from reference_runs import STATISTICS, label_boundary_mask, recall_at_budget, text_query
 
 
 SMALL = st.SceneConfig(parents=2, children_per_parent=2, height=16, width=16,
@@ -51,8 +52,6 @@ class TestGenerateScene:
         clean = st.generate_scene(st.SceneConfig(height=24, width=24, seed=3))
         blended = st.generate_scene(st.SceneConfig(height=24, width=24, seed=3, edge_blend=1.0))
         diff = np.abs(clean.features - blended.features).sum(axis=2) > 0
-        from lorentzseg.uncertainty import label_boundary_mask
-
         edge = label_boundary_mask(clean.labels)
         assert diff.any()
         assert not diff[~edge].any()
@@ -166,11 +165,7 @@ class TestBuildPrototypes:
         # force exactly unit rows through the recipe: rows already share
         # the mean-norm scaling, so rescale to unit norm individually
         rows = bank.reduced / np.linalg.norm(bank.reduced, axis=1, keepdims=True)
-        forced = st.DescriptorBank(
-            raw=bank.raw, included=bank.included, projection=bank.projection,
-            mean=bank.mean, reduced=rows, mean_norm=1.0, d=bank.d,
-            names=bank.names,
-        )
+        forced = dataclasses.replace(bank, reduced=rows)
         protos = st.build_prototypes(forced, 0.1)
         o = lz.origin(bank.d)
         for a in protos.anchors:
@@ -210,12 +205,7 @@ class TestBuildPrototypes:
     def test_zero_norm_row_rejected(self, clean_bank):
         rows = clean_bank.reduced.copy()
         rows[0] = 0.0
-        broken = st.DescriptorBank(
-            raw=clean_bank.raw, included=clean_bank.included,
-            projection=clean_bank.projection, mean=clean_bank.mean,
-            reduced=rows, mean_norm=clean_bank.mean_norm, d=clean_bank.d,
-            names=clean_bank.names,
-        )
+        broken = dataclasses.replace(clean_bank, reduced=rows)
         with pytest.raises(UsageError):
             st.build_prototypes(broken, 0.1)
 
@@ -537,15 +527,15 @@ class TestMiou:
 class TestRetrieval:
     def test_class_query_recalls_own_pixels(self, clean_run, clean_scene, clean_bank):
         gt = clean_scene.labels == 2
-        scores = st.text_query(
+        scores = text_query(
             clean_run.params, clean_scene, clean_scene.class_descriptors[2],
             clean_bank, mode="distance",
         )
-        assert st.recall_at_budget(scores, gt) == 1.0
+        assert recall_at_budget(scores, gt) == 1.0
 
     def test_dimension_mismatch(self, clean_run, clean_scene, clean_bank):
         with pytest.raises(UsageError):
-            st.text_query(clean_run.params, clean_scene, np.zeros(5), clean_bank)
+            text_query(clean_run.params, clean_scene, np.zeros(5), clean_bank)
 
     def test_parent_query_recalls_children(self, reference_runs):
         assert STATISTICS["PARENT_CHILD_RECALL_MIN"](reference_runs) >= ref.PARENT_CHILD_RECALL_MIN

@@ -10,11 +10,22 @@ from lorentzseg import uncertainty as unc
 from lorentzseg.errors import UsageError
 
 import reference_values as ref
-from reference_runs import STATISTICS
+from reference_runs import (
+    STATISTICS,
+    label_boundary_mask,
+    radius_uncertainty_variants,
+    ranking_signature,
+)
 
 
 def grid_from_tangents(v):
     return lz.EmbeddingGrid.from_tangent(np.asarray(v, dtype=float))
+
+
+def angle_uncertainty(grid, anchors):
+    """The angle uncertainty over a list of LorentzPoint anchors."""
+    return unc.angle_uncertainty(grid, np.stack([a.spatial for a in anchors]),
+                                 np.array([a.time for a in anchors]))
 
 
 class TestRadiusUncertainty:
@@ -26,16 +37,16 @@ class TestRadiusUncertainty:
     def test_ranking_identical_across_formulations(self):
         rng = np.random.default_rng(100)
         grid = grid_from_tangents(rng.normal(size=(8, 9, 4)))
-        v1, v2, v3 = unc.radius_uncertainty_variants(grid)
-        r1 = unc.ranking_signature(v1)
-        r2 = unc.ranking_signature(v2)
-        r3 = unc.ranking_signature(v3)
+        v1, v2, v3 = radius_uncertainty_variants(grid)
+        r1 = ranking_signature(v1)
+        r2 = ranking_signature(v2)
+        r3 = ranking_signature(v3)
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(r1, r3)
 
     def test_ranking_signature_is_dense(self):
         # ties share a rank and the ranks leave no gaps
-        np.testing.assert_array_equal(unc.ranking_signature(np.array([[3.0, 3.0], [5.0, 1.0]])),
+        np.testing.assert_array_equal(ranking_signature(np.array([[3.0, 3.0], [5.0, 1.0]])),
                                       [1, 1, 2, 0])
 
     def test_lower_radius_means_higher_uncertainty(self):
@@ -49,7 +60,7 @@ class TestAngleUncertainty:
         rng = np.random.default_rng(101)
         grid = grid_from_tangents(rng.normal(size=(3, 4, 3)))
         anchor = lz.exp_lift_origin([1.0, 0.2, -0.3])
-        m = unc.angle_uncertainty(grid, [anchor])
+        m = angle_uncertainty(grid, [anchor])
         for r in range(3):
             for c in range(4):
                 expected = ent.exterior_angle(anchor, grid.point(r, c))
@@ -59,22 +70,22 @@ class TestAngleUncertainty:
         u = np.array([0.8, 0.6, 0.0])
         grid = grid_from_tangents(np.array([[2.5 * u, 3.0 * u]]))
         anchor = lz.exp_lift_origin(u)
-        m = unc.angle_uncertainty(grid, [anchor])
+        m = angle_uncertainty(grid, [anchor])
         np.testing.assert_allclose(m.values, 0.0, atol=1e-6)
 
     def test_min_over_anchors(self):
         rng = np.random.default_rng(102)
         grid = grid_from_tangents(rng.normal(size=(4, 4, 3)))
         anchors = [lz.exp_lift_origin(rng.normal(size=3)) for _ in range(3)]
-        m = unc.angle_uncertainty(grid, anchors)
-        singles = np.stack([unc.angle_uncertainty(grid, [a]).values for a in anchors])
+        m = angle_uncertainty(grid, anchors)
+        singles = np.stack([angle_uncertainty(grid, [a]).values for a in anchors])
         np.testing.assert_allclose(m.values, singles.min(axis=0), atol=1e-12)
         assert m.vmin >= 0.0 and m.vmax <= np.pi
 
     def test_origin_anchor_rejected(self):
         grid = grid_from_tangents(np.zeros((2, 2, 2)))
         with pytest.raises(UsageError):
-            unc.angle_uncertainty(grid, [lz.origin(2)])
+            angle_uncertainty(grid, [lz.origin(2)])
 
 
 class TestClassConfidence:
@@ -147,14 +158,14 @@ class TestLabelBoundaryMask:
     def test_vertical_split(self):
         labels = np.zeros((4, 6), dtype=int)
         labels[:, 3:] = 1
-        edge = unc.label_boundary_mask(labels)
+        edge = label_boundary_mask(labels)
         assert np.all(edge[:, 2:4])
         assert not edge[:, 0].any() and not edge[:, 5].any()
 
     def test_marks_exactly_the_pixels_beside_a_change(self):
         rng = np.random.default_rng(105)
         labels = rng.integers(0, 3, size=(7, 9))
-        edge = unc.label_boundary_mask(labels)
+        edge = label_boundary_mask(labels)
         for r in range(7):
             for c in range(9):
                 neighbors = [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -173,9 +184,9 @@ class TestReferenceRunStatistics:
 
     def test_ranking_identity_on_reference_run(self, reference_runs):
         grid = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
-        v1, v2, v3 = unc.radius_uncertainty_variants(grid)
-        np.testing.assert_array_equal(unc.ranking_signature(v1), unc.ranking_signature(v2))
-        np.testing.assert_array_equal(unc.ranking_signature(v1), unc.ranking_signature(v3))
+        v1, v2, v3 = radius_uncertainty_variants(grid)
+        np.testing.assert_array_equal(ranking_signature(v1), ranking_signature(v2))
+        np.testing.assert_array_equal(ranking_signature(v1), ranking_signature(v3))
 
     def test_zero_encoder_gives_constant_maps(self, clean_scene):
         params = st.init_encoder(16, 8, 4, seed=0)
@@ -185,5 +196,5 @@ class TestReferenceRunStatistics:
         ru = unc.radius_uncertainty(grid)
         assert ru.vmin == ru.vmax
         anchors = [lz.exp_lift_origin(np.array([1.0, 0, 0, 0.0]))]
-        au = unc.angle_uncertainty(grid, anchors)
+        au = angle_uncertainty(grid, anchors)
         assert au.vmin == au.vmax
