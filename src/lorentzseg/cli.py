@@ -106,8 +106,7 @@ def load_model(prefix):
             raise ParseError(f"{prefix}.json: unknown head {head!r}")
         scene_cfg = st.SceneConfig(**extras["scene"])
         train_cfg = st.TrainConfig(**extras["train"])
-        exclude = extras.get("exclude_class")
-        scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, exclude)
+        scene, bank = _scene_and_bank(scene_cfg, train_cfg.embed_dim, extras.get("exclude_class"))
         # the training's block order, in which losscape draws its directions
         shapes = {"w1": (train_cfg.hidden, scene_cfg.descriptor_dim), "b1": (train_cfg.hidden,),
                   "w2": (bank.d, train_cfg.hidden), "b2": (bank.d,), "alpha": (1,)}
@@ -127,18 +126,15 @@ def load_model(prefix):
         protos = None if head == "euclid" else st.build_prototypes(bank, train_cfg.K)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"{prefix}.json: malformed model descriptor ({exc!r})") from exc
-    return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, exclude, head_cfg)
+    return scene, st.TrainResult(head, params, protos, bank, {}, train_cfg, head_cfg)
 
 
 def _scene_and_bank(scene_cfg, embed_dim, exclude_class):
     """A scene of at most 256 classes (its label maps are 8-bit) and the
-    descriptor bank fit on it without the held-out class, which must be one
-    of the scene's classes."""
+    descriptor bank fit on it without ``exclude_class``, unless that is
+    None; the bank refuses a class the scene does not have."""
     if scene_cfg.n_classes > 256:
         raise UsageError(f"{scene_cfg.n_classes} classes exceed the 256 of an 8-bit label map")
-    if exclude_class is not None and (type(exclude_class) is not int
-                                      or not 0 <= exclude_class < scene_cfg.n_classes):
-        raise UsageError(f"exclude_class {exclude_class!r} is not a class of the scene")
     scene = st.generate_scene(scene_cfg)
     exclude = () if exclude_class is None else (exclude_class,)
     return scene, st.DescriptorBank.fit(scene, d=embed_dim, exclude=exclude)
@@ -249,8 +245,9 @@ def cmd_gradfield(args):
 
 def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
     """The label map of a trained head on ``scene`` and its metrics: the
-    mIoU, unless a class was held out, and for the pixel head the share of
-    pixels where the distance and angle predictions agree."""
+    mIoU, if the bank holds every class of the scene, and for the pixel
+    head the share of pixels where the distance and angle predictions
+    agree."""
     metrics = {}
     if res.head == "pixel":
         pred_d = st.infer_distance(res.params, res.protos, scene)
@@ -261,7 +258,7 @@ def _predict(res: st.TrainResult, scene: st.SyntheticScene, mode: str):
         picked, mode = st.infer_euclidean(res.params, res.bank, scene), "euclid"
     else:
         picked, mode = mh.predict_semantic(res, scene), "semantic"
-    if res.exclude_class is None:
+    if len(res.bank.included) == scene.n_classes:
         metrics[f"miou_{mode}"] = st.miou(picked, scene.labels, scene.n_classes)
     return picked, metrics
 
@@ -292,7 +289,7 @@ def cmd_train(args):
             if args.head == "mask":
                 res = mh.train_maskhead(scene, bank, head_cfg, train_cfg)
             else:
-                res = st.train(scene, bank, train_cfg, args.exclude_class, args.head)
+                res = st.train(scene, bank, train_cfg, args.head)
     except TrainingDivergedError as exc:
         # exit 1 with one stderr line; as nothing was written yet, the
         # manifest records the failing step and no outputs
@@ -365,7 +362,7 @@ def cmd_losscape(args):
     scene, res = load_model(args.model)
     if res.head == "mask":
         raise UsageError("loss landscape supports the pixel and euclid heads")
-    objective = st.PixelObjective.build(scene, res.bank, res.config, res.exclude_class, res.head)
+    objective = st.PixelObjective.build(scene, res.bank, res.config, res.head)
 
     rng = np.random.default_rng(args.directions_seed)
     base = res.params

@@ -41,7 +41,6 @@ from .lorentz import (
     geodesic_distance,
     inner_to_anchors,
     lorentz_inner,
-    manifold_check,
 )
 
 _DEGENERATE_TOL = 1e-12
@@ -49,11 +48,12 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """C class anchors on one hyperboloid, with their class labels and the
-    cone constant K.  The stacked ``spatial`` (C, d) and ``time`` (C,) of
-    the anchors, their ``spatial_norms`` and each anchor's half-aperture
-    ``apertures``, asin(2K/||x'||), are computed once here; an anchor with
-    ||x'|| <= 2K, the origin included, raises UsageError."""
+    """C class anchors, LorentzPoints on one hyperboloid (which check their
+    own membership), with their class labels and the cone constant K.  The
+    stacked ``spatial`` (C, d) and ``time`` (C,) of the anchors, their
+    ``spatial_norms`` and each anchor's half-aperture ``apertures``,
+    asin(2K/||x'||), are computed once here; an anchor with ||x'|| <= 2K,
+    the origin included, raises UsageError."""
 
     anchors: tuple
     labels: tuple
@@ -67,9 +67,6 @@ class PrototypeSet:
             raise UsageError("anchors and labels differ in length")
         object.__setattr__(self, "anchors", tuple(self.anchors))
         object.__setattr__(self, "labels", tuple(self.labels))
-        for a in self.anchors:
-            if not manifold_check(a, 1e-8):
-                raise DomainError("anchor fails the manifold check")
         object.__setattr__(self, "spatial", np.stack([a.spatial for a in self.anchors]))
         object.__setattr__(self, "time", np.array([a.time for a in self.anchors]))
         norms = np.linalg.norm(self.spatial, axis=1)

@@ -352,7 +352,7 @@ def train_maskhead(scene: SyntheticScene, bank: DescriptorBank, head_cfg: MaskHe
     loss = partial(_mask_loss, protos=protos, head_cfg=head_cfg, cols=cols, masks=masks)
     flat = scene.features.reshape(-1, scene.features.shape[-1])
     params, trace = _descend(loss, flat, train_cfg, bank.d, queries)
-    return TrainResult("mask", params, protos, bank, trace, train_cfg, None, head_cfg)
+    return TrainResult("mask", params, protos, bank, trace, train_cfg, head_cfg)
 
 
 def predict_semantic(result: TrainResult, scene: SyntheticScene) -> LabelMap:

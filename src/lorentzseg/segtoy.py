@@ -229,11 +229,12 @@ class DescriptorBank:
 
     ``reduced`` rows already carry the prototype scaling (divided by the
     mean row norm, so rows have unit tangent norm on average);
-    ``included`` lists the class ids the PCA was fit on, which is how
-    held-out classes stay out of both the projection and the prototype
-    set; ``d`` is the effective PCA rank and ``names`` the included
-    classes' names.  No command projects a new query, so the bank keeps
-    neither the projection nor the raw descriptors; the retrieval
+    ``included`` lists the class ids the PCA was fit on.  The bank alone
+    decides which classes a run holds out: a class missing from
+    ``included`` stays out of the projection, the prototype set and the
+    training loss.  ``d`` is the effective PCA rank and ``names`` the
+    included classes' names.  No command projects a new query, so the bank
+    keeps neither the projection nor the raw descriptors; the retrieval
     statistics of tests/reference_runs.py refit the PCA for their queries.
     """
 
@@ -244,7 +245,12 @@ class DescriptorBank:
 
     @classmethod
     def fit(cls, scene: SyntheticScene, d: int, exclude: tuple = ()) -> "DescriptorBank":
+        """The bank of ``scene``'s classes but those in ``exclude``, each of
+        which must be an int class id of the scene."""
         raw = scene.class_descriptors
+        for c in exclude:
+            if type(c) is not int or not 0 <= c < scene.n_classes:
+                raise UsageError(f"exclude_class {c!r} is not a class of the scene")
         included = tuple(i for i in range(raw.shape[0]) if i not in set(exclude))
         if len(included) < 2:
             raise UsageError("need at least 2 included classes")
@@ -346,7 +352,8 @@ class TrainResult:
     no prototypes) or "mask" (the only one with query blocks and a head
     config).  ``params`` maps each block name to its float64 array: the
     encoder's w1, b1, w2, b2 and alpha (shape (1,)), and the mask head's
-    class_tangents, mask_tangents and no_object_bias (shape (1,))."""
+    class_tangents, mask_tangents and no_object_bias (shape (1,)).  The
+    classes the run held out are those missing from ``bank.included``."""
 
     head: str
     params: dict
@@ -354,7 +361,6 @@ class TrainResult:
     bank: DescriptorBank
     trace: dict  # "epoch" + one array per loss term, last = post-training eval; {} if loaded
     config: TrainConfig
-    exclude_class: int | None = None
     head_cfg: MaskHeadConfig | None = None
 
     @property
@@ -435,10 +441,10 @@ class PixelObjective:
     any tangent vectors.
 
     ``labels_idx`` holds each pixel's column among the bank's included
-    classes; pixels of a held-out class map to column 0 and are left out
-    by ``use_mask``.  The pixel head scores against the lifted prototypes
-    and their cone apertures; the euclid head (``protos`` None) against the
-    bank's reduced rows.
+    classes; pixels of a class the bank holds out map to column 0 and are
+    left out by ``use_mask``.  The pixel head scores against the lifted
+    prototypes and their cone apertures; the euclid head (``protos`` None)
+    against the bank's reduced rows.
 
     Construction also derives the per-pixel constants of every epoch:
     ``n_used``, the used-pixel count; ``weights``, each pixel's share of the
@@ -455,17 +461,18 @@ class PixelObjective:
     cfg: TrainConfig
 
     @classmethod
-    def build(cls, scene, bank, cfg, exclude_class=None, head="pixel") -> "PixelObjective":
+    def build(cls, scene, bank, cfg, head="pixel") -> "PixelObjective":
+        """The objective of ``head`` on ``scene``, which uses the pixels of
+        the classes in ``bank.included`` and no others."""
         labels_flat = scene.labels.reshape(-1)
         column = np.zeros(scene.n_classes, dtype=np.int64)
         column[list(bank.included)] = np.arange(len(bank.included))
-        use_mask = np.ones(labels_flat.size, dtype=bool)
-        if exclude_class is not None:
-            use_mask = labels_flat != exclude_class
+        included = np.zeros(scene.n_classes, dtype=bool)
+        included[list(bank.included)] = True
         protos = build_prototypes(bank, cfg.K) if head == "pixel" else None
         return cls(
             flat=scene.features.reshape(-1, scene.features.shape[-1]),
-            labels_idx=column[labels_flat], use_mask=use_mask, rows=bank.reduced,
+            labels_idx=column[labels_flat], use_mask=included[labels_flat], rows=bank.reduced,
             protos=protos, cfg=cfg,
         )
 
@@ -537,17 +544,15 @@ def _euclid_loss_and_grad(v: np.ndarray, obj: PixelObjective, want_grad: bool):
 
 
 def train(scene: SyntheticScene, bank: DescriptorBank, cfg: TrainConfig,
-          exclude_class: int | None = None, head: str = "pixel") -> TrainResult:
+          head: str = "pixel") -> TrainResult:
     """Train the per-pixel ``head`` in ``_descend``, the loop every head
     shares: "pixel" (cross-entropy over -distance/tau logits plus the cone
     hinge) or "euclid" (the same pipeline with Euclidean prototype
-    distances: no lift, no cone, cross-entropy only).  Pixels of
-    ``exclude_class``, which the bank must be fit without, are left out."""
-    if exclude_class is not None and exclude_class in bank.included:
-        raise UsageError("bank must be fit with the held-out class excluded")
-    obj = PixelObjective.build(scene, bank, cfg, exclude_class, head)
+    distances: no lift, no cone, cross-entropy only).  Pixels of a class
+    the bank holds out are left out."""
+    obj = PixelObjective.build(scene, bank, cfg, head)
     params, trace = _descend(obj.loss, obj.flat, cfg, bank.d, {})
-    return TrainResult(head, params, obj.protos, bank, trace, cfg, exclude_class)
+    return TrainResult(head, params, obj.protos, bank, trace, cfg)
 
 
 def evaluate_loss(params: dict, objective: PixelObjective) -> float:

@@ -36,19 +36,18 @@ from lorentzseg.segtoy import SceneConfig, TrainConfig
 
 @dataclass(frozen=True)
 class Run:
-    """One reference run: its scene, the classes its bank is fit without,
-    its head ("pixel", "euclid" or "mask"), the mask head's config, its
-    train config and the class whose pixels its training leaves out."""
+    """One reference run: its scene, the classes its bank is fit without
+    (which its training leaves out too), its head ("pixel", "euclid" or
+    "mask"), the mask head's config and its train config."""
 
     scene: SceneConfig
     exclude: tuple = ()
     head: str = "pixel"
     head_cfg: MaskHeadConfig | None = None
     train: TrainConfig = rp.REFERENCE_TRAIN
-    exclude_class: int | None = None
 
 
-_HELDOUT = {"exclude": (rp.HELDOUT_CLASS,), "exclude_class": rp.HELDOUT_CLASS}
+_HELDOUT = {"exclude": (rp.HELDOUT_CLASS,)}
 _MASK = {"head": "mask", "train": rp.REFERENCE_MASK_TRAIN}
 
 # runs of one scene config and one exclusion tuple share a scene and a bank:
@@ -96,7 +95,7 @@ class ReferenceRuns:
     def bank(self, name):
         run = RUNS[name]
         return self._once((run.scene, run.exclude), lambda: st.DescriptorBank.fit(
-            self.scene(name), rp.EMBED_DIM, exclude=run.exclude))
+            self.scene(name), rp.REFERENCE_TRAIN.embed_dim, exclude=run.exclude))
 
     def __getitem__(self, name):
         if name not in self._runs:
@@ -106,7 +105,7 @@ class ReferenceRuns:
             if run.head == "mask":
                 result = mh.train_maskhead(scene, bank, run.head_cfg, run.train)
             else:
-                result = st.train(scene, bank, run.train, run.exclude_class, run.head)
+                result = st.train(scene, bank, run.train, run.head)
             self.seconds[name] = time.perf_counter() - started
             self._runs[name] = result
             self._bytes[name] = _parameter_bytes(result)

@@ -36,6 +36,11 @@ SMALL_TRAIN = [
     "--epochs", "200", "--embed-dim", "8",
 ]
 
+# a bank of SMALL_TRAIN's scene fit without one class is one rank short, and
+# the CLI prints that warning as a stderr line: a test that trains such a
+# run lets this one warning through, which pyproject.toml otherwise makes an error
+HELD_OUT_WARNING = pytest.mark.filterwarnings("default:rank deficiency:UserWarning:lorentzseg")
+
 
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):
@@ -424,6 +429,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("io error:") and "272 classes" in err[0]
 
+    @HELD_OUT_WARNING
     def test_warning_prints_as_one_line(self, tmp_path, capsys):
         assert run(["train", *SMALL_TRAIN, "--epochs", "2", "--exclude-class", "4",
                     "--out-dir", str(tmp_path / "o")]) == 0
@@ -505,7 +511,8 @@ class TestModelLoading:
 
     def test_loaded_record_is_the_trained_head(self, trained_dir):
         scene, res = load_model(str(trained_dir / "pix" / "model"))
-        assert (res.head, res.trace, res.exclude_class, res.head_cfg) == ("pixel", {}, None, None)
+        assert (res.head, res.trace, res.head_cfg) == ("pixel", {}, None)
+        assert res.bank.included == tuple(range(scene.n_classes))
         assert tuple(res.params) == ("w1", "b1", "w2", "b2", "alpha")
         assert scene.shape == (16, 16) and res.bank.d == res.config.embed_dim == 8
         pred = st.infer_distance(res.params, res.protos, scene)
@@ -806,8 +813,10 @@ class TestCliContract:
     """One flag of a command set to a value of a fixed pool: the run keeps
     the exit-code contract of the CLI."""
 
-    @pytest.mark.parametrize("case", CONTRACT_CASES,
-                             ids=[f"{name}{flag}={value}" for name, flag, value in CONTRACT_CASES])
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, id=f"{case[0]}{case[1]}={case[2]}",
+                     marks=HELD_OUT_WARNING if case[1] == "--exclude-class" else ())
+        for case in CONTRACT_CASES])
     def test_any_flag_value_keeps_exit_contract(self, trained_dir, mask_k_dir, contract_dir, case):
         name, flag, value = case
         paths = {"pix": trained_dir / "pix" / "model", "mask": mask_k_dir / "model",

@@ -279,6 +279,12 @@ class TestPrototypeSet:
         with pytest.raises(UsageError):
             make_protos([[1.0, 0.0], [0.1, 0.0]], K=0.1)
 
+    def test_far_anchor_on_the_manifold_is_accepted(self):
+        # geodesic radius 10: |<a,a>_L + 1| is round-off of order x0^2 * eps,
+        # which LorentzPoint's scaled tolerance admits and an unscaled 1e-8 does not
+        protos = make_protos([[6.0, 8.0, 0.0]])
+        assert protos.spatial_norms[0] == pytest.approx(math.sinh(10.0), rel=1e-12)
+
     def test_apertures_match_scalar_half_aperture(self):
         rng = np.random.default_rng(51)
         anchors = tuple(lz.exp_lift_origin(v) for v in rng.normal(size=(5, 3)) + 1.0)

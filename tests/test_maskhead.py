@@ -14,11 +14,7 @@ from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.errors import UsageError
-from lorentzseg.reference import (
-    EMBED_DIM,
-    REFERENCE_MASK_HEAD,
-    REFERENCE_MASK_TRAIN,
-)
+from lorentzseg.reference import REFERENCE_MASK_HEAD, REFERENCE_MASK_TRAIN, REFERENCE_TRAIN
 
 import reference_values as ref
 from reference_runs import STATISTICS
@@ -367,8 +363,9 @@ class TestPairBackward:
 
     def pairs(self, n_anchors):
         rng = np.random.default_rng(5)
-        pt, psp, _ = lz.batched_exp_lift(rng.normal(size=(self.P, EMBED_DIM)) * 1.2)
-        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(n_anchors, EMBED_DIM)) * 1.2)
+        d = REFERENCE_TRAIN.embed_dim
+        pt, psp, _ = lz.batched_exp_lift(rng.normal(size=(self.P, d)) * 1.2)
+        at, asp, _ = lz.batched_exp_lift(rng.normal(size=(n_anchors, d)) * 1.2)
         psp[3], pt[3] = asp[0], at[0]  # a point on anchor 0
         inner = lz.inner_to_anchors(psp, pt, asp, at)
         assert inner[3, 0] ** 2 - 1.0 < gr._FLOOR  # its den is the floor's

@@ -12,7 +12,7 @@ from lorentzseg import lorentz as lz
 from lorentzseg import maskhead as mh
 from lorentzseg import segtoy as st
 from lorentzseg.errors import TrainingDivergedError, UsageError
-from lorentzseg.reference import EMBED_DIM
+from lorentzseg.reference import HELDOUT_CLASS, REFERENCE_TRAIN
 
 import reference_values as ref
 from reference_runs import STATISTICS, label_boundary_mask, recall_at_budget, text_query
@@ -159,9 +159,18 @@ class TestPcaReduce:
             assert p1[nz[0], j] > 0
 
 
+class TestDescriptorBank:
+    @pytest.mark.parametrize("entry", [99, -1, True, 1.0], ids=["99", "-1", "True", "1.0"])
+    def test_exclude_must_name_a_class_of_the_scene(self, entry):
+        # an entry that is not an int class id would otherwise hold out
+        # nothing (99, -1) or class 1 (True, 1.0) without a word
+        with pytest.raises(UsageError, match=rf"exclude_class {entry!r} is not a class of the scene"):
+            st.DescriptorBank.fit(st.generate_scene(SMALL), d=2, exclude=(entry,))
+
+
 class TestBuildPrototypes:
     def test_unit_rows_sit_at_radius_one(self, clean_scene):
-        bank = st.DescriptorBank.fit(clean_scene, EMBED_DIM)
+        bank = st.DescriptorBank.fit(clean_scene, REFERENCE_TRAIN.embed_dim)
         # force exactly unit rows through the recipe: rows already share
         # the mean-norm scaling, so rescale to unit norm individually
         rows = bank.reduced / np.linalg.norm(bank.reduced, axis=1, keepdims=True)
@@ -266,7 +275,7 @@ class TestTrain:
 
     def test_lambda_weight_shrinks_entailment_term(self):
         scene = st.generate_scene(st.SceneConfig(height=32, width=32))
-        bank = st.DescriptorBank.fit(scene, EMBED_DIM)
+        bank = st.DescriptorBank.fit(scene, REFERENCE_TRAIN.embed_dim)
         res0 = st.train(scene, bank, st.TrainConfig(epochs=150, lr=0.5, lambda_w=0.0))
         res5 = st.train(scene, bank, st.TrainConfig(epochs=150, lr=0.5, lambda_w=0.5))
         assert res0.trace["total"][-1] < res0.trace["total"][0]
@@ -286,7 +295,7 @@ class TestTrain:
 
     def test_deterministic_per_seed(self):
         scene = st.generate_scene(st.SceneConfig(height=24, width=24, noise_sigma=0.1))
-        bank = st.DescriptorBank.fit(scene, EMBED_DIM)
+        bank = st.DescriptorBank.fit(scene, REFERENCE_TRAIN.embed_dim)
         cfg = st.TrainConfig(epochs=40, lr=0.5)
         a = st.train(scene, bank, cfg)
         b = st.train(scene, bank, cfg)
@@ -314,7 +323,7 @@ class TestPixelObjectiveGradient:
         exclude = () if held_out is None else (held_out,)
         bank = st.DescriptorBank.fit(scene, d=3 - len(exclude), exclude=exclude)
         cfg = st.TrainConfig(embed_dim=bank.d)
-        obj = st.PixelObjective.build(scene, bank, cfg, exclude_class=held_out, head=head)
+        obj = st.PixelObjective.build(scene, bank, cfg, head=head)
         params = st._start_encoder(obj.flat, cfg, bank.d)
         _, u = st._encoder_parts(params, obj.flat)
         v = params["alpha"] * u
@@ -405,7 +414,7 @@ class TestPixelObjectiveOracle:
         # three included classes span a 2-d PCA
         bank = st.DescriptorBank.fit(scene, d=2, exclude=(1,))
         cfg = st.TrainConfig(embed_dim=bank.d)
-        obj = st.PixelObjective.build(scene, bank, cfg, exclude_class=1)
+        obj = st.PixelObjective.build(scene, bank, cfg)
         rng = np.random.default_rng(131)
         v = rng.normal(size=(obj.flat.shape[0], bank.d)) * 2.0
         v[::5] *= 9.0
@@ -547,10 +556,15 @@ class TestRetrieval:
 
 
 class TestHeldOut:
-    def test_holdout_requires_matching_bank(self, reference_runs):
-        scene, bank = reference_runs.scene("noisy"), reference_runs.bank("noisy")
-        with pytest.raises(UsageError):
-            st.train(scene, bank, st.TrainConfig(epochs=1), exclude_class=4)
+    def test_held_out_bank_alone_leaves_its_pixels_out(self, reference_runs):
+        scene, bank = reference_runs.scene("heldout-hyp"), reference_runs.bank("heldout-hyp")
+        held = scene.labels.reshape(-1) == HELDOUT_CLASS
+        assert HELDOUT_CLASS not in bank.included and held.any()
+        for head in ("pixel", "euclid"):
+            obj = st.PixelObjective.build(scene, bank, REFERENCE_TRAIN, head)
+            np.testing.assert_array_equal(obj.use_mask, ~held)
+            assert obj.n_used == np.count_nonzero(~held)
+            assert np.all(obj.weights[held] == 0.0)
 
     def test_hyperbolic_beats_euclidean(self, reference_runs):
         r_h = STATISTICS["HELDOUT_RECALL_HYP"](reference_runs)
