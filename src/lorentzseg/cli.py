@@ -17,10 +17,12 @@ every output byte for byte (the manifest itself carries the wall clock).
 
 Exit codes: 0 success, 1 failed numerical check or diverged training
 run (a non-finite loss at any step, the post-training evaluation
-included; the manifest records that step and no outputs), 2 usage error,
-3 IO/parse error.  A bad flag, argparse's own errors included, is a
-``UsageError`` raised before any file is made, which ``main`` prints as
-one line; the domain of a grid flag is what the grid's rows can hold.
+included; the manifest records that step and no outputs) or a warning
+that the caller's filter turned into an error (one stderr line, no
+manifest), 2 usage error, 3 IO/parse error.  A bad flag, argparse's own
+errors included, is a ``UsageError`` raised before any file is made,
+which ``main`` prints as one line; the domain of a grid flag is what the
+grid's rows can hold, and ``infer --mode angle`` needs the pixel head.
 """
 
 from __future__ import annotations
@@ -313,6 +315,8 @@ def cmd_train(args):
 
 def cmd_infer(args):
     scene, res = load_model(args.model)
+    if args.mode == "angle" and res.head != "pixel":
+        raise UsageError(f"--mode angle needs a pixel model, not a {res.head} model")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     picked, metrics = _predict(res, scene, args.mode)
@@ -330,21 +334,21 @@ def cmd_uncertainty(args):
     scene, res = load_model(args.model)
     if not 0 <= args.class_id < scene.n_classes:
         raise UsageError(f"--class-id {args.class_id} is not a class of the scene")
-    grid = st.embed_scene(res.params, scene)
+    sp, t = st.embed_scene(res.params, scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ru = unc.radius_uncertainty(grid)
+    ru = unc.radius_uncertainty(t)
     export_scalar_map(out_dir / "radius_uncertainty", ru)
     if res.head == "mask":
-        au = mh.mask_angle_uncertainty(grid, res.params)
+        au = mh.mask_angle_uncertainty(sp, t, res.params)
     else:
         # the euclid head is scored against the prototypes its bank would lift to
         protos = res.protos or st.build_prototypes(res.bank, res.config.K)
-        au = unc.angle_uncertainty(grid, protos.spatial, protos.time)
+        au = unc.angle_uncertainty(sp, t, protos.spatial, protos.time)
     export_scalar_map(out_dir / "angle_uncertainty", au)
     bm = unc.boundary_map(au, args.percentile)
     export_scalar_map(out_dir / "boundary", bm, {"percentile": args.percentile})
-    conf = unc.class_confidence(grid, scene.labels == args.class_id)
+    conf = unc.class_confidence(sp, t, scene.labels == args.class_id)
     export_scalar_map(out_dir / f"confidence_class{args.class_id}", conf,
                       {"class_id": args.class_id})
     print(f"wrote uncertainty maps to {out_dir}")
@@ -514,6 +518,9 @@ def main(argv=None) -> int:
         except (ParseError, OSError) as exc:
             print(f"io error: {exc}", file=sys.stderr)
             return 3
+        except Warning as exc:  # the caller's warning filter made it an error
+            print(f"warning raised as error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ class PrototypeSet:
         arg = 2.0 * self.K / norms
         object.__setattr__(self, "apertures", np.arcsin(np.minimum(arg, 1.0)))
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.anchors)
-
 
 def _check_cone_constant(K: float):
     if not (K > 0 and math.isfinite(K)):

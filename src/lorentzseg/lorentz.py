@@ -14,8 +14,10 @@ apertures, delta_rel) is unchanged.
 
 Two layers are provided.  The scalar layer works on immutable
 ``LorentzPoint`` / ``TangentVector`` values and enforces contracts
-loudly.  The array layer (functions taking plain ndarrays, plus
-``EmbeddingGrid``) serves grid-sized workloads.  Its kernels accept
+loudly.  The array layer (functions taking plain ndarrays) serves
+grid-sized workloads: a lifted field is the pair of arrays one
+``batched_exp_lift`` returns, spatial parts (..., d) and times (...,),
+which every kernel takes in the order (spatial, time).  Its kernels accept
 caller-supplied precomputed time components and spatial norms so hot
 loops avoid redundant square roots, and they absorb round-off by
 clamping instead of raising.  The array lift also returns the terms it
@@ -399,45 +401,3 @@ def pairwise_euclidean_distances(points: np.ndarray) -> np.ndarray:
     d = np.sqrt(np.maximum(d2, 0.0))
     np.fill_diagonal(d, 0.0)
     return d
-
-
-@dataclass(frozen=True)
-class EmbeddingGrid:
-    """H x W field of hyperboloid points with cached time components."""
-
-    spatial: np.ndarray  # (H, W, d)
-    time: np.ndarray  # (H, W)
-
-    def __post_init__(self):
-        spatial = np.asarray(self.spatial, dtype=np.float64)
-        time = np.asarray(self.time, dtype=np.float64)
-        if spatial.ndim != 3 or time.shape != spatial.shape[:2]:
-            raise UsageError(
-                f"grid shapes inconsistent: spatial {spatial.shape}, time {time.shape}"
-            )
-        object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "time", time)
-
-    @classmethod
-    def from_tangent(cls, v: np.ndarray) -> "EmbeddingGrid":
-        time, spatial, _ = batched_exp_lift(v)
-        return cls(spatial, time)
-
-    @property
-    def shape(self):
-        return self.time.shape
-
-    @property
-    def dim(self) -> int:
-        return self.spatial.shape[-1]
-
-    @property
-    def spatial_norms(self) -> np.ndarray:
-        return np.sqrt(spatial_sq_norms(self.spatial))
-
-    def flat(self):
-        h, w = self.shape
-        return self.spatial.reshape(h * w, self.dim), self.time.reshape(h * w)
-
-    def point(self, row: int, col: int) -> LorentzPoint:
-        return LorentzPoint(float(self.time[row, col]), self.spatial[row, col])

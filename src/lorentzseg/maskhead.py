@@ -13,7 +13,8 @@ score pixel embeddings against each mask query (sample-to-sample),
 
 with a sigmoid downstream; the published shifts put the cone boundary
 (b_a = 0.17, the unit-radius aperture) and the b_d = 1 distance shell at
-logit zero.  The head's parameters are three blocks of the model's dict:
+logit zero.  The pixels enter as the two arrays of one lift, (spatial,
+time).  The head's parameters are three blocks of the model's dict:
 class_tangents and mask_tangents (N, d) and no_object_bias (1,).
 Training runs in the loop every head shares (``segtoy._descend``), which
 steps every block from the gradients ``_mask_loss`` returns.  Each step
@@ -55,7 +56,6 @@ from .entailment import (
 )
 from .errors import UsageError
 from .lorentz import (
-    EmbeddingGrid,
     batched_exp_lift,
     distances_from_inner,
     inner_to_anchors,
@@ -129,14 +129,13 @@ def class_query_logits(protos: PrototypeSet, params: dict) -> np.ndarray:
     return _class_logits(qsp, qt, protos)[0]
 
 
-def mask_query_logits(params: dict, grid: EmbeddingGrid, cfg: MaskHeadConfig) -> np.ndarray:
+def mask_query_logits(params: dict, spatial: np.ndarray, time: np.ndarray,
+                      cfg: MaskHeadConfig) -> np.ndarray:
     """(N, H, W) mask logits m^d + m^a of the lifted mask queries of
-    ``params`` before the sigmoid."""
+    ``params`` at the lifted pixels (spatial, time), before the sigmoid."""
     mt, msp, _ = batched_exp_lift(params["mask_tangents"])
-    sp, t = grid.flat()
-    logits, _ = _mask_logits(sp, t, msp, mt, cfg)
-    h, w = grid.shape
-    return logits.T.reshape(-1, h, w)
+    logits, _ = _mask_logits(spatial.reshape(time.size, -1), time.reshape(-1), msp, mt, cfg)
+    return logits.T.reshape(-1, *time.shape)
 
 
 def hungarian_match(cost: np.ndarray) -> np.ndarray:
@@ -186,10 +185,11 @@ def semantic_map(class_probs: np.ndarray, mask_probs: np.ndarray, legend=None) -
     return LabelMap(values, dict(legend or {}))
 
 
-def mask_angle_uncertainty(grid: EmbeddingGrid, params: dict) -> ScalarMap:
-    """Minimum exterior angle against the lifted mask queries of ``params``."""
+def mask_angle_uncertainty(spatial: np.ndarray, time: np.ndarray, params: dict) -> ScalarMap:
+    """Minimum exterior angle of the lifted pixels (spatial, time) against
+    the lifted mask queries of ``params``."""
     mt, msp, _ = batched_exp_lift(params["mask_tangents"])
-    return angle_uncertainty(grid, msp, mt)
+    return angle_uncertainty(spatial, time, msp, mt)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .entailment import (
 )
 from .errors import TrainingDivergedError, UsageError
 from .lorentz import (
-    EmbeddingGrid,
     batched_exp_lift,
     distances_from_inner,
     exp_lift_origin,
@@ -310,8 +309,10 @@ def encoder_forward(params: dict, features: np.ndarray) -> np.ndarray:
     return (params["alpha"] * u).reshape(h, w, -1)
 
 
-def embed_scene(params: dict, scene: SyntheticScene) -> EmbeddingGrid:
-    return EmbeddingGrid.from_tangent(encoder_forward(params, scene.features))
+def embed_scene(params: dict, scene: SyntheticScene):
+    """The lifted pixels of ``scene``: spatial parts (H, W, d) and times (H, W)."""
+    time, spatial, _ = batched_exp_lift(encoder_forward(params, scene.features))
+    return spatial, time
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +464,10 @@ class PixelObjective:
     @classmethod
     def build(cls, scene, bank, cfg, head="pixel") -> "PixelObjective":
         """The objective of ``head`` on ``scene``, which uses the pixels of
-        the classes in ``bank.included`` and no others."""
+        the classes in ``bank.included`` and no others; ``head`` is "pixel"
+        or "euclid"."""
+        if head not in ("pixel", "euclid"):
+            raise UsageError(f"no per-pixel head {head!r}; the heads are pixel and euclid")
         labels_flat = scene.labels.reshape(-1)
         column = np.zeros(scene.n_classes, dtype=np.int64)
         column[list(bank.included)] = np.arange(len(bank.included))
@@ -581,20 +585,17 @@ class LabelMap:
 def infer_distance(params: dict, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
     """Per-pixel argmin geodesic distance over prototypes; ties break to
     the lowest class index."""
-    grid = embed_scene(params, scene)
-    sp, t = grid.flat()
-    inner = inner_to_anchors(sp, t, protos.spatial, protos.time)
-    d = distances_from_inner(inner)
-    values = d.argmin(axis=1).reshape(grid.shape)
+    sp, t = embed_scene(params, scene)
+    inner = inner_to_anchors(sp.reshape(t.size, -1), t.reshape(-1), protos.spatial, protos.time)
+    values = distances_from_inner(inner).argmin(axis=1).reshape(t.shape)
     return LabelMap(values, {i: n for i, n in enumerate(protos.labels)})
 
 
 def infer_angle(params: dict, protos: PrototypeSet, scene: SyntheticScene) -> LabelMap:
     """Per-pixel argmin exterior angle over prototypes; ties break low."""
-    grid = embed_scene(params, scene)
-    sp, t = grid.flat()
-    ext = ext_angles_to_anchors(sp, t, protos.spatial, protos.time)
-    values = ext.argmin(axis=1).reshape(grid.shape)
+    sp, t = embed_scene(params, scene)
+    ext = ext_angles_to_anchors(sp.reshape(t.size, -1), t.reshape(-1), protos.spatial, protos.time)
+    values = ext.argmin(axis=1).reshape(t.shape)
     return LabelMap(values, {i: n for i, n in enumerate(protos.labels)})
 
 

@@ -6,8 +6,9 @@ Poincare radius gives the same ordering, and a lower radius means a
 higher uncertainty.  Angle uncertainty is the minimum exterior angle
 against a set of anchors (class prototypes or mask queries).  Class
 confidence is exp(-d) to the Einstein-midpoint mean of the class's own
-embeddings.  Boundary maps threshold an uncertainty map at an empirical
-percentile.
+embeddings.  These three take the lifted pixels as the two arrays one
+lift returns, spatial parts (H, W, d) and times (H, W).  Boundary maps
+threshold an uncertainty map at an empirical percentile.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .entailment import ext_angles_to_anchors
 from .errors import UsageError
-from .lorentz import EmbeddingGrid, distances_from_inner, inner_to_anchors
+from .lorentz import distances_from_inner, inner_to_anchors
 from .models import hyperbolic_mean_arrays
 
 KINDS = ("radius_uncertainty", "angle_uncertainty", "confidence", "boundary")
@@ -47,39 +48,39 @@ class ScalarMap:
         object.__setattr__(self, "vmax", float(vals.max()))
 
 
-def radius_uncertainty(grid: EmbeddingGrid) -> ScalarMap:
+def radius_uncertainty(time: np.ndarray) -> ScalarMap:
     """-x0 per pixel: lower hyperboloid radius means higher uncertainty."""
-    return ScalarMap(-grid.time, "radius_uncertainty")
+    return ScalarMap(-time, "radius_uncertainty")
 
 
-def angle_uncertainty(grid: EmbeddingGrid, anchor_spatial: np.ndarray,
+def angle_uncertainty(spatial: np.ndarray, time: np.ndarray, anchor_spatial: np.ndarray,
                       anchor_time: np.ndarray) -> ScalarMap:
     """Minimum exterior angle over the anchors (spatial parts (A, d), times
     (A,)), per pixel, in [0, pi]."""
     if np.any(np.linalg.norm(anchor_spatial, axis=1) == 0.0):
         raise UsageError("an anchor at the origin has no exterior angle")
-    sp, t = grid.flat()
-    ext = ext_angles_to_anchors(sp, t, anchor_spatial, anchor_time)
-    return ScalarMap(ext.min(axis=1).reshape(grid.shape), "angle_uncertainty")
+    ext = ext_angles_to_anchors(spatial.reshape(time.size, -1), time.reshape(-1),
+                                anchor_spatial, anchor_time)
+    return ScalarMap(ext.min(axis=1).reshape(time.shape), "angle_uncertainty")
 
 
-def class_confidence(grid: EmbeddingGrid, class_pixels: np.ndarray) -> ScalarMap:
+def class_confidence(spatial: np.ndarray, time: np.ndarray, class_pixels: np.ndarray) -> ScalarMap:
     """exp(-d) to the Einstein-midpoint mean of the selected pixels.
 
     ``class_pixels`` is a boolean (H, W) mask of the class's pixels; the
     returned confidence covers every pixel and equals 1 only at the mean.
     """
     mask = np.asarray(class_pixels, dtype=bool)
-    if mask.shape != grid.shape:
+    if mask.shape != time.shape:
         raise UsageError("class mask shape mismatch")
     if not mask.any():
         raise UsageError("empty class pixel set")
-    sp, t = grid.flat()
+    sp, t = spatial.reshape(time.size, -1), time.reshape(-1)
     sel = mask.reshape(-1)
     m_time, m_spatial = hyperbolic_mean_arrays(sp[sel], t[sel])
     inner = inner_to_anchors(sp, t, m_spatial[None, :], np.array([m_time]))
     conf = np.exp(-distances_from_inner(inner)[:, 0])
-    return ScalarMap(conf.reshape(grid.shape), "confidence")
+    return ScalarMap(conf.reshape(time.shape), "confidence")
 
 
 def boundary_map(u: ScalarMap, percentile: float) -> ScalarMap:

@@ -149,15 +149,15 @@ def text_query(params, scene, query, bank, mode="distance"):
     if mode not in ("distance", "angle"):
         raise UsageError(f"mode must be 'distance' or 'angle', got {mode!r}")
     q = lz.exp_lift_origin(project(scene, bank, query))
-    grid = st.embed_scene(params, scene)
-    sp, t = grid.flat()
+    sp, t = st.embed_scene(params, scene)
+    sp, t = sp.reshape(t.size, -1), t.reshape(-1)
     anchor_sp, anchor_t = q.spatial[None, :], np.array([q.time])
     inner = lz.inner_to_anchors(sp, t, anchor_sp, anchor_t)
     if mode == "distance":
         scores = -lz.distances_from_inner(inner)[:, 0]
     else:
         scores = -ext_angles_to_anchors(sp, t, anchor_sp, anchor_t, inner=inner)[:, 0]
-    return scores.reshape(grid.shape)
+    return scores.reshape(scene.shape)
 
 
 def euclid_text_query(params, scene, query, bank):
@@ -210,11 +210,11 @@ def boundary_recall(pred_boundary, labels):
     return float(flagged[edge].mean())
 
 
-def radius_uncertainty_variants(grid):
+def radius_uncertainty_variants(spatial, time):
     """The three monotone-equivalent formulations of radius uncertainty,
     for ranking checks: (-x0, -||x'||, -poincare radius)."""
-    pnorm = grid.spatial_norms / (grid.time + 1.0)
-    return -grid.time, -grid.spatial_norms, -pnorm
+    norms = np.sqrt(lz.spatial_sq_norms(spatial))
+    return -time, -norms, -norms / (time + 1.0)
 
 
 def ranking_signature(values):
@@ -248,18 +248,18 @@ def _uncertainty(runs, name, kind="angle"):
     """A run's radius or angle uncertainty map, the latter over the mask
     queries for a mask run, and its scene's labels."""
     run, scene = runs[name], runs.scene(name)
-    grid = st.embed_scene(run.params, scene)
+    sp, t = st.embed_scene(run.params, scene)
     if kind == "radius":
-        return unc.radius_uncertainty(grid), scene.labels
+        return unc.radius_uncertainty(t), scene.labels
     if run.head == "mask":
-        return mh.mask_angle_uncertainty(grid, run.params), scene.labels
-    return unc.angle_uncertainty(grid, run.protos.spatial, run.protos.time), scene.labels
+        return mh.mask_angle_uncertainty(sp, t, run.params), scene.labels
+    return unc.angle_uncertainty(sp, t, run.protos.spatial, run.protos.time), scene.labels
 
 
 def _confidence_gap(runs):
     """Mean class-0 confidence of class-0 pixels minus that of the rest."""
     run, scene = runs["boundary"], runs.scene("boundary")
-    conf = unc.class_confidence(st.embed_scene(run.params, scene), scene.labels == 0)
+    conf = unc.class_confidence(*st.embed_scene(run.params, scene), scene.labels == 0)
     return float(conf.values[scene.labels == 0].mean() - conf.values[scene.labels != 0].mean())
 
 

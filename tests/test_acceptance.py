@@ -281,8 +281,8 @@ def test_criterion_6_uncertainty_properties(reference_runs):
     assert margin_r >= ref.BOUNDARY_MARGIN_RADIUS_MIN
     assert margin_a >= ref.BOUNDARY_MARGIN_ANGLE_MIN
 
-    grid = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
-    v1, v2, v3 = radius_uncertainty_variants(grid)
+    sp, t = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
+    v1, v2, v3 = radius_uncertainty_variants(sp, t)
     sig = ranking_signature(v1)
     assert np.array_equal(sig, ranking_signature(v2))
     assert np.array_equal(sig, ranking_signature(v3))
@@ -340,13 +340,13 @@ def test_criterion_7_mask_head_suite(reference_runs):
                 - ent.entailment_loss(protos.anchors[i], q, REFERENCE_MASK_TRAIN.K)
             )
             assert logits[j, i] == pytest.approx(expected, abs=1e-8)
-    grid = st.embed_scene(res.params, scene)
-    mlogits = mh.mask_query_logits(params, grid, cfg)
+    sp, t = st.embed_scene(res.params, scene)
+    mlogits = mh.mask_query_logits(params, sp, t, cfg)
     mt, msp, _ = lz.batched_exp_lift(params["mask_tangents"])
     for i in (0, 5):
         anchor = lz.lift_point(msp[i])
         for (r, c) in ((3, 3), (40, 50)):
-            p = grid.point(r, c)
+            p = lz.LorentzPoint(t[r, c], sp[r, c])
             expected = (-lz.geodesic_distance(anchor, p) + mh.B_D) / mh.S_D + (
                 -ent.exterior_angle(anchor, p) + mh.B_A
             ) / cfg.s_a

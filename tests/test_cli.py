@@ -436,6 +436,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "warning: rank deficiency: requested 8 components, keeping 7\n")
 
+    def test_warning_raised_as_error_exits_1(self, tmp_path):
+        # an error filter of the caller turns the held-out bank's
+        # rank-deficiency warning into an exception: one line, no manifest
+        src = str(Path(lorentzseg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONWARNINGS": "error::UserWarning",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-m", "lorentzseg.cli", "train", "--height", "16",
+                               "--width", "16", "--epochs", "2", "--exclude-class", "4",
+                               "--out-dir", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and "rank deficiency" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head", ["euc", "mask"])
+    def test_angle_mode_needs_pixel_model(self, trained_dir, mask_k_dir, tmp_path, capsys, head):
+        model = trained_dir / "euc" / "model" if head == "euc" else mask_k_dir / "model"
+        out = tmp_path / "inf"
+        assert run(["infer", "--model", str(model), "--mode", "angle", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "--mode angle" in err[0]
+        assert not out.exists()
+
     def test_mask_head_refuses_held_out_class(self, tmp_path, capsys):
         assert run(["train", "--head", "mask", "--height", "16", "--width", "16", "--epochs", "2",
                     "--exclude-class", "4", "--out-dir", str(tmp_path / "o")]) == 2

@@ -112,8 +112,8 @@ class TestMaskQueryLogits:
         cfg = mh.MaskHeadConfig(n_queries=1)
         u = np.array([0.9, 0.3])
         queries = queries_from([u])
-        grid = lz.EmbeddingGrid.from_tangent(np.array([[u]]))
-        logits = mh.mask_query_logits(queries, grid, cfg)
+        t, sp, _ = lz.batched_exp_lift(np.array([[u]]))
+        logits = mh.mask_query_logits(queries, sp, t, cfg)
         # coincident pair: distance 0 and angle 0 by the alignment rule
         expected = mh.B_D / mh.S_D + mh.B_A / cfg.s_a
         assert logits[0, 0, 0] == pytest.approx(expected, abs=1e-6)
@@ -123,22 +123,22 @@ class TestMaskQueryLogits:
         u = np.array([1.0, 0.0])
         queries = queries_from([u])
         tang = np.array([[1.5 * u, 2.5 * u, 3.5 * u]])
-        grid = lz.EmbeddingGrid.from_tangent(tang)
-        logits = mh.mask_query_logits(queries, grid, cfg)[0, 0]
+        t, sp, _ = lz.batched_exp_lift(tang)
+        logits = mh.mask_query_logits(queries, sp, t, cfg)[0, 0]
         assert logits[0] > logits[1] > logits[2]  # farther along the ray, ext 0
 
     def test_matches_formula(self):
         rng = np.random.default_rng(111)
         cfg = mh.MaskHeadConfig(n_queries=3)
         queries = queries_from(rng.normal(size=(3, 4)))
-        grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(2, 5, 4)))
-        logits = mh.mask_query_logits(queries, grid, cfg)
+        t, sp, _ = lz.batched_exp_lift(rng.normal(size=(2, 5, 4)))
+        logits = mh.mask_query_logits(queries, sp, t, cfg)
         mt, msp, _ = lz.batched_exp_lift(queries["mask_tangents"])
         for i in range(3):
             anchor = lz.lift_point(msp[i])
             for r in range(2):
                 for c in range(5):
-                    p = grid.point(r, c)
+                    p = lz.LorentzPoint(t[r, c], sp[r, c])
                     expected = (-lz.geodesic_distance(anchor, p) + mh.B_D) / mh.S_D + (
                         -ent.exterior_angle(anchor, p) + mh.B_A
                     ) / cfg.s_a
@@ -334,22 +334,22 @@ class TestSemanticMap:
 class TestMaskAngleUncertainty:
     def test_single_query_equals_plain_map(self):
         rng = np.random.default_rng(123)
-        grid = lz.EmbeddingGrid.from_tangent(rng.normal(size=(3, 3, 3)))
+        t, sp, _ = lz.batched_exp_lift(rng.normal(size=(3, 3, 3)))
         q = queries_from(rng.normal(size=(1, 3)))
-        m = mh.mask_angle_uncertainty(grid, q)
+        m = mh.mask_angle_uncertainty(sp, t, q)
         mt, msp, _ = lz.batched_exp_lift(q["mask_tangents"])
         anchor = lz.lift_point(msp[0])
         for r in range(3):
             for c in range(3):
                 assert m.values[r, c] == pytest.approx(
-                    ent.exterior_angle(anchor, grid.point(r, c)), abs=1e-10
+                    ent.exterior_angle(anchor, lz.LorentzPoint(t[r, c], sp[r, c])), abs=1e-10
                 )
 
     def test_zero_on_query_ray(self):
         u = np.array([1.0, 0.5])
         q = queries_from([u])
-        grid = lz.EmbeddingGrid.from_tangent(np.array([[2.0 * u, 3.0 * u]]))
-        m = mh.mask_angle_uncertainty(grid, q)
+        t, sp, _ = lz.batched_exp_lift(np.array([[2.0 * u, 3.0 * u]]))
+        m = mh.mask_angle_uncertainty(sp, t, q)
         np.testing.assert_allclose(m.values, 0.0, atol=1e-6)
 
 

@@ -225,9 +225,9 @@ class TestEncoder:
         params = st.init_encoder(16, 8, 4, seed=0)
         params["w1"] = np.zeros_like(params["w1"])
         params["w2"] = np.zeros_like(params["w2"])
-        grid = st.embed_scene(params, scene)
-        assert np.all(grid.time == 1.0)
-        assert np.all(grid.spatial == 0.0)
+        sp, t = st.embed_scene(params, scene)
+        assert np.all(t == 1.0)
+        assert np.all(sp == 0.0)
 
     def test_single_pixel_equals_batch(self):
         scene = st.generate_scene(SMALL)
@@ -303,6 +303,16 @@ class TestTrain:
         np.testing.assert_array_equal(a.params["w2"], b.params["w2"])
         np.testing.assert_array_equal(a.params["alpha"], b.params["alpha"])
         np.testing.assert_array_equal(a.trace["total"], b.trace["total"])
+
+    @pytest.mark.parametrize("head", ["mask", "pixle"])
+    def test_head_other_than_pixel_or_euclid_refused(self, head):
+        scene = st.generate_scene(SMALL)
+        bank = st.DescriptorBank.fit(scene, d=3)
+        cfg = st.TrainConfig(epochs=1, hidden=6, embed_dim=3)
+        with pytest.raises(UsageError, match=f"no per-pixel head '{head}'"):
+            st.PixelObjective.build(scene, bank, cfg, head)
+        with pytest.raises(UsageError, match=f"no per-pixel head '{head}'"):
+            st.train(scene, bank, cfg, head=head)
 
 
 class TestPixelObjectiveGradient:
@@ -465,9 +475,9 @@ class TestNoInputMutated:
 class TestInference:
     def test_matches_per_pixel_bruteforce(self, clean_run, clean_scene):
         pred = st.infer_distance(clean_run.params, clean_run.protos, clean_scene)
-        grid = st.embed_scene(clean_run.params, clean_scene)
+        sp, t = st.embed_scene(clean_run.params, clean_scene)
         for (r, c) in [(0, 0), (10, 40), (33, 12), (63, 63)]:
-            p = grid.point(r, c)
+            p = lz.LorentzPoint(t[r, c], sp[r, c])
             d = [lz.geodesic_distance(a, p) for a in clean_run.protos.anchors]
             assert pred.values[r, c] == int(np.argmin(d))
 
@@ -487,18 +497,18 @@ class TestInference:
     def test_logit_identity(self, clean_run, clean_scene):
         # argmax of -d/tau logits is the distance-inference label
         pred = st.infer_distance(clean_run.params, clean_run.protos, clean_scene)
-        grid = st.embed_scene(clean_run.params, clean_scene)
+        sp, t = st.embed_scene(clean_run.params, clean_scene)
         rng = np.random.default_rng(56)
         for _ in range(20):
             r, c = rng.integers(0, 64, size=2)
             logits = ent.distance_logits(
-                clean_run.protos, grid.point(r, c), 0.37
+                clean_run.protos, lz.LorentzPoint(t[r, c], sp[r, c]), 0.37
             )
             assert int(np.argmax(logits)) == pred.values[r, c]
 
     def test_tau_invariance_of_map(self, clean_run, clean_scene):
-        grid = st.embed_scene(clean_run.params, clean_scene)
-        sp, t = grid.flat()
+        sp, t = st.embed_scene(clean_run.params, clean_scene)
+        sp, t = sp.reshape(t.size, -1), t.reshape(-1)
         inner = lz.inner_to_anchors(sp, t, clean_run.protos.spatial, clean_run.protos.time)
         maps = [(-lz.distances_from_inner(inner) / tau).argmax(axis=1) for tau in (0.05, 0.1, 2.0)]
         np.testing.assert_array_equal(maps[0], maps[1])

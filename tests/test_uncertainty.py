@@ -18,26 +18,27 @@ from reference_runs import (
 )
 
 
-def grid_from_tangents(v):
-    return lz.EmbeddingGrid.from_tangent(np.asarray(v, dtype=float))
+def lift_tangents(v):
+    """The lifted field of tangent vectors v, as (spatial, time)."""
+    time, spatial, _ = lz.batched_exp_lift(np.asarray(v, dtype=float))
+    return spatial, time
 
 
-def angle_uncertainty(grid, anchors):
+def angle_uncertainty(sp, t, anchors):
     """The angle uncertainty over a list of LorentzPoint anchors."""
-    return unc.angle_uncertainty(grid, np.stack([a.spatial for a in anchors]),
+    return unc.angle_uncertainty(sp, t, np.stack([a.spatial for a in anchors]),
                                  np.array([a.time for a in anchors]))
 
 
 class TestRadiusUncertainty:
     def test_constant_at_origin(self):
-        grid = grid_from_tangents(np.zeros((4, 5, 3)))
-        m = unc.radius_uncertainty(grid)
+        _, t = lift_tangents(np.zeros((4, 5, 3)))
+        m = unc.radius_uncertainty(t)
         assert m.vmin == m.vmax == -1.0
 
     def test_ranking_identical_across_formulations(self):
         rng = np.random.default_rng(100)
-        grid = grid_from_tangents(rng.normal(size=(8, 9, 4)))
-        v1, v2, v3 = radius_uncertainty_variants(grid)
+        v1, v2, v3 = radius_uncertainty_variants(*lift_tangents(rng.normal(size=(8, 9, 4))))
         r1 = ranking_signature(v1)
         r2 = ranking_signature(v2)
         r3 = ranking_signature(v3)
@@ -50,60 +51,60 @@ class TestRadiusUncertainty:
                                       [1, 1, 2, 0])
 
     def test_lower_radius_means_higher_uncertainty(self):
-        grid = grid_from_tangents(np.array([[[0.1, 0.0], [2.0, 0.0]]]))
-        m = unc.radius_uncertainty(grid)
+        _, t = lift_tangents(np.array([[[0.1, 0.0], [2.0, 0.0]]]))
+        m = unc.radius_uncertainty(t)
         assert m.values[0, 0] > m.values[0, 1]
 
 
 class TestAngleUncertainty:
     def test_single_anchor_equals_plain_ext(self):
         rng = np.random.default_rng(101)
-        grid = grid_from_tangents(rng.normal(size=(3, 4, 3)))
+        sp, t = lift_tangents(rng.normal(size=(3, 4, 3)))
         anchor = lz.exp_lift_origin([1.0, 0.2, -0.3])
-        m = angle_uncertainty(grid, [anchor])
+        m = angle_uncertainty(sp, t, [anchor])
         for r in range(3):
             for c in range(4):
-                expected = ent.exterior_angle(anchor, grid.point(r, c))
+                expected = ent.exterior_angle(anchor, lz.LorentzPoint(t[r, c], sp[r, c]))
                 assert m.values[r, c] == pytest.approx(expected, abs=1e-10)
 
     def test_zero_on_outward_ray(self):
         u = np.array([0.8, 0.6, 0.0])
-        grid = grid_from_tangents(np.array([[2.5 * u, 3.0 * u]]))
+        sp, t = lift_tangents(np.array([[2.5 * u, 3.0 * u]]))
         anchor = lz.exp_lift_origin(u)
-        m = angle_uncertainty(grid, [anchor])
+        m = angle_uncertainty(sp, t, [anchor])
         np.testing.assert_allclose(m.values, 0.0, atol=1e-6)
 
     def test_min_over_anchors(self):
         rng = np.random.default_rng(102)
-        grid = grid_from_tangents(rng.normal(size=(4, 4, 3)))
+        sp, t = lift_tangents(rng.normal(size=(4, 4, 3)))
         anchors = [lz.exp_lift_origin(rng.normal(size=3)) for _ in range(3)]
-        m = angle_uncertainty(grid, anchors)
-        singles = np.stack([angle_uncertainty(grid, [a]).values for a in anchors])
+        m = angle_uncertainty(sp, t, anchors)
+        singles = np.stack([angle_uncertainty(sp, t, [a]).values for a in anchors])
         np.testing.assert_allclose(m.values, singles.min(axis=0), atol=1e-12)
         assert m.vmin >= 0.0 and m.vmax <= np.pi
 
     def test_origin_anchor_rejected(self):
-        grid = grid_from_tangents(np.zeros((2, 2, 2)))
+        sp, t = lift_tangents(np.zeros((2, 2, 2)))
         with pytest.raises(UsageError):
-            angle_uncertainty(grid, [lz.origin(2)])
+            angle_uncertainty(sp, t, [lz.origin(2)])
 
 
 class TestClassConfidence:
     def test_identical_pixels_have_unit_confidence(self):
-        grid = grid_from_tangents(np.tile(np.array([0.4, -0.2, 0.8]), (3, 3, 1)))
+        sp, t = lift_tangents(np.tile(np.array([0.4, -0.2, 0.8]), (3, 3, 1)))
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
-        conf = unc.class_confidence(grid, mask)
+        conf = unc.class_confidence(sp, t, mask)
         np.testing.assert_allclose(conf.values, 1.0, atol=1e-12)
 
     def test_strictly_decreasing_in_distance(self):
         # pixels along one ray at growing radius; the class set is the
         # two innermost, so confidence decays with distance to their mean
         u = np.array([1.0, 0.0])
-        grid = grid_from_tangents(np.array([[t * u for t in (0.5, 0.7, 1.5, 2.5, 4.0)]]))
+        sp, t = lift_tangents(np.array([[r * u for r in (0.5, 0.7, 1.5, 2.5, 4.0)]]))
         mask = np.zeros((1, 5), dtype=bool)
         mask[0, :2] = True
-        conf = unc.class_confidence(grid, mask)
+        conf = unc.class_confidence(sp, t, mask)
         vals = conf.values[0]
         assert np.all(np.diff(vals[1:]) < 0.0)
         assert conf.vmax <= 1.0 and conf.vmin > 0.0
@@ -112,9 +113,9 @@ class TestClassConfidence:
         assert STATISTICS["CONFIDENCE_GAP_CLASS0"](reference_runs) >= ref.CONFIDENCE_GAP_MIN
 
     def test_empty_set_rejected(self):
-        grid = grid_from_tangents(np.zeros((2, 2, 2)))
+        sp, t = lift_tangents(np.zeros((2, 2, 2)))
         with pytest.raises(UsageError):
-            unc.class_confidence(grid, np.zeros((2, 2), dtype=bool))
+            unc.class_confidence(sp, t, np.zeros((2, 2), dtype=bool))
 
 
 class TestScalarMap:
@@ -183,8 +184,8 @@ class TestReferenceRunStatistics:
         assert recall_p90 >= ref.BOUNDARY_RECALL_ANGLE_P90_MIN
 
     def test_ranking_identity_on_reference_run(self, reference_runs):
-        grid = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
-        v1, v2, v3 = radius_uncertainty_variants(grid)
+        sp, t = st.embed_scene(reference_runs["boundary"].params, reference_runs.scene("boundary"))
+        v1, v2, v3 = radius_uncertainty_variants(sp, t)
         np.testing.assert_array_equal(ranking_signature(v1), ranking_signature(v2))
         np.testing.assert_array_equal(ranking_signature(v1), ranking_signature(v3))
 
@@ -192,9 +193,9 @@ class TestReferenceRunStatistics:
         params = st.init_encoder(16, 8, 4, seed=0)
         params["w1"] = np.zeros_like(params["w1"])
         params["w2"] = np.zeros_like(params["w2"])
-        grid = st.embed_scene(params, clean_scene)
-        ru = unc.radius_uncertainty(grid)
+        sp, t = st.embed_scene(params, clean_scene)
+        ru = unc.radius_uncertainty(t)
         assert ru.vmin == ru.vmax
         anchors = [lz.exp_lift_origin(np.array([1.0, 0, 0, 0.0]))]
-        au = angle_uncertainty(grid, anchors)
+        au = angle_uncertainty(sp, t, anchors)
         assert au.vmin == au.vmax
